@@ -274,12 +274,37 @@ fn cmd_explain(ucq: &Ucq, inst: Option<&Instance>) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// What the context holds for `rel` once a request has run: the mirror's
+/// segments and tombstones, and the index cache's work over the mirror and
+/// its normalizations. `None` if the relation was never interned.
+fn storage_line(ctx: &CtxView, rel: &std::sync::Arc<ucq_storage::Relation>) -> Option<String> {
+    let churn = ctx.churn_of(rel)?;
+    Some(format!(
+        "{} segment(s), {} live / {} dead rows, {:.1}% tombstones; \
+         indexes: {} built, {} reused, {} merged",
+        churn.segments,
+        churn.live_rows,
+        churn.dead_rows,
+        churn.tombstone_fraction * 100.0,
+        churn.indexes.builds,
+        churn.indexes.hits,
+        churn.indexes.merged
+    ))
+}
+
 /// The `EXPLAIN`-style dump: statistics the planner harvests, the plan
 /// cache key, and the costed plan with per-atom cardinality estimates.
 fn explain_plan(ucq: &Ucq, inst: &Instance) -> String {
     let mut out = String::new();
-    let c = classify(ucq);
+    let engine = UcqEngine::new(ucq.clone());
+    let c = engine.classification();
     let ctx = CtxView::new();
+    // Prepare one session first, so the storage lines show what a request
+    // leaves in the caches (the naive fallback prepares nothing, and an
+    // instance the query cannot run over is `ucq run`'s to report).
+    if engine.strategy() != Strategy::Naive {
+        let _ = engine.session_in(&ctx, inst).decide();
+    }
     let _ = writeln!(out, "planner (over the minimized union):");
     let _ = writeln!(out, "  statistics:");
     for name in c.minimized.relation_names() {
@@ -291,15 +316,8 @@ fn explain_plan(ucq: &Ucq, inst: &Instance) -> String {
                     "    {name}: {} rows, distinct {:?}, max fanout {:?}",
                     stats.rows, stats.distinct, stats.max_fanout
                 );
-                if let Some(churn) = ctx.churn_of(&rel) {
-                    let _ = writeln!(
-                        out,
-                        "      storage: {} segment(s), {} live / {} dead rows, {:.1}% tombstones",
-                        churn.segments,
-                        churn.live_rows,
-                        churn.dead_rows,
-                        churn.tombstone_fraction * 100.0
-                    );
+                if let Some(line) = storage_line(&ctx, &rel) {
+                    let _ = writeln!(out, "      storage: {line}");
                 }
             }
             None => {
@@ -369,6 +387,8 @@ fn cmd_run(
         engine.strategy()
     };
     let _ = writeln!(out, "strategy: {strategy:?}");
+    // The request's own context, kept so `--stats` can say what it cached.
+    let ctx = CtxView::new();
     let started = std::time::Instant::now();
     let mut count = 0usize;
     if force_naive {
@@ -384,7 +404,7 @@ fn cmd_run(
         }
     } else {
         let mut ans = engine
-            .enumerate(inst)
+            .enumerate_in(&ctx, inst)
             .map_err(|e| CliError::new(e.to_string()))?;
         while let Some(t) = ans.next() {
             if limit.map(|l| count >= l).unwrap_or(false) {
@@ -401,6 +421,14 @@ fn cmd_run(
             started.elapsed(),
             inst.total_tuples()
         );
+        for name in engine.classification().minimized.relation_names() {
+            let line = inst
+                .get_shared(name)
+                .and_then(|rel| storage_line(&ctx, &rel));
+            if let Some(line) = line {
+                let _ = writeln!(out, "-- {name}: {line}");
+            }
+        }
     }
     Ok(out)
 }
@@ -593,9 +621,10 @@ mod tests {
         assert!(out.contains("planner (over the minimized union):"), "{out}");
         assert!(out.contains("R1: 2 rows"), "{out}");
         assert!(
-            out.contains("storage: 1 segment(s), 2 live / 0 dead rows, 0.0% tombstones"),
+            out.contains("storage: 1 segment(s), 2 live / 0 dead rows, 0.0% tombstones; indexes: "),
             "{out}"
         );
+        assert!(out.contains(" built, "), "{out}");
         assert!(out.contains("dictionary: "), "{out}");
         assert!(out.contains("plan cache key: fingerprint"), "{out}");
         assert!(out.contains("candidates costed:"), "{out}");
@@ -618,6 +647,10 @@ mod tests {
         let out = dispatch(&args(&["run", &q, &i, "--stats"])).unwrap();
         assert!(out.contains("(1, 3)") && out.contains("(1, 4)"), "{out}");
         assert!(out.contains("2 answer(s)"), "{out}");
+        assert!(
+            out.contains("-- R: 1 segment(s), 1 live / 0 dead rows"),
+            "{out}"
+        );
 
         let out = dispatch(&args(&["decide", &q, &i])).unwrap();
         assert_eq!(out, "yes\n");

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use ucq_enumerate::Enumerator;
 use ucq_query::Ucq;
 use ucq_storage::{CtxView, Instance, Tuple};
-use ucq_yannakakis::{CdyEngine, ContainsScratch, EvalError, OwnedCdyIter};
+use ucq_yannakakis::{CdyEngine, ContainsScratch, EvalError, OwnedCdyIter, SharedShapes};
 
 /// Recursive union node. Each node carries a [`ContainsScratch`] for its
 /// own engine's membership probes, so the line-4 checks reuse buffers
@@ -121,9 +121,10 @@ impl Algorithm1 {
         instance: &Instance,
         ctx: &CtxView,
     ) -> Result<Vec<Arc<CdyEngine>>, EvalError> {
+        let shared = SharedShapes::of(ucq.cqs());
         ucq.cqs()
             .iter()
-            .map(|cq| CdyEngine::for_query_in(cq, instance, ctx).map(Arc::new))
+            .map(|cq| CdyEngine::for_member_in(cq, &shared, instance, ctx).map(Arc::new))
             .collect()
     }
 

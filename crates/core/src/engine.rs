@@ -30,7 +30,7 @@ use ucq_enumerate::{Enumerator, IdDecoder, IdVecEnumerator};
 use ucq_query::Ucq;
 use ucq_storage::sync::OnceLock;
 use ucq_storage::{CtxView, Instance, Tuple};
-use ucq_yannakakis::{CdyEngine, EvalError, IdTable};
+use ucq_yannakakis::{CdyEngine, EvalError, IdTable, SharedShapes};
 
 /// Materializes the naive union on the id layer and wraps it in the
 /// lazily-decoding value facade (ids stay interned under `ctx`; one decode
@@ -649,8 +649,12 @@ impl<'e> FrozenSession<'e> {
     /// * **Algorithm 1** — members whose relations are all untouched keep
     ///   their prepared engine (pinned to the previous epoch's view, which
     ///   stays valid: both epochs share one dictionary lineage); touched
-    ///   members rebuild against the pre-seeded caches, so interning and
-    ///   index work is already done.
+    ///   members rebuild against the caches `insert_rows` carried over —
+    ///   the mirror, the normalizations and the separator indexes cached
+    ///   on them — so an insert costs the member a re-probe of its parent
+    ///   rows and an arena scan, not a re-hash. (A delete drops the
+    ///   touched relation's normalizations; those, and their indexes, are
+    ///   rebuilt once for all members.)
     /// * **Union extension** — an untouched union clones the prep wholesale;
     ///   otherwise the plan is re-costed (the churn ledger bumps the stats
     ///   epoch past the replan threshold, so skew flips surface here) and
@@ -687,9 +691,14 @@ impl<'e> FrozenSession<'e> {
             FrozenPrepared::Algorithm1(engines) => {
                 let mut rebuilt: Vec<(usize, CdyEngine)> = Vec::new();
                 let mut next = engines.clone();
+                // The whole union's shapes, not the touched members': the
+                // rebuilt engines must root where the first build did, or
+                // they would ask for indexes nobody cached.
+                let shared = SharedShapes::of(minimized.cqs());
                 for (i, cq) in minimized.cqs().iter().enumerate() {
                     if self.touched(instance, &cq.relation_names()) {
-                        rebuilt.push((i, CdyEngine::for_query_in(cq, instance, &self.build_ctx)?));
+                        let eng = CdyEngine::for_member_in(cq, &shared, instance, &self.build_ctx)?;
+                        rebuilt.push((i, eng));
                     }
                 }
                 let view = self.build_ctx.freeze();
@@ -994,6 +1003,60 @@ mod tests {
         let new = next.a1_engines().unwrap();
         assert!(!Arc::ptr_eq(&old[0], &new[0]), "touched member rebuilt");
         assert!(Arc::ptr_eq(&old[1], &new[1]), "untouched member shared");
+    }
+
+    #[test]
+    fn shared_shapes_are_hashed_once_and_carried_across_sessions_and_epochs() {
+        // Both members read A in one shape; B and C are each member's own.
+        let text = "Q1(x, y, z) <- A(x, y), B(y, z)\nQ2(x, y, z) <- A(x, y), C(y, z)";
+        let eng = UcqEngine::new(parse_ucq(text).unwrap());
+        assert_eq!(eng.strategy(), Strategy::Algorithm1);
+        let i = inst(&[
+            ("A", vec![(1, 2), (3, 4), (5, 6)]),
+            ("B", vec![(2, 7), (6, 8)]),
+            ("C", vec![(4, 9), (6, 8)]),
+        ]);
+        let ctx = CtxView::new();
+        let first = eng.session_in(&ctx, &i);
+        first.enumerate().unwrap();
+        let s1 = ctx.stats();
+        assert_eq!(
+            s1.index_builds, 1,
+            "one (relation, shape, separator): A on y"
+        );
+        assert!(s1.index_hits >= 1, "the second member reuses it");
+
+        // A second session over the same context hashes nothing.
+        let second = eng.session_in(&ctx, &i);
+        second.enumerate().unwrap();
+        let s2 = ctx.stats();
+        assert_eq!(s2.index_builds, s1.index_builds);
+        assert_eq!(s2.derived_builds, s1.derived_builds);
+        assert!(s2.index_hits > s1.index_hits);
+
+        // An insert into the indexed relation: the next epoch's index is
+        // merged, nothing is rebuilt, untouched relations are not looked at.
+        let frozen = second.freeze().unwrap();
+        let a2 = ctx.insert_rows(&i.get_shared("A").unwrap(), &Relation::from_pairs([(7, 2)]));
+        let i2 = i.with_relation_shared("A", a2);
+        let next = frozen.refreeze(&i2).unwrap();
+        assert!(ctx.ingest_stats().indexes_merged >= 1);
+        let s3 = ctx.stats();
+        assert_eq!(s3.index_builds, s2.index_builds, "merged, not rebuilt");
+        assert_eq!(s3.derived_builds, s2.derived_builds, "carried, not rebuilt");
+        assert_eq!(s3.interned_builds, s2.interned_builds);
+        assert_eq!(collect(&next), naive_set(text, &i2));
+        assert_eq!(collect(&frozen), naive_set(text, &i), "old epoch intact");
+
+        // A delete drops A's normalization: one rebuild, shared again.
+        let a3 = ctx.delete_rows(
+            &i2.get_shared("A").unwrap(),
+            &Relation::from_pairs([(3, 4)]),
+        );
+        let i3 = i2.with_relation_shared("A", a3);
+        let last = next.refreeze(&i3).unwrap();
+        assert_eq!(ctx.stats().index_builds, s3.index_builds + 1);
+        assert_eq!(collect(&last), naive_set(text, &i3));
     }
 
     #[test]

@@ -30,9 +30,9 @@ use std::sync::Arc;
 use ucq_enumerate::{
     Cheater, CheaterStats, Enumerator, IdChainEnumerator, IdEnumerator, IdVecEnumerator,
 };
-use ucq_query::Ucq;
+use ucq_query::{Cq, Ucq};
 use ucq_storage::{CtxView, IdBlock, Instance, Tuple, ValueId};
-use ucq_yannakakis::{CdyEngine, EvalError, OwnedCdyIter};
+use ucq_yannakakis::{CdyEngine, EvalError, OwnedCdyIter, SharedShapes};
 
 /// The preprocessed (linear-phase) state of the Theorem 12 pipeline:
 /// materialized virtual relations folded into per-member CDY engines, ready
@@ -87,15 +87,14 @@ impl UcqPipelinePrep {
             n_early += m.n_provider_answers;
         }
 
-        let mut engines = Vec::with_capacity(ucq.len());
-        for i in 0..ucq.len() {
-            let extended = plan.extended_query(ucq, i);
-            engines.push(Arc::new(CdyEngine::for_query_in(
-                &extended,
-                &ext_instance,
-                ctx,
-            )?));
-        }
+        let extended: Vec<Cq> = (0..ucq.len())
+            .map(|i| plan.extended_query(ucq, i))
+            .collect();
+        let shared = SharedShapes::of(&extended);
+        let engines = extended
+            .iter()
+            .map(|cq| CdyEngine::for_member_in(cq, &shared, &ext_instance, ctx).map(Arc::new))
+            .collect::<Result<Vec<_>, _>>()?;
 
         // Duplication bound: each answer can surface once per member and
         // once per materialization (Lemma 5's m).

@@ -2,10 +2,6 @@
 //! [`FrozenSession`] must each produce exactly the single-threaded answer
 //! multiset, for every strategy arm (Algorithm 1, the Theorem 12 union
 //! pipeline, and the pre-materialized naive fallback).
-//!
-//! `UCQ_PAR_THREADS=4` is pinned so the preprocessing layer's sharded
-//! builds also exercise their parallel paths regardless of host core
-//! count.
 
 use std::collections::HashMap;
 use ucq_core::{Strategy, UcqEngine};
@@ -62,7 +58,6 @@ fn assert_threads_match(engine: &UcqEngine, inst: &Instance, threads: usize) {
 
 #[test]
 fn four_threads_match_single_threaded_multiset_across_strategies() {
-    std::env::set_var("UCQ_PAR_THREADS", "4");
     let cases = [
         // Full-head path: all members free-connex, no extension needed.
         (
@@ -98,7 +93,6 @@ fn four_threads_match_single_threaded_multiset_across_strategies() {
 
 #[test]
 fn eight_threads_on_a_shared_union_session() {
-    std::env::set_var("UCQ_PAR_THREADS", "4");
     let engine = UcqEngine::new(
         parse_ucq(
             "Q1(x, y, w) <- R1(x, z), R2(z, y), R3(y, w)\n\

@@ -89,6 +89,24 @@ impl JoinTree {
         }
     }
 
+    /// The same tree rooted at `new_root`: the parent links on the path from
+    /// `new_root` up to the old root are reversed. Edges, and so separators,
+    /// stay what they were.
+    pub fn rerooted(&self, new_root: usize) -> JoinTree {
+        let mut parent = self.parent.clone();
+        let mut below = None;
+        let mut at = Some(new_root);
+        while let Some(n) = at {
+            at = std::mem::replace(&mut parent[n], below);
+            below = Some(n);
+        }
+        JoinTree {
+            nodes: self.nodes.clone(),
+            parent,
+            root: new_root,
+        }
+    }
+
     /// Children lists for every node.
     pub fn children(&self) -> Vec<Vec<usize>> {
         let mut ch = vec![Vec::new(); self.nodes.len()];
@@ -275,6 +293,30 @@ mod tests {
         assert!(t.has_running_intersection());
         assert_eq!(t.separator(1), VSet::singleton(1));
         assert_eq!(t.separator(0), VSet::EMPTY);
+    }
+
+    #[test]
+    fn rerooting_reverses_the_path_and_keeps_the_edges() {
+        // 0 - 1 - 2, with 3 hanging off 1.
+        let t = JoinTree::new(
+            vec![
+                node(&[0, 1], Some(0)),
+                node(&[1, 2], Some(1)),
+                node(&[2, 3], Some(2)),
+                node(&[1, 4], Some(3)),
+            ],
+            vec![None, Some(0), Some(1), Some(1)],
+        );
+        let r = t.rerooted(2);
+        assert_eq!(r.root(), 2);
+        assert_eq!(
+            (0..4).map(|n| r.parent(n)).collect::<Vec<_>>(),
+            vec![Some(1), Some(2), None, Some(1)]
+        );
+        assert!(r.has_running_intersection());
+        assert_eq!(r.separator(1), t.separator(2), "same edge, other end");
+        assert_eq!(r.separator(3), t.separator(3), "off-path edges untouched");
+        assert_eq!(r.bfs_order().len(), 4);
     }
 
     #[test]

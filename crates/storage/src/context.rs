@@ -23,12 +23,11 @@
 //!
 //! Contexts have a two-phase lifecycle. During the **build phase** an
 //! `EvalContext` guards its state with an (uncontended) mutex, so it is
-//! `Send + Sync` and the parallel preprocessing helpers can feed it.
-//! [`EvalContext::freeze`] then snapshots the dictionary and caches into an
-//! immutable [`crate::FrozenContext`] for the **serve phase**: reads on the
-//! frozen snapshot take no lock at all, so any number of enumeration
-//! threads can decode, probe and dedup against it concurrently (see
-//! [`crate::CtxView`]).
+//! `Send + Sync`. [`EvalContext::freeze`] then snapshots the dictionary and
+//! caches into an immutable [`crate::FrozenContext`] for the **serve
+//! phase**: reads on the frozen snapshot take no lock at all, so any number
+//! of enumeration threads can decode, probe and dedup against it
+//! concurrently (see [`crate::CtxView`]).
 
 use crate::dictionary::{Dictionary, ValueId};
 use crate::frozen::FrozenContext;
@@ -86,9 +85,9 @@ pub struct IngestStats {
     pub epoch_bumps: usize,
 }
 
-/// Per-relation churn diagnostics read off the interned mirror — the
-/// numbers `ucq explain` reports so segment/tombstone bloat is observable
-/// before compaction ships.
+/// Per-relation churn diagnostics read off the interned mirror and the
+/// index cache — the numbers `ucq explain` reports so segment/tombstone
+/// bloat and index sharing are observable.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RelChurn {
     /// CSR/columnar segments (base build + appended deltas).
@@ -99,6 +98,21 @@ pub struct RelChurn {
     pub dead_rows: usize,
     /// `dead / (live + dead)`.
     pub tombstone_fraction: f64,
+    /// The indexes cached over this relation's mirror and normalizations:
+    /// how they got there and how often they were reused.
+    pub indexes: IndexUse,
+}
+
+/// How the cached indexes of one relation came to be, summed over its
+/// mirror and every normalization of it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IndexUse {
+    /// Hashed from scratch.
+    pub builds: usize,
+    /// Requests answered by an index already cached.
+    pub hits: usize,
+    /// Carried across a delta by [`HashIndex::merge_appended`].
+    pub merged: usize,
 }
 
 /// Cumulative churn on one relation lineage since its last stats-epoch
@@ -137,6 +151,15 @@ impl fmt::Debug for PlanSlot {
     }
 }
 
+/// A build-phase cache entry: the pinning handle, the shared index, and
+/// what the cache did for this lineage so far.
+#[derive(Debug)]
+struct CachedIndex {
+    pin: Arc<IdRel>,
+    idx: Arc<HashIndex>,
+    used: IndexUse,
+}
+
 /// An index cache: `(relation identity, key columns) → Arc<HashIndex>`.
 ///
 /// Requesting the same `(relation, key_cols)` twice returns the *same*
@@ -144,7 +167,7 @@ impl fmt::Debug for PlanSlot {
 /// session evaluations share one physical index.
 #[derive(Debug, Default)]
 pub struct IndexCache {
-    map: FastMap<IndexKey, IndexEntry>,
+    map: FastMap<IndexKey, CachedIndex>,
     hits: usize,
     builds: usize,
 }
@@ -154,13 +177,22 @@ impl IndexCache {
     /// request.
     pub fn get_or_build(&mut self, rel: &Arc<IdRel>, key_cols: &[usize]) -> Arc<HashIndex> {
         let key = (Arc::as_ptr(rel) as usize, key_cols.into());
-        if let Some((_pin, idx)) = self.map.get(&key) {
+        if let Some(entry) = self.map.get_mut(&key) {
             self.hits += 1;
-            return Arc::clone(idx);
+            entry.used.hits += 1;
+            return Arc::clone(&entry.idx);
         }
         self.builds += 1;
         let idx = Arc::new(HashIndex::build(rel, key_cols));
-        self.map.insert(key, (Arc::clone(rel), Arc::clone(&idx)));
+        let entry = CachedIndex {
+            pin: Arc::clone(rel),
+            idx: Arc::clone(&idx),
+            used: IndexUse {
+                builds: 1,
+                ..IndexUse::default()
+            },
+        };
+        self.map.insert(key, entry);
         idx
     }
 
@@ -176,22 +208,46 @@ impl IndexCache {
 
     /// A copy of the cache map, for [`EvalContext::freeze`].
     pub(crate) fn snapshot(&self) -> FastMap<IndexKey, IndexEntry> {
-        self.map.clone()
+        self.map
+            .iter()
+            .map(|(k, e)| (k.clone(), (Arc::clone(&e.pin), Arc::clone(&e.idx))))
+            .collect()
     }
 
     /// The cached index for `(rel_ptr, key_cols)` if one was already built
     /// (no build, no counter bump) — the stats harvester's peek.
     pub(crate) fn peek(&self, rel_ptr: usize, key_cols: &[usize]) -> Option<&Arc<HashIndex>> {
-        self.map.get(&(rel_ptr, key_cols.into())).map(|(_p, i)| i)
+        self.map.get(&(rel_ptr, key_cols.into())).map(|e| &e.idx)
     }
 
-    /// Carries every cached index of the mirror at `old_ptr` over to its
-    /// churned successor `new_rel` via [`HashIndex::merge_appended`] —
-    /// O(Δ + arena) per index, re-hashing only delta rows. The old
-    /// entries are dropped from this (build-phase) cache; frozen epochs
-    /// hold their own snapshot of the map, so in-flight readers keep
-    /// probing the old indexes untouched. Returns the number of indexes
-    /// merged.
+    /// What the cache did for the relations at `rel_ptrs`, summed over
+    /// their key-column sets.
+    fn used(&self, rel_ptrs: &[usize]) -> IndexUse {
+        let mut sum = IndexUse::default();
+        for ((p, _), e) in &self.map {
+            if rel_ptrs.contains(p) {
+                sum.builds += e.used.builds;
+                sum.hits += e.used.hits;
+                sum.merged += e.used.merged;
+            }
+        }
+        sum
+    }
+
+    /// Drops every cached index of the relation at `rel_ptr` (a
+    /// normalization its base relation's churn made unreachable), so the
+    /// cache stops pinning it.
+    fn evict(&mut self, rel_ptr: usize) {
+        self.map.retain(|(p, _), _| *p != rel_ptr);
+    }
+
+    /// Carries every cached index of the relation at `old_ptr` (a mirror
+    /// or a normalization) over to its churned successor `new_rel` via
+    /// [`HashIndex::merge_appended`] — O(Δ + arena) per index, re-hashing
+    /// only delta rows. The old entries are dropped from this
+    /// (build-phase) cache; frozen epochs hold their own snapshot of the
+    /// map, so in-flight readers keep probing the old indexes untouched.
+    /// Returns the number of indexes merged.
     pub(crate) fn reseed_merged(
         &mut self,
         old_ptr: usize,
@@ -207,10 +263,16 @@ impl IndexCache {
         let new_ptr = Arc::as_ptr(new_rel) as usize;
         let mut merged = 0usize;
         for key in keys {
-            let (_pin, idx) = self.map.remove(&key).expect("key listed above");
-            let next = Arc::new(idx.merge_appended(new_rel, old_rows));
-            self.map
-                .insert((new_ptr, key.1), (Arc::clone(new_rel), next));
+            let old = self.map.remove(&key).expect("key listed above");
+            let entry = CachedIndex {
+                pin: Arc::clone(new_rel),
+                idx: Arc::new(old.idx.merge_appended(new_rel, old_rows)),
+                used: IndexUse {
+                    merged: old.used.merged + 1,
+                    ..old.used
+                },
+            };
+            self.map.insert((new_ptr, key.1), entry);
             merged += 1;
         }
         merged
@@ -262,6 +324,15 @@ struct Inner {
 }
 
 impl Inner {
+    /// Removes and returns every cached normalization of the relation at
+    /// `rel_key` (its churn leaves them unreachable under that key).
+    fn take_derived(&mut self, rel_key: usize) -> Vec<(Box<[u32]>, DerivedEntry)> {
+        self.derived
+            .extract_if(|(p, _), _| *p == rel_key)
+            .map(|((_, sig), entry)| (sig, entry))
+            .collect()
+    }
+
     /// Moves the churn ledger from `old_key` to `new_key`, adding
     /// `changed` churned rows. A fresh lineage starts from `base_before`
     /// (the pre-change live cardinality — what any cached plan was costed
@@ -557,11 +628,17 @@ impl EvalContext {
     }
 
     /// Appends `delta` to `rel`, returning the successor `Arc<Relation>`
-    /// handle — O(Δ) end-to-end when `rel` is interned: only the delta's
-    /// cells are interned ([`IdRel::append_delta`]), every cached index is
-    /// carried over by CSR segment merge ([`HashIndex::merge_appended`]),
-    /// and the fresh `Arc` identity invalidates exactly this relation's
-    /// normalization/stats entries (cache keys are `Arc` addresses).
+    /// handle. When `rel` is interned the *hashing* is O(Δ): only the
+    /// delta's cells are interned ([`IdRel::append_delta`]), normalizations
+    /// kept with their dedup set re-normalize only the delta segment, and
+    /// every index cached on the mirror or on a carried normalization is
+    /// merged, not rebuilt ([`HashIndex::merge_appended`]). The call as a
+    /// whole is O(n) all the same: the value relation, the mirror, each
+    /// carried normalization (with its dedup set) and each merged index's
+    /// key map and arena are copied — memcpy-speed passes, so that epochs
+    /// already frozen keep reading their own versions. The fresh `Arc`
+    /// identity invalidates exactly this relation's stats entries and
+    /// closure-built derivations (cache keys are `Arc` addresses).
     ///
     /// Cumulative churn past [`CHURN_REPLAN_PERCENT`] of the relation's
     /// base cardinality bumps the stats epoch, so stale cost-based plans
@@ -598,27 +675,27 @@ impl EvalContext {
                     .reseed_merged(old_mirror_ptr, &mirror, old_rows);
             // Normalizations built with their dedup set carry over: append
             // the delta segment's normalization to a copy of the old entry
-            // ([`normalize_ranked_append`] is prefix-compositional), so the
+            // ([`normalize_ranked_append`] is prefix-compositional), and
+            // merge the indexes cached on it the same way the mirror's
+            // are — the old rows are a prefix of the successor — so the
             // successor's first prepare re-hashes Δ rows, not the relation.
             // Closure-built entries (no set) are rebuilt on demand.
-            let carried: Vec<_> = inner
-                .derived
-                .iter()
-                .filter(|((p, _), (_, seen))| *p == old_key && seen.is_some())
-                .map(|((_, sig), (drel, seen))| {
-                    let seen = seen.as_ref().expect("filtered on Some");
-                    (sig.clone(), Arc::clone(drel), Arc::clone(seen))
-                })
-                .collect();
-            inner.derived.retain(|(p, _), _| *p != old_key);
-            for (sig, drel, dseen) in carried {
+            for (sig, (drel, dseen)) in inner.take_derived(old_key) {
+                let old_ptr = Arc::as_ptr(&drel) as usize;
+                let Some(dseen) = dseen else {
+                    inner.indexes.evict(old_ptr);
+                    continue;
+                };
                 let mut out = (*drel).clone();
                 let mut seen = (*dseen).clone();
                 normalize_ranked_append(&mirror, &sig, old_rows, &mut out, &mut seen);
+                let out = Arc::new(out);
+                inner.ingest.indexes_merged +=
+                    inner.indexes.reseed_merged(old_ptr, &out, drel.len());
                 inner.ingest.derived_carried += 1;
                 inner
                     .derived
-                    .insert((new_key, sig), (Arc::new(out), Some(Arc::new(seen))));
+                    .insert((new_key, sig), (out, Some(Arc::new(seen))));
             }
             inner.rel_stats.remove(&old_mirror_ptr);
             inner.note_churn(
@@ -690,7 +767,11 @@ impl EvalContext {
                 inner
                     .indexes
                     .reseed_merged(old_mirror_ptr, &mirror, old_rows);
-            inner.derived.retain(|(p, _), _| *p != old_key);
+            // Derived rows do not map back to base rows, so normalizations
+            // (and the indexes cached on them) are rebuilt on demand.
+            for (_sig, (drel, _)) in inner.take_derived(old_key) {
+                inner.indexes.evict(Arc::as_ptr(&drel) as usize);
+            }
             inner.rel_stats.remove(&old_mirror_ptr);
             inner.note_churn(old_key, new_key, killed, base_before, mirror.live_len());
         } else {
@@ -700,18 +781,27 @@ impl EvalContext {
     }
 
     /// Churn diagnostics for `rel`, if its mirror is interned: segment
-    /// count, live/dead rows, tombstone fraction.
+    /// count, live/dead rows, tombstone fraction, and the index cache's
+    /// work over the mirror and its normalizations.
     pub fn churn_of(&self, rel: &Arc<Relation>) -> Option<RelChurn> {
         let inner = self.lock();
-        inner
-            .interned
-            .get(&(Arc::as_ptr(rel) as usize))
-            .map(|(_pin, m)| RelChurn {
-                segments: m.n_segments(),
-                live_rows: m.live_len(),
-                dead_rows: m.n_dead(),
-                tombstone_fraction: m.tombstone_fraction(),
-            })
+        let key = Arc::as_ptr(rel) as usize;
+        let (_pin, m) = inner.interned.get(&key)?;
+        let mut ptrs = vec![Arc::as_ptr(m) as usize];
+        ptrs.extend(
+            inner
+                .derived
+                .iter()
+                .filter(|((p, _), _)| *p == key)
+                .map(|(_, (drel, _))| Arc::as_ptr(drel) as usize),
+        );
+        Some(RelChurn {
+            segments: m.n_segments(),
+            live_rows: m.live_len(),
+            dead_rows: m.n_dead(),
+            tombstone_fraction: m.tombstone_fraction(),
+            indexes: inner.indexes.used(&ptrs),
+        })
     }
 
     /// Snapshot of the delta-ingestion counters.
@@ -960,10 +1050,48 @@ mod tests {
     }
 
     #[test]
+    fn insert_rows_merges_the_indexes_of_carried_normalizations() {
+        let ctx = EvalContext::new();
+        let rel = shared_pairs(&[(1, 10), (2, 20), (3, 20)]);
+        let norm = ctx.normalized_rel(&rel, &[0, 1]);
+        ctx.index(&norm, &[1]);
+        ctx.index(&norm, &[1]);
+        let before = ctx.stats();
+        let next = ctx.insert_rows(&rel, &Relation::from_pairs([(4, 20), (5, 50), (1, 10)]));
+        assert_eq!(ctx.ingest_stats().indexes_merged, 1);
+        let norm2 = ctx.normalized_rel(&next, &[0, 1]);
+        let idx = ctx.index(&norm2, &[1]);
+        assert_eq!(
+            ctx.stats().index_builds,
+            before.index_builds,
+            "the successor's index was merged, not rebuilt"
+        );
+        // Row for row what a fresh build over the successor gives.
+        let fresh = HashIndex::build(&norm2, &[1]);
+        for (key, rows) in fresh.iter() {
+            assert_eq!(idx.get(key), rows);
+        }
+        assert_eq!(idx.n_keys(), fresh.n_keys());
+        let twenty = ctx.lookup(Value::Int(20)).unwrap();
+        assert_eq!(idx.get(&[twenty]), &[1, 2, 3]);
+        // The old normalization is no longer pinned by the index cache.
+        assert_eq!(ctx.lock().indexes.len(), 1);
+        assert_eq!(
+            ctx.churn_of(&next).unwrap().indexes,
+            IndexUse {
+                builds: 1,
+                hits: 2,
+                merged: 1
+            }
+        );
+    }
+
+    #[test]
     fn delete_rows_drops_normalizations_for_rebuild() {
         let ctx = EvalContext::new();
         let rel = shared_pairs(&[(1, 10), (2, 20)]);
-        ctx.normalized_rel(&rel, &[0, 1]);
+        let norm = ctx.normalized_rel(&rel, &[0, 1]);
+        ctx.index(&norm, &[0]);
         let builds = ctx.stats().derived_builds;
         let next = ctx.delete_rows(&rel, &Relation::from_pairs([(1, 10)]));
         assert_eq!(
@@ -971,9 +1099,15 @@ mod tests {
             0,
             "deletes cannot carry: derived rows do not map back to base rows"
         );
+        assert!(
+            ctx.lock().indexes.is_empty(),
+            "the dropped entry is unpinned"
+        );
         let after = ctx.normalized_rel(&next, &[0, 1]);
         assert_eq!(ctx.stats().derived_builds, builds + 1, "rebuilt on demand");
         assert_eq!(after.len(), 1);
+        let one = ctx.lookup(Value::Int(1)).unwrap();
+        assert!(!ctx.index(&after, &[0]).contains_key(&[one]));
     }
 
     #[test]

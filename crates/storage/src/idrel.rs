@@ -7,12 +7,9 @@
 //! row-major [`Relation`] stays the ingestion/API format.
 
 use crate::dictionary::{Dictionary, ValueId};
-use crate::hash::{fast_set_with_capacity, seeded_map_with_capacity, FastSet, SeededFastMap};
-use crate::index::HashIndex;
+use crate::hash::{fast_set_with_capacity, FastSet};
 use crate::key::InlineKey;
-use crate::par;
 use crate::relation::Relation;
-use crate::value::Value;
 
 /// A relation of interned values in columnar layout.
 ///
@@ -68,14 +65,8 @@ impl IdRel {
     }
 
     /// Interns every value of `rel` into `dict` and lays the result out
-    /// column-wise. Row order is preserved. Relations above the parallel
-    /// row threshold intern through [`IdRel::from_relation_parallel`] when
-    /// worker threads are available.
+    /// column-wise. Row order is preserved.
     pub fn from_relation(rel: &Relation, dict: &mut Dictionary) -> IdRel {
-        let workers = par::workers_for(rel.len());
-        if workers > 1 && rel.arity() > 0 {
-            return IdRel::from_relation_parallel(rel, dict, workers);
-        }
         let mut out = IdRel::with_capacity(rel.arity(), rel.len());
         for row in rel.iter_rows() {
             for (c, &v) in row.iter().enumerate() {
@@ -84,97 +75,6 @@ impl IdRel {
             out.n_rows += 1;
         }
         out
-    }
-
-    /// Parallel interning over `std::thread::scope` workers.
-    ///
-    /// Each worker interns a contiguous row range against a *local*
-    /// dictionary (value → local code, first-seen order), so the expensive
-    /// per-cell hashing runs fully in parallel. The sequential merge then
-    /// interns only each worker's distinct values into `dict` (bounded by
-    /// the number of distinct values, not cells), and a final parallel pass
-    /// translates the local codes into global ids, writing disjoint row
-    /// ranges of the output columns. Row order is preserved, and ids for
-    /// values already known to `dict` are identical to the sequential path;
-    /// ids of *new* values may be assigned in a different (still
-    /// deterministic for a fixed worker count) order.
-    pub fn from_relation_parallel(rel: &Relation, dict: &mut Dictionary, workers: usize) -> IdRel {
-        let n = rel.len();
-        let arity = rel.arity();
-        let ranges = par::row_ranges(n, workers);
-
-        // Phase 1 (parallel): local dictionaries + locally-coded columns.
-        struct Local {
-            order: Vec<Value>,
-            codes: Vec<u32>, // row-major, arity ids per row
-        }
-        let locals: Vec<Local> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|range| {
-                    let range = range.clone();
-                    scope.spawn(move || {
-                        // Seeded: these maps hash raw (untrusted) values.
-                        let mut map: SeededFastMap<Value, u32> =
-                            seeded_map_with_capacity(range.len().min(1 << 12));
-                        let mut order: Vec<Value> = Vec::new();
-                        let mut codes: Vec<u32> = Vec::with_capacity(range.len() * arity);
-                        for r in range {
-                            for &v in rel.row(r) {
-                                let code = *map.entry(v).or_insert_with(|| {
-                                    order.push(v);
-                                    (order.len() - 1) as u32
-                                });
-                                codes.push(code);
-                            }
-                        }
-                        Local { order, codes }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-
-        // Phase 2 (sequential): intern each worker's distinct values once.
-        let remaps: Vec<Vec<ValueId>> = locals
-            .iter()
-            .map(|l| l.order.iter().map(|&v| dict.intern(v)).collect())
-            .collect();
-
-        // Phase 3 (parallel): translate codes into the final columns,
-        // each worker writing its disjoint row range of every column.
-        let mut cols: Vec<Vec<ValueId>> = (0..arity).map(|_| vec![ValueId::BOTTOM; n]).collect();
-        {
-            let mut rest: Vec<&mut [ValueId]> = cols.iter_mut().map(|c| c.as_mut_slice()).collect();
-            let mut chunks: Vec<Vec<&mut [ValueId]>> = Vec::with_capacity(ranges.len());
-            for range in &ranges {
-                let mut mine = Vec::with_capacity(arity);
-                for slot in rest.iter_mut() {
-                    let (head, tail) = std::mem::take(slot).split_at_mut(range.len());
-                    *slot = tail;
-                    mine.push(head);
-                }
-                chunks.push(mine);
-            }
-            std::thread::scope(|scope| {
-                for ((local, remap), mut mine) in locals.iter().zip(&remaps).zip(chunks) {
-                    scope.spawn(move || {
-                        for (r, row) in local.codes.chunks_exact(arity).enumerate() {
-                            for (c, &code) in row.iter().enumerate() {
-                                mine[c][r] = remap[code as usize];
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        IdRel {
-            n_rows: n,
-            cols,
-            tombs: Vec::new(),
-            n_dead: 0,
-            delta_segments: 0,
-        }
     }
 
     /// The arity (number of columns).
@@ -393,109 +293,26 @@ impl IdRel {
         self.n_dead = 0;
     }
 
-    /// Keeps only rows whose key-column projection has a match in `idx`
-    /// (the batched semijoin retain). Keys are gathered per block through
-    /// hoisted column accessors and probed in bulk via
-    /// [`HashIndex::probe_batch`]; `scratch` carries the key-run and
-    /// keep-mask buffers so repeated passes (the full reducer's sweeps)
-    /// reuse one set of allocations.
-    pub fn retain_rows_by_index(
-        &mut self,
-        key_cols: &[usize],
-        idx: &HashIndex,
-        scratch: &mut ProbeScratch,
-    ) {
-        assert!(
-            !key_cols.is_empty(),
-            "empty separators are a nonemptiness check, not a probe"
-        );
-        let n = self.n_rows;
-        let k = key_cols.len();
-        const BLOCK: usize = 1024;
-        scratch.keep.clear();
-        scratch.keep.resize(n, false);
-        {
-            // Hoisted column accessors: one slice per key column for the
-            // whole pass instead of a `cols[c][r]` double deref per cell.
-            let cols: Vec<&[ValueId]> = key_cols.iter().map(|&c| self.cols[c].as_slice()).collect();
-            for start in (0..n).step_by(BLOCK) {
-                let end = (start + BLOCK).min(n);
-                scratch.keys.clear();
-                for r in start..end {
-                    scratch.keys.extend(cols.iter().map(|c| c[r]));
-                }
-                for (i, rows) in idx.probe_batch(&scratch.keys, k) {
-                    scratch.keep[start + i] = !rows.is_empty();
-                }
-            }
+    /// The compact copy of the rows `keep` marks (indexed by physical row
+    /// id), in row order; tombstoned rows are dropped along the way. One
+    /// gather pass per column — the full reducer's "compact once" step.
+    pub fn filter_rows(&self, keep: &[bool]) -> IdRel {
+        assert_eq!(keep.len(), self.n_rows, "one keep flag per physical row");
+        let kept: Vec<usize> = (0..self.n_rows)
+            .filter(|&r| keep[r] && self.is_live(r))
+            .collect();
+        IdRel {
+            // Arity 0 holds at most the one empty tuple.
+            n_rows: kept.len(),
+            cols: self
+                .cols
+                .iter()
+                .map(|col| kept.iter().map(|&r| col[r]).collect())
+                .collect(),
+            tombs: Vec::new(),
+            n_dead: 0,
+            delta_segments: 0,
         }
-        let mut write = 0usize;
-        for read in 0..n {
-            if scratch.keep[read] && self.is_live(read) {
-                if write != read {
-                    for col in self.cols.iter_mut() {
-                        col[write] = col[read];
-                    }
-                }
-                write += 1;
-            }
-        }
-        for col in self.cols.iter_mut() {
-            col.truncate(write);
-        }
-        self.n_rows = write;
-        self.tombs.clear();
-        self.n_dead = 0;
-    }
-
-    /// Keeps only rows whose key-column projection is a member of `set` —
-    /// the semijoin retain against a key *set*. Where
-    /// [`IdRel::retain_rows_by_index`] probes a CSR [`HashIndex`] (which
-    /// also carries the matching row ids), this needs only existence, so
-    /// the right side costs one set build (no counting/scatter passes) and
-    /// each probe one packed-key hash.
-    pub fn retain_rows_by_set(
-        &mut self,
-        key_cols: &[usize],
-        set: &IdSet,
-        scratch: &mut ProbeScratch,
-    ) {
-        assert!(
-            !key_cols.is_empty(),
-            "empty separators are a nonemptiness check, not a probe"
-        );
-        // The set-probe twin of the `probe_batch` hook: reducer semijoins
-        // on the small-relation path are still probe sites to the chaos
-        // seam (inert without `--cfg ucq_fault_inject`).
-        crate::faults::on_probe();
-        let n = self.n_rows;
-        scratch.keep.clear();
-        {
-            let cols: Vec<&[ValueId]> = key_cols.iter().map(|&c| self.cols[c].as_slice()).collect();
-            let mut buf: Vec<ValueId> = Vec::with_capacity(key_cols.len());
-            for r in 0..n {
-                buf.clear();
-                buf.extend(cols.iter().map(|c| c[r]));
-                scratch.keep.push(set.contains(&buf));
-            }
-        }
-        let mut write = 0usize;
-        for read in 0..n {
-            if scratch.keep[read] && self.is_live(read) {
-                if write != read {
-                    for col in self.cols.iter_mut() {
-                        col[write] = col[read];
-                    }
-                }
-                write += 1;
-            }
-        }
-        for col in self.cols.iter_mut() {
-            col.truncate(write);
-        }
-        self.n_rows = write;
-        self.tombs.clear();
-        self.n_dead = 0;
     }
 
     /// Deduplicates rows, preserving first-occurrence order. Compacts
@@ -532,15 +349,6 @@ impl IdRel {
         }
         out
     }
-}
-
-/// Reusable buffers for [`IdRel::retain_rows_by_index`]: the gathered key
-/// run of the current block and the per-row keep mask. One scratch serves
-/// every semijoin pass of a reduction.
-#[derive(Clone, Debug, Default)]
-pub struct ProbeScratch {
-    keys: Vec<ValueId>,
-    keep: Vec<bool>,
 }
 
 /// Packs a short id row into a `u128` (32 bits per position; valid for
@@ -835,55 +643,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_interning_matches_sequential_content() {
-        let mut rows: Vec<(i64, i64)> = Vec::new();
-        for i in 0..999i64 {
-            rows.push((i % 97, (i * 7) % 61));
-        }
-        let rel = Relation::from_pairs(rows.iter().copied());
-        let mut seq_dict = Dictionary::new();
-        let seq = IdRel::from_relation(&rel, &mut seq_dict);
-        for workers in [2usize, 3, 5] {
-            let mut par_dict = Dictionary::new();
-            let par = IdRel::from_relation_parallel(&rel, &mut par_dict, workers);
-            assert_eq!(par.len(), seq.len());
-            assert_eq!(par_dict.len(), seq_dict.len(), "same distinct values");
-            // Ids may differ between the two paths; decoded rows must not.
-            assert_eq!(par.decode(&par_dict), seq.decode(&seq_dict));
-        }
-    }
-
-    #[test]
-    fn parallel_interning_reuses_existing_ids() {
-        let rel = Relation::from_pairs([(1, 2), (3, 4), (1, 4)]);
-        let mut dict = Dictionary::new();
-        let known: Vec<ValueId> = [1i64, 2, 3, 4]
-            .iter()
-            .map(|&v| dict.intern(Value::Int(v)))
-            .collect();
-        let r = IdRel::from_relation_parallel(&rel, &mut dict, 2);
-        assert_eq!(r.at(0, 0), known[0]);
-        assert_eq!(r.at(2, 1), known[3]);
-        assert_eq!(dict.len(), 5, "no value re-interned under a new id");
-    }
-
-    #[test]
-    fn retain_by_index_matches_retain_by_key() {
-        let mut dict = Dictionary::new();
-        let left = Relation::from_pairs([(1, 10), (2, 20), (3, 30), (2, 40), (9, 50)]);
-        let mut a = IdRel::from_relation(&left, &mut dict);
-        let mut b = a.clone();
-        let right = IdRel::from_relation(&Relation::from_pairs([(2, 0), (3, 1)]), &mut dict);
-        let idx = HashIndex::build(&right, &[0]);
-        let mut scratch = ProbeScratch::default();
-        a.retain_rows_by_index(&[0], &idx, &mut scratch);
-        b.retain_rows_by_key(&[0], |k| !idx.get(k).is_empty());
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 3);
-        // Scratch reuse across passes: a second retain on fresh data.
-        let mut c = IdRel::from_relation(&Relation::from_pairs([(3, 1), (4, 2)]), &mut dict);
-        c.retain_rows_by_index(&[0], &idx, &mut scratch);
-        assert_eq!(c.len(), 1);
+    fn filter_rows_matches_retain_by_key() {
+        let (mut a, dict) = rel_of_pairs(&[(1, 10), (2, 20), (3, 30), (2, 40), (9, 50)]);
+        let two = dict.lookup(Value::Int(2)).unwrap();
+        let nine = dict.lookup(Value::Int(9)).unwrap();
+        a.mark_deleted_where(|row| row[0] == nine);
+        let keep: Vec<bool> = (0..a.len()).map(|r| a.at(r, 0) != two).collect();
+        let filtered = a.filter_rows(&keep);
+        a.retain_rows_by_key(&[0], |k| k[0] != two);
+        assert_eq!(filtered, a);
+        assert_eq!(filtered.len(), 2, "masked and tombstoned rows are gone");
+        assert!(!filtered.has_tombstones());
     }
 
     #[test]

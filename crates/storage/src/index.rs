@@ -9,7 +9,7 @@
 //! Groups live in one flat arena instead of one `Vec` per key:
 //!
 //! ```text
-//!              key map (per shard): InlineKey -> gid
+//!              key map: InlineKey -> gid
 //!                        |
 //!                        v
 //!   offsets:  [ 0 , 3 , 5 , 6 , ... , n_rows ]     (n_groups + 1)
@@ -36,23 +36,19 @@
 //! unrolled 8-wide compare loop (`run_len_1`), so long runs skip even the
 //! per-key compare.
 //! Sortedness is an optimization, not a requirement: unsorted runs return
-//! exactly the same groups, just without the dedup savings. The join and
-//! semijoin inner loops gather key runs per block and probe in bulk, which
+//! exactly the same groups, just without the dedup savings. The join inner
+//! loops gather key runs per block and probe in bulk, which
 //! keeps the key map and the arena hot in cache across a block instead of
 //! alternating with unrelated work per row.
 //!
-//! # Parallel builds
+//! # One build, many views
 //!
-//! Above [`par::PAR_ROW_THRESHOLD`](crate::par::PAR_ROW_THRESHOLD) rows
-//! (and when the machine has spare cores — see [`crate::par::workers_for`]),
-//! a build shards rows by key-hash range across `std::thread::scope`
-//! workers: rows are routed by the top bits of their key hash, each worker
-//! builds the CSR segment of its shard, and segments are merged by
-//! concatenation — group ids are shifted by a per-shard base and the shard
-//! key maps are kept (values rewritten in place), so the merge re-hashes
-//! nothing. Keys cannot straddle shards (equal keys hash equally), which is
-//! what makes the merge a concatenation; the same shard boundaries are the
-//! hand-out unit a future multi-threaded session will use.
+//! Builds run on one core: a relation is hashed once per key-column set and
+//! the result is cached by the evaluation context. The key map sits behind
+//! an `Arc`, so [`HashIndex::retain_rows`] — the view the CDY engine keeps
+//! after its liveness reducer — filters the arena with a scan and shares
+//! the map instead of re-hashing, and [`HashIndex::merge_appended`] hashes
+//! only a delta segment.
 //!
 //! Keys are [`InlineKey`]s — inline `[ValueId]` arrays, no per-row boxing
 //! for keys up to 4 columns — and probes take **borrowed** `&[ValueId]`
@@ -62,13 +58,13 @@
 //! (e.g. the Cheater's Lemma compiler), where tuples are already decoded.
 
 use crate::dictionary::ValueId;
-use crate::hash::{fast_map_with_capacity, fx_hash_of, FastMap};
+use crate::hash::{fast_map_with_capacity, FastMap};
 use crate::idrel::IdRel;
 use crate::key::InlineKey;
-use crate::par;
 use crate::relation::Relation;
 use crate::value::Value;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Groups the rows of a relation by their projection onto `key_cols`, in
 /// CSR layout (see the module docs).
@@ -78,10 +74,9 @@ use std::collections::HashSet;
 #[derive(Clone, Debug)]
 pub struct HashIndex {
     key_cols: Vec<usize>,
-    /// Key → group id, one map per build shard (exactly one for sequential
-    /// builds). Probes route by the top `shard_bits` of the key hash.
-    shards: Vec<FastMap<InlineKey, u32>>,
-    shard_bits: u32,
+    /// Key → group id. Shared (not copied) by [`HashIndex::retain_rows`]
+    /// views of one build.
+    map: Arc<FastMap<InlineKey, u32>>,
     /// Group `g` occupies `row_ids[offsets[g]..offsets[g + 1]]`.
     offsets: Vec<u32>,
     /// The flat row-id arena, grouped by key, ascending within a group.
@@ -97,18 +92,12 @@ fn key_capacity_hint(rows: usize) -> usize {
 }
 
 impl HashIndex {
-    /// Builds an index over `rel` keyed on `key_cols` (positions).
-    ///
-    /// Dispatches to the sharded parallel builder for relations above the
-    /// parallel row threshold when worker threads are available, and to the
-    /// sequential two-pass CSR builder otherwise (see the module docs).
+    /// Builds an index over `rel` keyed on `key_cols` (positions):
+    /// [`HashIndex::build_seq`], or its tombstone-aware twin when `rel` has
+    /// dead rows.
     pub fn build(rel: &IdRel, key_cols: &[usize]) -> HashIndex {
         if rel.has_tombstones() {
-            return HashIndex::build_seq_live(rel, key_cols);
-        }
-        let workers = par::workers_for(rel.len());
-        if workers > 1 && !key_cols.is_empty() {
-            HashIndex::build_parallel(rel, key_cols, workers)
+            HashIndex::build_seq_live(rel, key_cols)
         } else {
             HashIndex::build_seq(rel, key_cols)
         }
@@ -151,19 +140,16 @@ impl HashIndex {
         let row_ids = local_ids.iter().map(|&p| live[p as usize]).collect();
         HashIndex {
             key_cols: key_cols.to_vec(),
-            shards: vec![map],
-            shard_bits: 0,
+            map: Arc::new(map),
             offsets,
             row_ids,
         }
     }
 
     /// Merges the delta segment of `rel` (physical rows `old_rows..`) into
-    /// this index — the same concatenation idea as the parallel build's
-    /// shard merge, turned 90° into ingest-time incrementality. The shard
-    /// key maps are cloned as-is (cloning a hash map re-hashes nothing);
-    /// only delta rows are hashed, so the merge is O(Δ + arena), never
-    /// O(n · hash). Rows of `rel` that have been tombstoned since the
+    /// this index. The key map is cloned as-is (cloning a hash map
+    /// re-hashes nothing); only delta rows are hashed, so the merge is
+    /// O(Δ + arena), never O(n · hash). Rows of `rel` that have been tombstoned since the
     /// index was built (including old rows) are dropped from the arena, so
     /// probes stay liveness-check-free. Groups whose rows all died keep
     /// their gid with an empty slice — [`HashIndex::contains_key`] and
@@ -175,7 +161,7 @@ impl HashIndex {
         debug_assert!(old_rows <= rel.len(), "index covers rows the rel lost");
         let stride = self.key_cols.len();
         let cols: Vec<&[ValueId]> = self.key_cols.iter().map(|&c| rel.col(c)).collect();
-        let mut shards = self.shards.clone();
+        let mut map = (*self.map).clone();
         let old_groups = self.n_keys();
         // Surviving members per old group, then delta adds per (possibly
         // fresh) group.
@@ -192,15 +178,8 @@ impl HashIndex {
             }
             buf.clear();
             buf.extend(cols.iter().map(|c| c[r]));
-            let shard = if self.shard_bits == 0 {
-                0
-            } else {
-                (fx_hash_of(buf.as_slice()) >> (64 - self.shard_bits)) as usize
-            };
             let next = counts.len() as u32;
-            let gid = *shards[shard]
-                .entry(InlineKey::from_slice(&buf))
-                .or_insert(next);
+            let gid = *map.entry(InlineKey::from_slice(&buf)).or_insert(next);
             if gid == next {
                 counts.push(0);
             }
@@ -238,8 +217,29 @@ impl HashIndex {
         }
         HashIndex {
             key_cols: self.key_cols.clone(),
-            shards,
-            shard_bits: self.shard_bits,
+            map: Arc::new(map),
+            offsets,
+            row_ids,
+        }
+    }
+
+    /// The view of this index over only the rows `keep` marks (indexed by
+    /// physical row id): the arena is filtered with one scan, group ids
+    /// stay stable, and the key map is shared — nothing is re-hashed.
+    /// Groups left without rows keep their gid with an empty slice, as
+    /// after a tombstone merge.
+    pub fn retain_rows(&self, keep: &[bool]) -> HashIndex {
+        let mut offsets: Vec<u32> = Vec::with_capacity(self.offsets.len());
+        let mut row_ids: Vec<u32> = Vec::with_capacity(self.row_ids.len());
+        offsets.push(0);
+        for w in self.offsets.windows(2) {
+            let members = &self.row_ids[w[0] as usize..w[1] as usize];
+            row_ids.extend(members.iter().filter(|&&r| keep[r as usize]));
+            offsets.push(row_ids.len() as u32);
+        }
+        HashIndex {
+            key_cols: self.key_cols.clone(),
+            map: Arc::clone(&self.map),
             offsets,
             row_ids,
         }
@@ -275,186 +275,7 @@ impl HashIndex {
         let (offsets, row_ids) = scatter_csr(&mut counts, &row_gids, 0);
         HashIndex {
             key_cols: key_cols.to_vec(),
-            shards: vec![map],
-            shard_bits: 0,
-            offsets,
-            row_ids,
-        }
-    }
-
-    /// The pre-CSR fallback builder, kept behind the same API: groups are
-    /// materialized as per-key vectors — with the key map preallocated via
-    /// the capacity heuristic and every group vector reserved from a first
-    /// counting pass — then flattened into the CSR arena. Equivalent output
-    /// to [`HashIndex::build_seq`] (asserted by tests); useful as a
-    /// reference when reviewing the CSR builders.
-    pub fn build_grouped(rel: &IdRel, key_cols: &[usize]) -> HashIndex {
-        let n = rel.len();
-        let cols: Vec<&[ValueId]> = key_cols.iter().map(|&c| rel.col(c)).collect();
-        let mut map: FastMap<InlineKey, u32> = fast_map_with_capacity(key_capacity_hint(n));
-        let mut counts: Vec<u32> = Vec::new();
-        let mut buf: Vec<ValueId> = Vec::with_capacity(key_cols.len());
-        // Counting pass: assign group ids and sizes.
-        for i in 0..n {
-            buf.clear();
-            buf.extend(cols.iter().map(|c| c[i]));
-            match map.get(buf.as_slice()) {
-                Some(&g) => counts[g as usize] += 1,
-                None => {
-                    map.insert(InlineKey::from_slice(&buf), counts.len() as u32);
-                    counts.push(1);
-                }
-            }
-        }
-        // Fill pass into exactly-reserved group vectors.
-        let mut groups: Vec<Vec<u32>> = counts
-            .iter()
-            .map(|&c| Vec::with_capacity(c as usize))
-            .collect();
-        for i in 0..n {
-            buf.clear();
-            buf.extend(cols.iter().map(|c| c[i]));
-            let g = map[buf.as_slice()];
-            groups[g as usize].push(i as u32);
-        }
-        // Flatten to the CSR arena.
-        let mut offsets: Vec<u32> = Vec::with_capacity(groups.len() + 1);
-        let mut row_ids: Vec<u32> = Vec::with_capacity(n);
-        offsets.push(0);
-        for g in &groups {
-            row_ids.extend_from_slice(g);
-            offsets.push(row_ids.len() as u32);
-        }
-        HashIndex {
-            key_cols: key_cols.to_vec(),
-            shards: vec![map],
-            shard_bits: 0,
-            offsets,
-            row_ids,
-        }
-    }
-
-    /// The sharded parallel build: rows are routed to `2^shard_bits` shards
-    /// by the top bits of their key hash, each shard builds its CSR segment
-    /// on a scoped worker thread, and segments merge by concatenation (group
-    /// ids shifted by a per-shard base; shard key maps kept as-is with their
-    /// values rewritten) — no key is re-hashed during the merge.
-    pub fn build_parallel(rel: &IdRel, key_cols: &[usize], workers: usize) -> HashIndex {
-        debug_assert!(
-            !rel.has_tombstones(),
-            "tombstoned relations build through build_seq_live"
-        );
-        let n = rel.len();
-        // Shard count: the largest power of two *within* the worker bound,
-        // so neither build phase spawns more threads than `workers`.
-        let shard_bits = workers.max(2).ilog2();
-        let n_shards = 1usize << shard_bits;
-        let cols: Vec<&[ValueId]> = key_cols.iter().map(|&c| rel.col(c)).collect();
-
-        // Route rows to shards (parallel over contiguous row ranges; each
-        // worker returns one ascending row list per shard, so per-shard
-        // concatenation in worker order preserves ascending row order).
-        let ranges = par::row_ranges(n, workers);
-        let routed: Vec<Vec<Vec<u32>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|range| {
-                    let range = range.clone();
-                    let cols = &cols;
-                    scope.spawn(move || {
-                        let mut out: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-                        let mut buf: Vec<ValueId> = Vec::with_capacity(cols.len());
-                        for i in range {
-                            buf.clear();
-                            buf.extend(cols.iter().map(|c| c[i]));
-                            let shard = (fx_hash_of(buf.as_slice()) >> (64 - shard_bits)) as usize;
-                            out[shard].push(i as u32);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let shard_rows: Vec<Vec<u32>> = (0..n_shards)
-            .map(|s| {
-                let mut rows = Vec::with_capacity(routed.iter().map(|r| r[s].len()).sum());
-                for r in &routed {
-                    rows.extend_from_slice(&r[s]);
-                }
-                rows
-            })
-            .collect();
-
-        // Per-shard CSR builds (parallel over shards).
-        struct Segment {
-            map: FastMap<InlineKey, u32>,
-            offsets: Vec<u32>,
-            row_ids: Vec<u32>,
-        }
-        let mut segments: Vec<Segment> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shard_rows
-                .iter()
-                .map(|rows| {
-                    let cols = &cols;
-                    scope.spawn(move || {
-                        let mut map: FastMap<InlineKey, u32> =
-                            fast_map_with_capacity(key_capacity_hint(rows.len()));
-                        let mut row_gids: Vec<u32> = Vec::with_capacity(rows.len());
-                        let mut counts: Vec<u32> = Vec::new();
-                        let mut buf: Vec<ValueId> = Vec::with_capacity(cols.len());
-                        for &i in rows {
-                            buf.clear();
-                            buf.extend(cols.iter().map(|c| c[i as usize]));
-                            let gid = match map.get(buf.as_slice()) {
-                                Some(&g) => g,
-                                None => {
-                                    let g = counts.len() as u32;
-                                    map.insert(InlineKey::from_slice(&buf), g);
-                                    counts.push(0);
-                                    g
-                                }
-                            };
-                            counts[gid as usize] += 1;
-                            row_gids.push(gid);
-                        }
-                        let (offsets, local_ids) = scatter_csr(&mut counts, &row_gids, 0);
-                        // Local positions → global row ids.
-                        let row_ids = local_ids.iter().map(|&p| rows[p as usize]).collect();
-                        Segment {
-                            map,
-                            offsets,
-                            row_ids,
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-
-        // Merge segments by concatenation: shift each shard's group ids by
-        // the running group base and its offsets by the running row base.
-        let mut offsets: Vec<u32> =
-            Vec::with_capacity(segments.iter().map(|s| s.map.len()).sum::<usize>() + 1);
-        let mut row_ids: Vec<u32> = Vec::with_capacity(n);
-        offsets.push(0);
-        let mut shards: Vec<FastMap<InlineKey, u32>> = Vec::with_capacity(n_shards);
-        for seg in &mut segments {
-            let gid_base = (offsets.len() - 1) as u32;
-            let row_base = row_ids.len() as u32;
-            offsets.extend(seg.offsets.iter().skip(1).map(|&o| o + row_base));
-            row_ids.extend_from_slice(&seg.row_ids);
-            if gid_base != 0 {
-                for g in seg.map.values_mut() {
-                    *g += gid_base;
-                }
-            }
-            shards.push(std::mem::take(&mut seg.map));
-        }
-        HashIndex {
-            key_cols: key_cols.to_vec(),
-            shards,
-            shard_bits,
+            map: Arc::new(map),
             offsets,
             row_ids,
         }
@@ -469,12 +290,13 @@ impl HashIndex {
     /// allocation.
     #[inline]
     pub fn gid_of(&self, key: &[ValueId]) -> Option<u32> {
-        let map = if self.shard_bits == 0 {
-            &self.shards[0]
-        } else {
-            &self.shards[(fx_hash_of(key) >> (64 - self.shard_bits)) as usize]
-        };
-        map.get(key).copied()
+        self.map.get(key).copied()
+    }
+
+    /// Every indexed row id, group by group (the whole arena).
+    #[inline]
+    pub fn rows(&self) -> &[u32] {
+        &self.row_ids
     }
 
     /// The row ids of a group.
@@ -564,10 +386,7 @@ impl HashIndex {
 
     /// Iterates over `(key, row ids)` groups.
     pub fn iter(&self) -> impl Iterator<Item = (&[ValueId], &[u32])> {
-        self.shards
-            .iter()
-            .flat_map(|m| m.iter())
-            .map(|(k, &g)| (k.as_slice(), self.group(g)))
+        self.map.iter().map(|(k, &g)| (k.as_slice(), self.group(g)))
     }
 }
 
@@ -739,13 +558,6 @@ mod tests {
         rel
     }
 
-    fn assert_same_index(a: &HashIndex, b: &HashIndex) {
-        assert_eq!(a.n_keys(), b.n_keys());
-        for (key, rows) in a.iter() {
-            assert_eq!(b.get(key), rows, "group mismatch for {key:?}");
-        }
-    }
-
     #[test]
     fn index_groups_rows() {
         let (r, dict) = interned_pairs(&[(1, 10), (1, 20), (2, 30)]);
@@ -789,38 +601,6 @@ mod tests {
         let idx = HashIndex::build(&r, &[0]);
         let total: usize = idx.iter().map(|(_, rows)| rows.len()).sum();
         assert_eq!(total, 3);
-    }
-
-    #[test]
-    fn grouped_fallback_matches_csr_build() {
-        let rel = synthetic_rel(2_000, 37);
-        for key_cols in [&[0usize][..], &[1], &[0, 1], &[1, 0]] {
-            let csr = HashIndex::build_seq(&rel, key_cols);
-            let grouped = HashIndex::build_grouped(&rel, key_cols);
-            assert_same_index(&csr, &grouped);
-        }
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let rel = synthetic_rel(5_000, 101);
-        for workers in [2usize, 3, 4] {
-            let seq = HashIndex::build_seq(&rel, &[0]);
-            let par = HashIndex::build_parallel(&rel, &[0], workers);
-            assert_same_index(&seq, &par);
-            // Row order inside each group must stay ascending.
-            for (_, rows) in par.iter() {
-                assert!(rows.windows(2).all(|w| w[0] < w[1]));
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_two_column_key() {
-        let rel = synthetic_rel(3_000, 11);
-        let seq = HashIndex::build_seq(&rel, &[0, 1]);
-        let par = HashIndex::build_parallel(&rel, &[0, 1], 4);
-        assert_same_index(&seq, &par);
     }
 
     #[test]
@@ -921,18 +701,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_appended_from_parallel_base() {
-        let mut rel = synthetic_rel(5_000, 101);
-        let idx = HashIndex::build_parallel(&rel, &[0], 4);
-        let old_rows = rel.len();
-        for _ in 0..60 {
-            let last = rel.at(rel.len() - 1, 0);
-            rel.push_row(&[ValueId(last.0.wrapping_mul(7) % 101), ValueId(3)]);
+    fn retain_rows_shares_the_key_map_and_filters_the_arena() {
+        let rel = synthetic_rel(500, 23);
+        let idx = HashIndex::build_seq(&rel, &[0]);
+        let keep: Vec<bool> = (0..rel.len())
+            .map(|r| !rel.at(r, 1).0.is_multiple_of(3))
+            .collect();
+        let view = idx.retain_rows(&keep);
+        assert!(Arc::ptr_eq(&idx.map, &view.map), "no re-hash, no copy");
+        assert_eq!(view.n_keys(), idx.n_keys(), "gids stay stable");
+        for (key, rows) in idx.iter() {
+            let want: Vec<u32> = rows.iter().copied().filter(|&r| keep[r as usize]).collect();
+            assert_eq!(view.get(key), want.as_slice());
+            assert_eq!(view.contains_key(key), !want.is_empty());
         }
-        rel.mark_deleted_where(|row| row[1].0 % 4 == 0);
-        let merged = idx.merge_appended(&rel, old_rows);
-        let fresh = HashIndex::build_seq_live(&rel, &[0]);
-        assert_same_live_groups(&merged, &fresh);
+        assert_eq!(view.rows().len(), keep.iter().filter(|&&k| k).count());
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub mod idrel;
 pub mod index;
 pub mod instance;
 pub mod key;
-pub mod par;
 pub mod relation;
 mod static_asserts;
 pub mod stats;
@@ -36,7 +35,7 @@ pub mod tuple;
 pub mod value;
 
 pub use block::IdBlock;
-pub use context::{ContextStats, EvalContext, IndexCache, IngestStats, RelChurn};
+pub use context::{ContextStats, EvalContext, IndexCache, IndexUse, IngestStats, RelChurn};
 pub use dictionary::{Dictionary, ValueId};
 pub use epoch::EpochCell;
 pub use frozen::{CtxView, FrozenContext};
@@ -44,7 +43,7 @@ pub use hash::{
     fast_map_with_capacity, fast_set_with_capacity, fx_hash_of, seeded_map_with_capacity, FastMap,
     FastSet, FxBuildHasher, SeededFastMap, SeededFxBuildHasher,
 };
-pub use idrel::{normalize_ranked, normalize_ranked_append, IdRel, IdSet, ProbeScratch};
+pub use idrel::{normalize_ranked, normalize_ranked_append, IdRel, IdSet};
 pub use index::{HashIndex, ProbeBatch, RowSet};
 pub use instance::Instance;
 pub use key::InlineKey;

@@ -175,19 +175,15 @@ fn decode_rel_during_intern_race_is_complete() {
 }
 
 /// Satellite equivalence check: the same two-interns-one-id property under
-/// *real* concurrency (default 4 threads, honoring `UCQ_PAR_THREADS`),
-/// complementing the model-checked variant above.
+/// *real* concurrency, complementing the model-checked variant above.
 #[test]
 fn overlay_intern_race_real_threads() {
-    let threads: usize = std::env::var("UCQ_PAR_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    const THREADS: usize = 4;
     for round in 0..200 {
         let f = frozen_with_two_values();
         let v = Value::Int(1_000 + round);
         let ids: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads).map(|_| s.spawn(|| f.intern(v))).collect();
+            let handles: Vec<_> = (0..THREADS).map(|_| s.spawn(|| f.intern(v))).collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert!(

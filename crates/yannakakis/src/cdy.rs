@@ -3,8 +3,14 @@
 //! Given an `S`-connex acyclic CQ, [`CdyEngine::build_in`] runs the linear
 //! preprocessing phase: it constructs an ext-S-connex tree, loads the atom
 //! relations through the shared context view (interned, normalized and
-//! cached per `(relation, atom shape)`), projects the extension nodes, and
-//! applies the full reducer. Afterwards:
+//! cached per `(relation, atom shape)`), projects the extension nodes,
+//! takes each atom node's separator index from the context's index cache
+//! (hashed once per `(relation, atom shape, separator)` — shared by the
+//! members of a union, by later sessions and, merged over deltas, by later
+//! epochs), and runs the liveness reducer ([`crate::reducer::live_rows`])
+//! over them. The engine then keeps, per node, the shared relation and a
+//! view of its index filtered to live rows ([`HashIndex::retain_rows`]: a
+//! scan, same key map), so enumeration never meets a dead row. Afterwards:
 //!
 //! * [`CdyEngine::iter`] enumerates the projection of the query onto `S`
 //!   with constant delay and no duplicates (the paper's Theorem 3(1) upper
@@ -21,8 +27,8 @@
 //! heap allocation per answer; values are only decoded when an answer tuple
 //! crosses the API boundary.
 
-use crate::noderel::NodeRel;
-use crate::reducer::full_reduce;
+use crate::noderel::{NodeRel, SharedShapes};
+use crate::reducer::live_rows;
 use std::fmt;
 use std::sync::Arc;
 use ucq_hypergraph::{ext_s_connex_tree, ConnexTree, VSet};
@@ -64,10 +70,11 @@ pub struct CdyEngine {
     /// Connex-first traversal order; the first `n_connex` entries are `T'`.
     order: Vec<usize>,
     n_connex: usize,
-    /// Reduced node relations (interned, columnar).
+    /// Node relations (interned, columnar), shared and unreduced: only the
+    /// rows listed by `indexes`/`root_rows` are live.
     rels: Vec<NodeRel>,
     /// Per-node lookup index keyed on the separator with the parent
-    /// (`None` only for the root).
+    /// (`None` only for the root), holding live rows only.
     indexes: Vec<Option<HashIndex>>,
     /// Separators with the parent, as sorted variable-id lists (binding
     /// positions) — precomputed so probes and block extension gather keys
@@ -77,7 +84,7 @@ pub struct CdyEngine {
     /// [`CdyEngine::contains`] call — enumeration-only engines never pay
     /// for them.
     row_sets: Vec<OnceLock<IdSet>>,
-    /// Row ids of the root (iterated in full).
+    /// Live row ids of the root (iterated in full).
     root_rows: Vec<u32>,
     /// Output spec: one variable per output position.
     output: Vec<VarId>,
@@ -102,7 +109,21 @@ impl CdyEngine {
         instance: &Instance,
         ctx: &CtxView,
     ) -> Result<CdyEngine, EvalError> {
-        CdyEngine::build_in(cq, cq.free(), cq.head().to_vec(), instance, ctx)
+        CdyEngine::for_member_in(cq, &SharedShapes::default(), instance, ctx)
+    }
+
+    /// As [`CdyEngine::for_query_in`], for a member of a union whose atoms
+    /// share the shapes in `shared`: the join tree is rooted — the root is
+    /// the one node that needs no separator index — where no other atom
+    /// could have reused the index, so that the shapes members do share
+    /// are hashed once for all of them.
+    pub fn for_member_in(
+        cq: &Cq,
+        shared: &SharedShapes,
+        instance: &Instance,
+        ctx: &CtxView,
+    ) -> Result<CdyEngine, EvalError> {
+        CdyEngine::build_rooted(cq, cq.free(), cq.head().to_vec(), shared, instance, ctx)
     }
 
     /// Builds the engine enumerating `π_S(Q)` with output columns the sorted
@@ -133,6 +154,17 @@ impl CdyEngine {
         instance: &Instance,
         ctx: &CtxView,
     ) -> Result<CdyEngine, EvalError> {
+        CdyEngine::build_rooted(cq, s, output, &SharedShapes::default(), instance, ctx)
+    }
+
+    fn build_rooted(
+        cq: &Cq,
+        s: VSet,
+        output: Vec<VarId>,
+        shared: &SharedShapes,
+        instance: &Instance,
+        ctx: &CtxView,
+    ) -> Result<CdyEngine, EvalError> {
         for &v in &output {
             assert!(
                 s.contains(v),
@@ -145,15 +177,20 @@ impl CdyEngine {
             query: cq.name().to_string(),
             s,
         })?;
+        let ct = root_at_unshared(ct, cq, shared);
 
         // Load atom relations through the shared context.
         let n_nodes = ct.tree.len();
         let mut rels: Vec<Option<NodeRel>> = vec![None; n_nodes];
+        // Nodes whose relation is the context's cached normalization, so
+        // their separator index belongs in the context's cache too.
+        let mut cached = vec![false; n_nodes];
         for (i, node) in ct.tree.nodes().iter().enumerate() {
             if let Some(ai) = node.atom {
                 let atom = &cq.atoms()[ai];
                 let nr = match instance.get_shared(&atom.rel) {
                     Some(stored) => {
+                        cached[i] = true;
                         NodeRel::from_atom(atom, &stored, ctx).map_err(EvalError::Schema)?
                     }
                     // Missing relations are empty (as in the paper's
@@ -178,13 +215,33 @@ impl CdyEngine {
                 .project(vars);
             rels[i] = Some(projected);
         }
-        let mut rels: Vec<NodeRel> = rels.into_iter().map(|r| r.expect("all set")).collect();
+        let rels: Vec<NodeRel> = rels.into_iter().map(|r| r.expect("all set")).collect();
 
-        // Linear preprocessing: the full reducer.
-        let nonempty = full_reduce(&ct.tree, &mut rels);
+        // Linear preprocessing: one separator index per non-root node —
+        // from the cache where the relation is — and the liveness reducer
+        // over them.
+        let sep_vars: Vec<Vec<u32>> = (0..n_nodes)
+            .map(|i| ct.tree.separator(i).iter().collect())
+            .collect();
+        let base: Vec<Option<Arc<HashIndex>>> = (0..n_nodes)
+            .map(|i| {
+                ct.tree.parent(i).map(|_| {
+                    let cols = rels[i].cols_of(ct.tree.separator(i));
+                    if cached[i] {
+                        ctx.index(&rels[i].rel, &cols)
+                    } else {
+                        Arc::new(HashIndex::build(&rels[i].rel, &cols))
+                    }
+                })
+            })
+            .collect();
+        let live = live_rows(&ct.tree, &rels, &base);
+        let n_live: Vec<usize> = live
+            .iter()
+            .map(|l| l.iter().filter(|&&alive| alive).count())
+            .collect();
+        let nonempty = n_live.iter().all(|&n| n > 0);
 
-        // Lookup structures over the reduced relations.
-        //
         // The traversal order must keep every `T'` (connex) node before the
         // rest and every parent before its children, but sibling order is
         // free. Default to the canonical traversal and pull a ready node
@@ -216,13 +273,13 @@ impl CdyEngine {
                     if default.is_none() {
                         default = Some(n);
                     }
-                    if smallest.is_none_or(|b| rels[n].rel.len() < rels[b].rel.len()) {
+                    if smallest.is_none_or(|b| n_live[n] < n_live[b]) {
                         smallest = Some(n);
                     }
                 }
                 let Some(d) = default else { break };
                 let n = match smallest {
-                    Some(s) if rels[s].rel.len() * 2 < rels[d].rel.len() => s,
+                    Some(s) if n_live[s] * 2 < n_live[d] => s,
                     _ => d,
                 };
                 placed[n] = true;
@@ -230,24 +287,20 @@ impl CdyEngine {
             }
         }
         debug_assert_eq!(order.len(), base_order.len(), "reorder is a permutation");
-        let mut sep_vars: Vec<Vec<u32>> = vec![Vec::new(); n_nodes];
-        let mut indexes: Vec<Option<HashIndex>> = Vec::with_capacity(n_nodes);
-        for i in 0..n_nodes {
-            match ct.tree.parent(i) {
-                Some(_) => {
-                    let sep = ct.tree.separator(i);
-                    sep_vars[i] = sep.iter().collect();
-                    let cols = rels[i].cols_of(sep);
-                    indexes.push(Some(HashIndex::build(&rels[i].rel, &cols)));
-                }
-                None => indexes.push(None),
-            }
-        }
+        // Lookup structures over the live rows: the index views share the
+        // cached key maps.
+        let indexes: Vec<Option<HashIndex>> = base
+            .iter()
+            .zip(&live)
+            .map(|(idx, live)| idx.as_ref().map(|idx| idx.retain_rows(live)))
+            .collect();
         let row_sets: Vec<OnceLock<IdSet>> = vec![OnceLock::new(); n_nodes];
-        let root = ct.tree.root();
-        let root_rows: Vec<u32> = (0..rels[root].rel.len() as u32).collect();
+        let root_live = &live[ct.tree.root()];
+        let root_rows: Vec<u32> = (0..root_live.len() as u32)
+            .filter(|&r| root_live[r as usize])
+            .collect();
 
-        Ok(CdyEngine {
+        let engine = CdyEngine {
             ct,
             order,
             n_connex,
@@ -260,7 +313,49 @@ impl CdyEngine {
             n_vars: cq.n_vars(),
             nonempty,
             ctx: ctx.clone(),
-        })
+        };
+        debug_assert!(
+            engine.is_fully_reduced(),
+            "a reachable group is empty or holds a dangling row"
+        );
+        Ok(engine)
+    }
+
+    /// The rows of `node` enumeration can reach: all of them live.
+    fn live_rows_of(&self, node: usize) -> &[u32] {
+        match &self.indexes[node] {
+            None => &self.root_rows,
+            Some(idx) => idx.rows(),
+        }
+    }
+
+    /// The constant-delay precondition, checked edge by edge: every row
+    /// the engine lists at a parent finds a non-empty group at each child,
+    /// and every non-empty child group is found by some listed parent row.
+    /// Pairwise consistency along a join tree is global consistency, so
+    /// this holds iff exactly the rows of the full join are listed.
+    fn is_fully_reduced(&self) -> bool {
+        let mut key: Vec<ValueId> = Vec::new();
+        for n in 0..self.rels.len() {
+            let (Some(p), Some(idx)) = (self.ct.tree.parent(n), &self.indexes[n]) else {
+                continue;
+            };
+            let parent = &self.rels[p];
+            let cols = parent.cols_of(self.ct.tree.separator(n));
+            let mut reached = vec![false; idx.n_keys()];
+            for &r in self.live_rows_of(p) {
+                key.clear();
+                key.extend(cols.iter().map(|&c| parent.rel.at(r as usize, c)));
+                match idx.gid_of(&key) {
+                    Some(g) if !idx.group(g).is_empty() => reached[g as usize] = true,
+                    _ => return false,
+                }
+            }
+            if (0..idx.n_keys()).any(|g| !reached[g] && !idx.group(g as u32).is_empty()) {
+                return false;
+            }
+        }
+        true
     }
 
     /// Whether the query has at least one answer (`Decide⟨Q⟩`).
@@ -346,12 +441,26 @@ impl CdyEngine {
                     None => unreachable!("T' variables are all in S"),
                 }
             }
-            let rows = self.row_sets[n].get_or_init(|| IdSet::build(&self.rels[n].rel));
+            let rows = self.row_sets[n].get_or_init(|| self.live_row_set(n));
             if !rows.contains(&scratch.buf) {
                 return false;
             }
         }
         true
+    }
+
+    /// The set of `node`'s live rows (membership tests must not see the
+    /// dangling rows the shared relation still holds).
+    fn live_row_set(&self, node: usize) -> IdSet {
+        let rows = self.live_rows_of(node);
+        let rel = &self.rels[node].rel;
+        let mut set = IdSet::with_capacity(rows.len());
+        let mut buf: Vec<ValueId> = Vec::with_capacity(rel.arity());
+        for &r in rows {
+            rel.gather_row(r as usize, &mut buf);
+            set.insert(&buf);
+        }
+        set
     }
 
     /// Number of query variables (bindings are indexed by variable id).
@@ -460,6 +569,33 @@ impl CdyEngine {
     /// Decodes a full binding (indexed by variable id) at the API boundary.
     fn decode_binding(&self, binding: &[ValueId]) -> Vec<Value> {
         binding.iter().map(|&id| self.ctx.decode(id)).collect()
+    }
+}
+
+/// Moves the root of `ct` off an atom whose shape the union shares. The
+/// root is the one node without a separator index; if other atoms read its
+/// relation in its shape, they index it anyway and this member would hash
+/// its *own* neighbours instead of reusing theirs. Any node of `T'` can be
+/// the root; the first one (in traversal order) that carries an unshared
+/// atom takes over. No such node, or an unshared root: `ct` as it came.
+fn root_at_unshared(ct: ConnexTree, cq: &Cq, shared: &SharedShapes) -> ConnexTree {
+    let atom_shared = |n: usize| {
+        let atom = ct.tree.nodes()[n].atom.map(|a| &cq.atoms()[a]);
+        atom.map(|atom| shared.contains(atom))
+    };
+    if atom_shared(ct.tree.root()) != Some(true) {
+        return ct;
+    }
+    let unshared = ct
+        .order_connex_first()
+        .into_iter()
+        .find(|&n| ct.connex[n] && atom_shared(n) == Some(false));
+    match unshared {
+        Some(n) => ConnexTree {
+            tree: ct.tree.rerooted(n),
+            ..ct
+        },
+        None => ct,
     }
 }
 
@@ -874,6 +1010,75 @@ mod tests {
                 Tuple::from(&[1i64, 11, 20][..]),
             ]
         );
+    }
+
+    #[test]
+    fn reachable_groups_are_nonempty_and_hold_only_live_rows() {
+        // Dangling rows at every node: R's (5, 9) finds no S row and S's
+        // (2, 4) no T row; S's (7, 7) and T's (8, 8) have partners on
+        // neither side.
+        let q = parse_cq("Q(x, a, b, y) <- R(x, a), S(a, b), T(b, y)").unwrap();
+        let i = inst(&[
+            ("R", vec![(1, 2), (5, 9), (6, 2)]),
+            ("S", vec![(2, 3), (2, 4), (7, 7)]),
+            ("T", vec![(3, 1), (3, 2), (8, 8)]),
+        ]);
+        let mut eng = CdyEngine::for_query(&q, &i).unwrap();
+        assert!(eng.is_fully_reduced());
+        // Exactly the rows of the full join are listed, node by node, while
+        // the shared relations still hold every stored row.
+        let listed: usize = (0..eng.rels.len()).map(|n| eng.live_rows_of(n).len()).sum();
+        assert_eq!(
+            listed,
+            2 + 1 + 2,
+            "R: (1,2),(6,2); S: (2,3); T: (3,1),(3,2)"
+        );
+        assert!(eng.rels.iter().all(|nr| nr.rel.len() == 3));
+        for idx in eng.indexes.iter().flatten() {
+            for (key, rows) in idx.iter() {
+                assert_eq!(idx.contains_key(key), !rows.is_empty());
+            }
+        }
+        assert_eq!(eng.iter().collect_all().len(), 4);
+        // The check has teeth: a dangling row smuggled into the root fails it.
+        let root = eng.ct.tree.root();
+        let dead = (0..3u32)
+            .find(|r| !eng.root_rows.contains(r))
+            .expect("the root lost a row");
+        eng.root_rows.push(dead);
+        assert!(!eng.is_fully_reduced(), "node {root} lists a dangling row");
+    }
+
+    #[test]
+    fn members_root_off_the_shape_they_share() {
+        let q1 = parse_cq("Q1(x, y, z) <- A(x, y), B(y, z)").unwrap();
+        let q2 = parse_cq("Q2(x, y, z) <- A(x, y), C(y, z)").unwrap();
+        let i = inst(&[
+            ("A", vec![(1, 2), (3, 4)]),
+            ("B", vec![(2, 5)]),
+            ("C", vec![(4, 6)]),
+        ]);
+        let shared = SharedShapes::of([&q1, &q2]);
+        let ctx = CtxView::new();
+        let e1 = CdyEngine::for_member_in(&q1, &shared, &i, &ctx).unwrap();
+        let e2 = CdyEngine::for_member_in(&q2, &shared, &i, &ctx).unwrap();
+        for (eng, q) in [(&e1, &q1), (&e2, &q2)] {
+            let root_atom = eng.ct.tree.nodes()[eng.ct.tree.root()].atom.unwrap();
+            assert_ne!(q.atoms()[root_atom].rel, "A", "the shared atom is indexed");
+        }
+        let stats = ctx.stats();
+        assert_eq!((stats.index_builds, stats.index_hits), (1, 1), "A[y], once");
+        assert_eq!(
+            e1.iter().collect_all(),
+            vec![Tuple::from(&[1i64, 2, 5][..])]
+        );
+        assert_eq!(
+            e2.iter().collect_all(),
+            vec![Tuple::from(&[3i64, 4, 6][..])]
+        );
+        // Alone, a member keeps the default root.
+        let solo = CdyEngine::for_query_in(&q1, &i, &CtxView::new()).unwrap();
+        assert_eq!(solo.ct.tree.root(), 0);
     }
 
     #[test]

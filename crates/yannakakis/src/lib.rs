@@ -19,5 +19,5 @@ pub use naive::{
     evaluate_cq_naive, evaluate_cq_naive_ids_in, evaluate_cq_naive_in, evaluate_cq_naive_set,
     IdTable,
 };
-pub use noderel::{atom_signature, NodeRel};
-pub use reducer::full_reduce;
+pub use noderel::{atom_signature, NodeRel, SharedShapes};
+pub use reducer::{full_reduce, live_rows};

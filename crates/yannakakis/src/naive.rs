@@ -88,7 +88,7 @@ pub fn evaluate_cq_naive_ids_in(
             Some(rel) => NodeRel::derived(atom, &rel, ctx).map_err(EvalError::Schema)?,
             None => {
                 let empty = NodeRel::empty(atom);
-                (empty.vars, Arc::new(empty.rel))
+                (empty.vars, empty.rel)
             }
         };
         nodes.push(node);

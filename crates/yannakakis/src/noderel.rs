@@ -11,13 +11,16 @@
 //! Normalization is cached in the context view: two atoms reading the
 //! same stored relation with the same *argument shape* (the
 //! [`atom_signature`]) — even in different member CQs of a union — share
-//! one normalized [`IdRel`]. [`NodeRel`] then clones that cached relation
-//! only when a pipeline needs to mutate it (the full reducer's semijoins).
+//! one normalized [`IdRel`]. A [`NodeRel`] holds that cached relation by
+//! `Arc` and never mutates it: the reducer ([`crate::reducer`]) reports
+//! liveness beside the data, so the separator indexes built over a node
+//! relation can be cached and shared too.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 use ucq_hypergraph::VSet;
-use ucq_query::{Atom, VarId};
-use ucq_storage::{par, CtxView, HashIndex, IdRel, IdSet, ProbeScratch, Relation};
+use ucq_query::{Atom, Cq, VarId};
+use ucq_storage::{CtxView, IdRel, Relation};
 
 /// The normalization signature of an atom's argument list: for each
 /// position, the rank of its variable among the atom's sorted distinct
@@ -33,13 +36,44 @@ pub fn atom_signature(args: &[VarId]) -> Vec<u32> {
         .collect()
 }
 
+/// The `(relation, atom shape)` pairs that more than one atom of a union
+/// reads: the normalizations — and so the separator indexes built over
+/// them — that its members can share through one context.
+#[derive(Clone, Debug, Default)]
+pub struct SharedShapes(HashSet<(String, Vec<u32>)>);
+
+impl SharedShapes {
+    /// The shapes shared among the atoms of `cqs`.
+    pub fn of<'a>(cqs: impl IntoIterator<Item = &'a Cq>) -> SharedShapes {
+        let mut seen = HashSet::new();
+        let mut shared = HashSet::new();
+        for atom in cqs.into_iter().flat_map(|cq| cq.atoms()) {
+            let shape = (atom.rel.clone(), atom_signature(&atom.args));
+            if !seen.insert(shape.clone()) {
+                shared.insert(shape);
+            }
+        }
+        SharedShapes(shared)
+    }
+
+    /// Whether another atom of the union reads `atom`'s relation with
+    /// `atom`'s shape.
+    pub fn contains(&self, atom: &Atom) -> bool {
+        !self.0.is_empty()
+            && self
+                .0
+                .contains(&(atom.rel.clone(), atom_signature(&atom.args)))
+    }
+}
+
 /// A relation with named (variable-id) columns in sorted order, interned.
 #[derive(Clone, Debug)]
 pub struct NodeRel {
     /// Distinct variables, sorted ascending; `rel` has one column per entry.
     pub vars: Vec<VarId>,
-    /// The interned columnar data, column `i` holding ids of `vars[i]`.
-    pub rel: IdRel,
+    /// The interned columnar data, column `i` holding ids of `vars[i]` —
+    /// shared with the context cache for atom nodes.
+    pub rel: Arc<IdRel>,
 }
 
 impl NodeRel {
@@ -78,19 +112,15 @@ impl NodeRel {
         Ok((NodeRel::distinct_vars(atom), rel))
     }
 
-    /// Normalizes an atom's stored relation into an owned (mutable) node
-    /// relation. The normalization itself comes from the context cache;
-    /// only the final copy (for in-place reduction) is per-call.
+    /// The node relation of an atom over its stored relation: the cached
+    /// normalization itself ([`NodeRel::derived`]), shared, not copied.
     pub fn from_atom(
         atom: &Atom,
         stored: &Arc<Relation>,
         ctx: &CtxView,
     ) -> Result<NodeRel, String> {
         let (vars, rel) = NodeRel::derived(atom, stored, ctx)?;
-        Ok(NodeRel {
-            vars,
-            rel: (*rel).clone(),
-        })
+        Ok(NodeRel { vars, rel })
     }
 
     /// An empty node relation for an atom whose stored relation is missing
@@ -98,7 +128,7 @@ impl NodeRel {
     pub fn empty(atom: &Atom) -> NodeRel {
         let vars = NodeRel::distinct_vars(atom);
         NodeRel {
-            rel: IdRel::new(vars.len()),
+            rel: Arc::new(IdRel::new(vars.len())),
             vars,
         }
     }
@@ -126,46 +156,7 @@ impl NodeRel {
         let cols = self.cols_of(vs);
         NodeRel {
             vars: vs.iter().collect(),
-            rel: self.rel.project_dedup(&cols),
-        }
-    }
-
-    /// Removes rows whose projection onto `sep` has no match in `other`'s
-    /// projection onto `sep` (the semijoin `self ⋉ other`, in place).
-    pub fn semijoin_in_place(&mut self, other: &NodeRel, sep: VSet) {
-        self.semijoin_in_place_with(other, sep, &mut ProbeScratch::default());
-    }
-
-    /// As [`NodeRel::semijoin_in_place`], reusing caller-provided probe
-    /// buffers — the full reducer threads one scratch through all of its
-    /// semijoin passes. A semijoin only needs key *existence* on the right
-    /// side: when the right side builds on one core, an [`IdSet`] of its
-    /// separator projection (packed `u128` keys for separators up to 4
-    /// columns; one pass, no CSR counting/scatter) beats a throwaway
-    /// index. Above the parallel row threshold the sharded CSR
-    /// [`HashIndex`] build wins back multi-core speedup, so the right side
-    /// is indexed and the left retained through batched probes instead.
-    pub fn semijoin_in_place_with(
-        &mut self,
-        other: &NodeRel,
-        sep: VSet,
-        scratch: &mut ProbeScratch,
-    ) {
-        if sep.is_empty() {
-            // Degenerate semijoin: keep everything iff `other` is non-empty.
-            if other.rel.is_empty() {
-                self.rel = IdRel::new(self.rel.arity());
-            }
-            return;
-        }
-        let right_cols = other.cols_of(sep);
-        let left_cols = self.cols_of(sep);
-        if par::workers_for(other.rel.len()) > 1 {
-            let right = HashIndex::build(&other.rel, &right_cols);
-            self.rel.retain_rows_by_index(&left_cols, &right, scratch);
-        } else {
-            let right = IdSet::build_projected(&other.rel, &right_cols);
-            self.rel.retain_rows_by_set(&left_cols, &right, scratch);
+            rel: Arc::new(self.rel.project_dedup(&cols)),
         }
     }
 }
@@ -173,6 +164,8 @@ impl NodeRel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reducer::full_reduce;
+    use ucq_hypergraph::{JoinTree, JtNode};
     use ucq_query::parse_cq;
     use ucq_storage::Value;
 
@@ -192,6 +185,20 @@ mod tests {
         let sigs: Vec<Vec<u32>> = q.atoms().iter().map(|a| atom_signature(&a.args)).collect();
         assert_eq!(sigs[0], sigs[1], "R(x,z) and R(y,z) share a shape");
         assert_ne!(sigs[0], sigs[2], "R(x,x) has a different shape");
+    }
+
+    #[test]
+    fn shared_shapes_count_across_members() {
+        let q1 = parse_cq("Q1(x, y, z) <- A(x, y), B(y, z)").unwrap();
+        let q2 = parse_cq("Q2(a, b, c) <- A(a, b), B(c, b), C(b, b)").unwrap();
+        let shared = SharedShapes::of([&q1, &q2]);
+        assert!(shared.contains(&q1.atoms()[0]), "A(x, y) and A(a, b)");
+        assert!(
+            !shared.contains(&q1.atoms()[1]),
+            "B(c, b) has another shape"
+        );
+        assert!(!shared.contains(&q2.atoms()[2]));
+        assert!(!SharedShapes::default().contains(&q1.atoms()[0]));
     }
 
     #[test]
@@ -250,11 +257,21 @@ mod tests {
         assert_eq!(ctx.stats().derived_hits, 1);
     }
 
+    /// The two-node tree `child → parent` whose one edge is the semijoin
+    /// under test.
+    fn edge(parent: &NodeRel, child: &NodeRel) -> JoinTree {
+        let node = |nr: &NodeRel, atom| JtNode {
+            vars: nr.var_set(),
+            atom: Some(atom),
+        };
+        JoinTree::new(vec![node(parent, 0), node(child, 1)], vec![None, Some(0)])
+    }
+
     #[test]
     fn semijoin_filters() {
         let q = parse_cq("Q(x, y, z) <- R(x, y), S(y, z)").unwrap();
         let ctx = CtxView::new();
-        let mut left = NodeRel::from_atom(
+        let left = NodeRel::from_atom(
             &q.atoms()[0],
             &shared(Relation::from_pairs([(1, 2), (3, 4)])),
             &ctx,
@@ -263,10 +280,12 @@ mod tests {
         let right =
             NodeRel::from_atom(&q.atoms()[1], &shared(Relation::from_pairs([(2, 9)])), &ctx)
                 .unwrap();
-        left.semijoin_in_place(&right, VSet::singleton(1)); // y = var 1
-        assert_eq!(left.rel.len(), 1);
+        let tree = edge(&left, &right); // separator: y = var 1
+        let mut rels = [left, right];
+        assert!(full_reduce(&tree, &mut rels));
+        assert_eq!(rels[0].rel.len(), 1);
         assert_eq!(
-            decoded_row(&left, &ctx, 0),
+            decoded_row(&rels[0], &ctx, 0),
             vec![Value::Int(1), Value::Int(2)]
         );
     }
@@ -280,11 +299,19 @@ mod tests {
             r.push_row(&[Value::Int(1)]);
             shared(r)
         };
-        let mut left = NodeRel::from_atom(&q.atoms()[0], &one_row, &ctx).unwrap();
+        let left = NodeRel::from_atom(&q.atoms()[0], &one_row, &ctx).unwrap();
         let right_empty =
             NodeRel::from_atom(&q.atoms()[1], &shared(Relation::new(1)), &ctx).unwrap();
-        left.semijoin_in_place(&right_empty, VSet::EMPTY);
-        assert!(left.rel.is_empty());
+        let tree = edge(&left, &right_empty);
+        let mut rels = [left, right_empty];
+        assert!(!full_reduce(&tree, &mut rels));
+        assert!(rels[0].rel.is_empty());
+        // A non-empty partner across the empty separator keeps everything.
+        let left = NodeRel::from_atom(&q.atoms()[0], &one_row, &ctx).unwrap();
+        let right = NodeRel::from_atom(&q.atoms()[1], &one_row, &ctx).unwrap();
+        let mut rels = [left, right];
+        assert!(full_reduce(&tree, &mut rels));
+        assert_eq!((rels[0].rel.len(), rels[1].rel.len()), (1, 1));
     }
 
     #[test]

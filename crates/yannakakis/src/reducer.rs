@@ -1,58 +1,124 @@
-//! The Yannakakis full reducer.
+//! The Yannakakis full reducer, as a liveness pass over shared relations.
 //!
-//! Two sweeps of semijoins over a join tree — leaves-to-root, then
-//! root-to-leaves — remove every *dangling* tuple: afterwards each remaining
-//! tuple of each node participates in at least one result of the full join
-//! (Yannakakis 1981 [20]). This is the linear preprocessing phase of the CDY
-//! algorithm.
+//! Two sweeps over a join tree — leaves-to-root, then root-to-leaves —
+//! remove every *dangling* tuple: afterwards each remaining tuple of each
+//! node participates in at least one result of the full join (Yannakakis
+//! 1981 [20]). This is the linear preprocessing phase of the CDY algorithm.
+//!
+//! Node relations are never mutated. Each non-root node brings **one**
+//! [`HashIndex`] on its separator with its parent — hashed once, by whoever
+//! owns it (the context's index cache for atom nodes) — and
+//! [`live_rows`] turns the two semijoin sweeps into scans over that index:
+//!
+//! * bottom-up, a child group is *alive* iff it holds a live row; every
+//!   live parent row probes the child index once (the group id is kept per
+//!   edge) and dies if its group is absent or dead;
+//! * top-down, a child group is *supported* iff a surviving parent row
+//!   remembered it; every row of an unsupported group dies.
+//!
+//! One hash probe per (parent row, child edge) is all the hashing there is.
 
 use crate::noderel::NodeRel;
+use std::borrow::Borrow;
+use std::sync::Arc;
 use ucq_hypergraph::JoinTree;
-use ucq_storage::ProbeScratch;
+use ucq_storage::{HashIndex, ValueId};
 
-/// Runs the full reducer in place. `rels[i]` carries the data of tree node
-/// `i`. Returns `false` iff some node ended up empty (the query has no
-/// answers).
-///
-/// Every semijoin gathers the probing side's separator keys per block and
-/// resolves them in bulk against a CSR index of the other side (see
-/// [`NodeRel::semijoin_in_place_with`]); one [`ProbeScratch`] carries the
-/// key-run and keep-mask buffers across **all** passes, so the sweeps
-/// allocate a constant number of buffers regardless of tree size.
-pub fn full_reduce(tree: &JoinTree, rels: &mut [NodeRel]) -> bool {
+/// The probe memo of a parent row with no (live) group on an edge.
+const NO_GROUP: u32 = u32::MAX;
+
+/// The reducer kernel: per node, which physical rows take part in at least
+/// one result of the full join. `rels[i]` carries the data of tree node
+/// `i` (rows already tombstoned start out dead) and `sep_index[i]`, for
+/// every non-root `i`, indexes `rels[i]` on its separator with its parent
+/// (columns in ascending variable order, as [`NodeRel::cols_of`] lists
+/// them).
+pub fn live_rows<I: Borrow<HashIndex>>(
+    tree: &JoinTree,
+    rels: &[NodeRel],
+    sep_index: &[Option<I>],
+) -> Vec<Vec<bool>> {
     assert_eq!(tree.len(), rels.len());
+    assert_eq!(tree.len(), sep_index.len());
     let order = tree.bfs_order();
-    let mut scratch = ProbeScratch::default();
+    let mut live: Vec<Vec<bool>> = rels
+        .iter()
+        .map(|nr| (0..nr.rel.len()).map(|r| nr.rel.is_live(r)).collect())
+        .collect();
+    // Per non-root node: the group of its index each parent row probes.
+    let mut parent_group: Vec<Vec<u32>> = vec![Vec::new(); rels.len()];
+    let edge = |n: usize| {
+        let p = tree.parent(n)?;
+        let idx = sep_index[n].as_ref().expect("non-root nodes are indexed");
+        Some((p, idx.borrow()))
+    };
 
     // Bottom-up: parent ⋉ child.
     for &n in order.iter().rev() {
-        if let Some(p) = tree.parent(n) {
-            let (child, parent) = index_two(rels, n, p);
-            let sep = parent.var_set().inter(child.var_set());
-            parent.semijoin_in_place_with(child, sep, &mut scratch);
+        let Some((p, idx)) = edge(n) else { continue };
+        // Chaos hook (inert outside `--cfg ucq_fault_inject`): one visit
+        // per semijoin, the reducer's probe site.
+        ucq_storage::faults::on_probe();
+        let alive: Vec<bool> = (0..idx.n_keys() as u32)
+            .map(|g| idx.group(g).iter().any(|&r| live[n][r as usize]))
+            .collect();
+        let key_cols: Vec<&[ValueId]> = rels[p]
+            .cols_of(tree.separator(n))
+            .iter()
+            .map(|&c| rels[p].rel.col(c))
+            .collect();
+        let mut groups = vec![NO_GROUP; live[p].len()];
+        let mut key: Vec<ValueId> = Vec::with_capacity(key_cols.len());
+        for (r, alive_row) in live[p].iter_mut().enumerate() {
+            if !*alive_row {
+                continue;
+            }
+            key.clear();
+            key.extend(key_cols.iter().map(|c| c[r]));
+            match idx.gid_of(&key) {
+                Some(g) if alive[g as usize] => groups[r] = g,
+                _ => *alive_row = false,
+            }
         }
+        parent_group[n] = groups;
     }
     // Top-down: child ⋉ parent.
     for &n in order.iter() {
-        if let Some(p) = tree.parent(n) {
-            let (child, parent) = index_two(rels, n, p);
-            let sep = parent.var_set().inter(child.var_set());
-            child.semijoin_in_place_with(parent, sep, &mut scratch);
+        let Some((p, idx)) = edge(n) else { continue };
+        let mut supported = vec![false; idx.n_keys()];
+        for (r, &g) in parent_group[n].iter().enumerate() {
+            if live[p][r] {
+                supported[g as usize] = true;
+            }
+        }
+        for (g, _) in supported.iter().enumerate().filter(|(_, &s)| !s) {
+            for &r in idx.group(g as u32) {
+                live[n][r as usize] = false;
+            }
+        }
+    }
+    live
+}
+
+/// Runs the full reducer in place: [`live_rows`] over separator indexes
+/// built here, then one compaction per node that lost rows. `rels[i]`
+/// carries the data of tree node `i`. Returns `false` iff some node ended
+/// up empty (the query has no answers).
+pub fn full_reduce(tree: &JoinTree, rels: &mut [NodeRel]) -> bool {
+    let sep_index: Vec<Option<HashIndex>> = (0..rels.len())
+        .map(|n| {
+            let cols = rels[n].cols_of(tree.separator(n));
+            tree.parent(n)
+                .map(|_| HashIndex::build(&rels[n].rel, &cols))
+        })
+        .collect();
+    let live = live_rows(tree, rels, &sep_index);
+    for (nr, live) in rels.iter_mut().zip(&live) {
+        if live.contains(&false) {
+            nr.rel = Arc::new(nr.rel.filter_rows(live));
         }
     }
     rels.iter().all(|r| !r.rel.is_empty())
-}
-
-/// Mutable access to two distinct slice positions.
-fn index_two<T>(slice: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
-    assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = slice.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = slice.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
-    }
 }
 
 #[cfg(test)]
