@@ -4,10 +4,11 @@
 //! established by convention (see README §"Static analysis & model
 //! checking"):
 //!
-//! - **L1** `no-decode-in-block-pump` — no `decode*`/`Dictionary` access
-//!   inside `next_block`/`extend_full_block` bodies: the block pump runs
-//!   on the id layer; per-row decoding there destroys the constant-delay
-//!   guarantee the pipeline exists to provide.
+//! - **L1** `no-decode-in-block-pump` — no dictionary traffic in either
+//!   direction (`decode*`/`Dictionary`, or `lookup*`/`intern*`) inside
+//!   `next_block`/`extend_full_block` bodies: the block pump runs on the
+//!   id layer; a per-row round trip through values there destroys the
+//!   constant-delay guarantee the pipeline exists to provide.
 //! - **L2** `no-locks-in-enumerate` — no `Mutex`/`.lock()` in
 //!   `crates/enumerate`: enumerators own their cursors; a lock in the
 //!   answer loop is a delay-bound violation waiting to happen.
@@ -178,7 +179,9 @@ fn lint_l1(f: &SourceFile, out: &mut Vec<Finding>) {
             if t.kind != TokKind::Ident {
                 continue;
             }
-            if t.text.starts_with("decode") || t.text == "Dictionary" {
+            let to_values = t.text.starts_with("decode") || t.text == "Dictionary";
+            let from_values = t.text.starts_with("lookup") || t.text.starts_with("intern");
+            if to_values || from_values {
                 out.push(Finding {
                     code: "L1",
                     file: f.rel.clone(),
@@ -186,7 +189,8 @@ fn lint_l1(f: &SourceFile, out: &mut Vec<Finding>) {
                     ident: t.text.clone(),
                     message: format!(
                         "`{}` inside `{fn_name}`: the block pump must stay on the \
-                         id layer (decode once per emitted answer, never per row)",
+                         id layer (decode once per emitted answer, never per row; \
+                         never look a value back up)",
                         t.text
                     ),
                 });
@@ -475,6 +479,25 @@ mod tests {
         let f = run_all(&fs);
         assert_eq!(codes(&f), vec!["L1"]);
         assert_eq!(f[0].ident, "decode_tuple");
+    }
+
+    #[test]
+    fn l1_flags_value_lookups_in_next_block_too() {
+        let src = "
+            impl E {
+                fn contains_with(&self) { self.ctx.lookup_row(vals, ids); }
+                fn next_block(&mut self) -> usize {
+                    if self.ctx.lookup_row(vals, ids) { self.ctx.intern(v); }
+                    self.interleave(block)
+                }
+            }";
+        let fs = [file("crates/core/src/x.rs", src)];
+        let f = run_all(&fs);
+        assert_eq!(codes(&f), vec!["L1", "L1"]);
+        assert_eq!(
+            (f[0].ident.as_str(), f[1].ident.as_str()),
+            ("lookup_row", "intern")
+        );
     }
 
     #[test]

@@ -66,7 +66,8 @@ fn bench(c: &mut Criterion) {
         }
     }
 
-    // Decode micro-bench: E7's emission path through each context phase.
+    // Decode micro-bench: E7's emission path — a bare Cheater's own value
+    // facade, hence its own `decoded` counter — through each context phase.
     let unique = 100_000usize;
     let build = CtxView::new();
     let ids = stream(&build, unique);

@@ -4,9 +4,11 @@
 //! Both sides run the id spine end to end and decode every *emitted*
 //! answer through the shared dictionary, so the measured delta is exactly
 //! the Cheater machinery: per-result `InlineKey` dedup, flat-queue
-//! parking, and Lemma 5 pacing. The stats assertion pins the spine's
-//! decode discipline: answers are decoded exactly once, at emission
-//! (`decoded == emitted`), never per inner result.
+//! parking, and Lemma 5 pacing. The assertions pin the spine's decode
+//! discipline on the facade each side drives: the raw drain's `IdDecoder`
+//! decodes what it pulls, once; the bare Cheater's own value facade
+//! decodes exactly once per emission (`decoded == emitted`), never per
+//! inner result.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -40,7 +42,10 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("raw_drain", dup), &dup, |b, _| {
             b.iter(|| {
                 let inner = IdVecEnumerator::from_flat(2, ids.clone());
-                IdDecoder::new(inner, ctx.clone()).collect_all().len()
+                let mut raw = IdDecoder::new(inner, ctx.clone());
+                let n = raw.collect_all().len();
+                assert_eq!((raw.rows_pulled(), raw.rows_decoded()), (n, n));
+                n
             })
         });
         group.bench_with_input(BenchmarkId::new("cheater", dup), &dup, |b, _| {

@@ -238,6 +238,7 @@ fn e7_cheater(scale: usize) {
         let mut raw = IdDecoder::new(IdVecEnumerator::from_flat(2, ids.clone()), ctx.clone());
         let raw_n = raw.collect_all().len();
         let t_raw = t0.elapsed();
+        assert_eq!(raw.rows_decoded(), raw_n, "decode once per pulled row");
         let t0 = Instant::now();
         let mut ch = Cheater::new(
             IdVecEnumerator::from_flat(2, ids.clone()),
@@ -249,7 +250,10 @@ fn e7_cheater(scale: usize) {
         assert_eq!(ch_out.len(), unique);
         assert_eq!(raw_n, unique * dup);
         let s = ch.stats();
-        assert_eq!(s.decoded, s.emitted, "decode only at emission");
+        assert_eq!(
+            s.decoded, s.emitted,
+            "the Cheater's own value facade decodes only at emission"
+        );
         println!(
             "| {} | {} | {} | {} | {} | {:.2}x |",
             unique * dup,

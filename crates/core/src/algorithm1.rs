@@ -16,82 +16,130 @@
 //! the `CD∘Lin`-friendly variant the paper's conclusion highlights). Unions
 //! of `n` members nest recursively, treating the tail as one query.
 //!
-//! All member engines are built through one shared context view, so the
-//! members' preprocessing shares interned relations and normalizations, and
-//! the membership probes of line 4 run against interned ids with reused
-//! scratch buffers — no allocation per probe.
+//! The interleave runs on interned ids end to end ([`Algorithm1Ids`], an
+//! [`IdEnumerator`]): a member's cursor yields its answer as an id row,
+//! the line-4 probe looks that row up in the other members' live row sets
+//! ([`CdyEngine::contains_ids`]) and whichever row line 4 or 5 prints is
+//! appended to the caller's block. The members of one union are built
+//! through one context, so their ids compare as they are: no dictionary
+//! is involved, nothing is allocated per answer, and a duplicate is never
+//! decoded. [`Algorithm1`] is the value facade over it — an [`IdDecoder`],
+//! as for the other strategy arms — decoding a block at a time.
 
 use std::sync::Arc;
-use ucq_enumerate::Enumerator;
+use ucq_enumerate::{Enumerator, IdDecoder, IdEnumerator};
 use ucq_query::Ucq;
-use ucq_storage::{CtxView, Instance, Tuple};
+use ucq_storage::{CtxView, IdBlock, Instance, Tuple, ValueId};
 use ucq_yannakakis::{CdyEngine, ContainsScratch, EvalError, OwnedCdyIter, SharedShapes};
 
-/// Recursive union node. Each node carries a [`ContainsScratch`] for its
-/// own engine's membership probes, so the line-4 checks reuse buffers
-/// instead of allocating per answer.
+/// Recursive union node: a member's cursor, then the rest of the union.
 enum Node {
-    Leaf(OwnedCdyIter, ContainsScratch),
+    Leaf(OwnedCdyIter),
     Pair {
         first: OwnedCdyIter,
-        first_scratch: ContainsScratch,
         rest: Box<Node>,
         first_done: bool,
     },
 }
 
 impl Node {
-    fn contains(&mut self, t: &Tuple) -> bool {
+    fn contains(&self, row: &[ValueId], scratch: &mut ContainsScratch) -> bool {
         match self {
-            Node::Leaf(it, scratch) => it.engine().contains_with(t, scratch),
-            Node::Pair {
-                first,
-                first_scratch,
-                rest,
-                ..
-            } => first.engine().contains_with(t, first_scratch) || rest.contains(t),
+            Node::Leaf(it) => it.engine().contains_ids(row, scratch),
+            Node::Pair { first, rest, .. } => {
+                first.engine().contains_ids(row, scratch) || rest.contains(row, scratch)
+            }
         }
     }
 
-    fn next(&mut self) -> Option<Tuple> {
-        match self {
-            Node::Leaf(it, _) => it.next(),
+    /// Appends answers to `block` until it is full or this node is
+    /// exhausted; returns the rows appended.
+    fn next_block(&mut self, block: &mut IdBlock, scratch: &mut ContainsScratch) -> usize {
+        let (first, rest, first_done) = match self {
+            Node::Leaf(it) => return it.next_block(block),
             Node::Pair {
                 first,
-                first_scratch: _,
                 rest,
                 first_done,
-            } => {
-                while !*first_done {
-                    match first.next() {
-                        Some(a) => {
-                            if !rest.contains(&a) {
-                                return Some(a);
-                            }
-                            // Line 5: the duplicate budget pays for one
-                            // fresh answer from the rest.
-                            let b = rest.next();
-                            debug_assert!(
-                                b.is_some(),
-                                "line 5 is called at most |Q1 ∩ rest| ≤ |rest| times"
-                            );
-                            if b.is_some() {
-                                return b;
-                            }
-                            // Defensive: fall through and keep draining.
-                        }
-                        None => *first_done = true,
-                    }
+            } => (first, rest, first_done),
+        };
+        let mut n = 0;
+        while !*first_done && !block.is_full() {
+            match first.next_row() {
+                None => *first_done = true,
+                Some(row) if !rest.contains(row, scratch) => {
+                    block.push_row(row);
+                    n += 1;
                 }
-                rest.next()
+                Some(_) => {
+                    // Line 5: the duplicate pays for one fresh answer of
+                    // the rest — a fill capped at one more row.
+                    let cap = block.max_rows();
+                    block.set_max_rows(block.len() + 1);
+                    let fresh = rest.next_block(block, scratch);
+                    block.set_max_rows(cap);
+                    debug_assert_eq!(
+                        fresh, 1,
+                        "line 5 is called at most |Q1 ∩ rest| ≤ |rest| times"
+                    );
+                    n += fresh;
+                }
             }
+        }
+        if *first_done {
+            n += rest.next_block(block, scratch);
+        }
+        n
+    }
+}
+
+/// Algorithm 1 on the id spine: the interleave as an [`IdEnumerator`].
+pub struct Algorithm1Ids {
+    root: Node,
+    arity: usize,
+    /// Buffers of the line-4 probes, shared by every node.
+    scratch: ContainsScratch,
+}
+
+impl Algorithm1Ids {
+    /// Wires preprocessed member engines into the interleave. The engines
+    /// must come from [`Algorithm1::member_engines`] (every member
+    /// free-connex, outputs = heads, one dictionary lineage).
+    pub fn new(engines: Vec<Arc<CdyEngine>>) -> Algorithm1Ids {
+        let mut iters: Vec<OwnedCdyIter> = engines.into_iter().map(OwnedCdyIter::new).collect();
+        let last = iters.pop().expect("UCQs are non-empty");
+        let arity = last.engine().output_arity();
+        let mut node = Node::Leaf(last);
+        while let Some(first) = iters.pop() {
+            node = Node::Pair {
+                first,
+                rest: Box::new(node),
+                first_done: false,
+            };
+        }
+        Algorithm1Ids {
+            root: node,
+            arity,
+            scratch: ContainsScratch::default(),
         }
     }
 }
 
-/// The Algorithm 1 enumerator.
+impl IdEnumerator for Algorithm1Ids {
+    fn arity(&self) -> usize {
+        self.arity
+    }
+
+    fn next_block(&mut self, block: &mut IdBlock) -> usize {
+        debug_assert_eq!(block.arity(), self.arity);
+        self.root.next_block(block, &mut self.scratch)
+    }
+}
+
+/// The Algorithm 1 enumerator: [`Algorithm1Ids`] behind the block-decoding
+/// value facade.
 pub struct Algorithm1 {
-    root: Node,
+    inner: IdDecoder<Algorithm1Ids>,
 }
 
 impl Algorithm1 {
@@ -109,9 +157,8 @@ impl Algorithm1 {
         instance: &Instance,
         ctx: &CtxView,
     ) -> Result<Algorithm1, EvalError> {
-        Ok(Algorithm1::from_engines(Algorithm1::member_engines(
-            ucq, instance, ctx,
-        )?))
+        let engines = Algorithm1::member_engines(ucq, instance, ctx)?;
+        Ok(Algorithm1::from_engines_in(engines, ctx.clone()))
     }
 
     /// Builds the per-member CDY engines (the preprocessing phase), shared
@@ -128,30 +175,63 @@ impl Algorithm1 {
             .collect()
     }
 
-    /// Wires preprocessed member engines into the interleaving enumerator.
-    /// The engines must come from [`Algorithm1::member_engines`] (every
-    /// member free-connex, outputs = heads).
+    /// Wires preprocessed member engines into the interleaving enumerator,
+    /// decoding through a view picked from the engines' own. The engines
+    /// must come from [`Algorithm1::member_engines`] (every member
+    /// free-connex, outputs = heads). A caller that holds the session's
+    /// view passes it instead ([`Algorithm1::from_engines_in`]).
     pub fn from_engines(engines: Vec<Arc<CdyEngine>>) -> Algorithm1 {
-        let mut iters: Vec<OwnedCdyIter> = engines.into_iter().map(OwnedCdyIter::new).collect();
-        let mut node = Node::Leaf(
-            iters.pop().expect("UCQs are non-empty"),
-            ContainsScratch::default(),
-        );
-        while let Some(first) = iters.pop() {
-            node = Node::Pair {
-                first,
-                first_scratch: ContainsScratch::default(),
-                rest: Box::new(node),
-                first_done: false,
-            };
-        }
-        Algorithm1 { root: node }
+        let ctx = covering_view(&engines);
+        Algorithm1::from_engines_in(engines, ctx)
     }
+
+    /// As [`Algorithm1::from_engines`], decoding through `ctx`, which must
+    /// know every id of every member: the view the members were built
+    /// through, or any later snapshot of the same dictionary lineage.
+    pub fn from_engines_in(engines: Vec<Arc<CdyEngine>>, ctx: CtxView) -> Algorithm1 {
+        Algorithm1 {
+            inner: IdDecoder::new(Algorithm1Ids::new(engines), ctx),
+        }
+    }
+
+    /// Rows the value facade has pulled from the interleave.
+    pub fn rows_pulled(&self) -> usize {
+        self.inner.rows_pulled()
+    }
+
+    /// Rows the value facade has decoded.
+    pub fn rows_decoded(&self) -> usize {
+        self.inner.rows_decoded()
+    }
+}
+
+/// A view that decodes every member's ids. After a refreeze the members
+/// need not share one: those reused from an earlier epoch keep its frozen
+/// view, the rebuilt ones hold the newer, and an engine pinned across a
+/// freeze is still on the build view. A build view knows its whole
+/// lineage; among snapshots of one lineage the highest frozen watermark
+/// covers the others (not `dict_len`: a snapshot's overlay ids are its
+/// own, so a stale view that interned past its freeze would win wrongly).
+fn covering_view(engines: &[Arc<CdyEngine>]) -> CtxView {
+    let watermark = |view: &CtxView| match view {
+        CtxView::Build(_) => usize::MAX,
+        CtxView::Frozen(f) => f.frozen_len(),
+    };
+    engines
+        .iter()
+        .map(|e| e.context())
+        .max_by_key(|view| watermark(view))
+        .expect("UCQs are non-empty")
+        .clone()
 }
 
 impl Enumerator for Algorithm1 {
     fn next(&mut self) -> Option<Tuple> {
-        self.root.next()
+        self.inner.next()
+    }
+
+    fn expect_at_most(&mut self, rows: usize) {
+        self.inner.expect_at_most(rows);
     }
 }
 

@@ -56,6 +56,16 @@ fn replay_id_table(table: &IdTable, ctx: &CtxView) -> IdDecoder<IdVecEnumerator>
     )
 }
 
+/// Builds the membership sets Algorithm 1 will probe — every member's but
+/// the first's, which is only ever enumerated — so that the writer pays for
+/// them at freeze/refreeze and no served request does. (Already built sets
+/// are left alone; one-shot evaluation stays lazy.)
+fn warm_probed_members(engines: &[Arc<CdyEngine>]) {
+    for eng in engines.iter().skip(1) {
+        eng.warm_membership();
+    }
+}
+
 /// Which evaluation strategy a run used.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Strategy {
@@ -303,8 +313,7 @@ impl UcqEngine {
             }
             return Ok(false);
         }
-        let mut ans = self.enumerate_in(&ctx, instance)?;
-        Ok(ans.next().is_some())
+        Ok(self.enumerate_in(&ctx, instance)?.has_answer())
     }
 }
 
@@ -403,7 +412,10 @@ impl EvalSession<'_> {
         match prepared.as_ref().expect("just prepared") {
             Prepared::Algorithm1(engines) => Ok(UcqAnswers {
                 strategy: Strategy::Algorithm1,
-                inner: Box::new(Algorithm1::from_engines(engines.clone())),
+                inner: Box::new(Algorithm1::from_engines_in(
+                    engines.clone(),
+                    self.ctx.clone(),
+                )),
             }),
             Prepared::Union(prep) => Ok(UcqAnswers {
                 strategy: Strategy::UnionExtension,
@@ -429,8 +441,7 @@ impl EvalSession<'_> {
             Prepared::Algorithm1(engines) => Ok(engines.iter().any(|e| e.decide())),
             _ => {
                 drop(prepared);
-                let mut ans = self.enumerate()?;
-                Ok(ans.next().is_some())
+                Ok(self.enumerate()?.has_answer())
             }
         }
     }
@@ -463,6 +474,7 @@ impl<'e> EvalSession<'e> {
         let view = self.ctx.freeze();
         let prepared = match self.prepared.into_inner().expect("just prepared") {
             Prepared::Algorithm1(mut engines) => {
+                warm_probed_members(&engines);
                 for eng in &mut engines {
                     // A leftover live enumerator (pre-freeze `enumerate()`
                     // stream) pins the Arc; such an engine keeps the
@@ -572,9 +584,15 @@ impl FrozenSession<'_> {
     /// the same frozen dictionary, relations and indexes lock-free.
     pub fn enumerate(&self) -> Result<UcqAnswers, EvalError> {
         match &self.prepared {
+            // This session's view, not one of the engines': after a
+            // refreeze the members hold views of different epochs, and
+            // only the newest decodes every member's ids.
             FrozenPrepared::Algorithm1(engines) => Ok(UcqAnswers {
                 strategy: Strategy::Algorithm1,
-                inner: Box::new(Algorithm1::from_engines(engines.clone())),
+                inner: Box::new(Algorithm1::from_engines_in(
+                    engines.clone(),
+                    self.ctx.clone(),
+                )),
             }),
             FrozenPrepared::Union(prep) => Ok(UcqAnswers {
                 strategy: Strategy::UnionExtension,
@@ -592,10 +610,7 @@ impl FrozenSession<'_> {
         match &self.prepared {
             FrozenPrepared::Algorithm1(engines) => Ok(engines.iter().any(|e| e.decide())),
             FrozenPrepared::Naive(table) => Ok(table.n_rows > 0),
-            FrozenPrepared::Union(_) => {
-                let mut ans = self.enumerate()?;
-                Ok(ans.next().is_some())
-            }
+            FrozenPrepared::Union(_) => Ok(self.enumerate()?.has_answer()),
         }
     }
 
@@ -706,6 +721,7 @@ impl<'e> FrozenSession<'e> {
                     eng.set_view(view.clone());
                     next[i] = Arc::new(eng);
                 }
+                warm_probed_members(&next);
                 return Ok(FrozenSession {
                     engine: self.engine,
                     instance: instance.clone(),
@@ -761,11 +777,22 @@ impl UcqAnswers {
     pub fn strategy(&self) -> Strategy {
         self.strategy
     }
+
+    /// `Decide` by enumeration: asks for one answer, and says so first, so
+    /// that a block-decoding arm prepares one row rather than a block.
+    fn has_answer(mut self) -> bool {
+        self.expect_at_most(1);
+        self.next().is_some()
+    }
 }
 
 impl Enumerator for UcqAnswers {
     fn next(&mut self) -> Option<Tuple> {
         self.inner.next()
+    }
+
+    fn expect_at_most(&mut self, rows: usize) {
+        self.inner.expect_at_most(rows);
     }
 }
 
@@ -1003,6 +1030,103 @@ mod tests {
         let new = next.a1_engines().unwrap();
         assert!(!Arc::ptr_eq(&old[0], &new[0]), "touched member rebuilt");
         assert!(Arc::ptr_eq(&old[1], &new[1]), "untouched member shared");
+    }
+
+    #[test]
+    fn members_on_mixed_views_decode_through_one_that_covers_them_all() {
+        let text = "Q1(x, y) <- R(x, y)\nQ2(a, b) <- S(a, b)";
+        let eng = UcqEngine::new(parse_ucq(text).unwrap());
+        let i = inst(&[("R", vec![(1, 2)]), ("S", vec![(1, 2), (5, 6)])]);
+        let frozen = eng.session(&i).freeze().unwrap();
+        // The first epoch's view grows an overlay: its `dict_len` now
+        // exceeds the next epoch's, while it cannot decode that epoch's ids.
+        for v in 1000..1010 {
+            frozen.context().intern(ucq_storage::Value::Int(v));
+        }
+        let delta = Relation::from_pairs([(70, 71), (72, 73)]);
+        let s2 = frozen
+            .build_context()
+            .insert_rows(&i.get_shared("S").unwrap(), &delta);
+        let i2 = i.with_relation_shared("S", s2);
+        let next = frozen.refreeze(&i2).unwrap();
+        assert!(frozen.context().dict_len() > next.context().dict_len());
+
+        // Q1 is reused and keeps the old view; Q2 is rebuilt on the new.
+        let engines = next.a1_engines().unwrap().to_vec();
+        let views: Vec<usize> = engines
+            .iter()
+            .map(|e| match e.context() {
+                CtxView::Frozen(f) => f.frozen_len(),
+                CtxView::Build(_) => panic!("frozen members hold frozen views"),
+            })
+            .collect();
+        assert!(views[0] < views[1], "stale first member, fresh second");
+        let want = naive_set(text, &i2);
+        assert_eq!(collect(&next), want, "the session decodes through its own");
+        let direct: HashSet<Tuple> = Algorithm1::from_engines(engines)
+            .collect_all()
+            .into_iter()
+            .collect();
+        assert_eq!(direct, want, "from_engines picks the highest watermark");
+    }
+
+    fn sets_built_on_demand(frozen: &FrozenSession<'_>) -> usize {
+        let engines = frozen.a1_engines().unwrap();
+        engines
+            .iter()
+            .map(|e| e.membership_sets_built_on_demand())
+            .sum()
+    }
+
+    #[test]
+    fn no_request_on_a_frozen_session_builds_a_membership_set() {
+        let text = "Q1(x, y, z) <- A(x, y), B(y, z)\nQ2(x, y, z) <- A(x, y), C(y, z)";
+        let eng = UcqEngine::new(parse_ucq(text).unwrap());
+        assert_eq!(eng.strategy(), Strategy::Algorithm1);
+        let i = inst(&[
+            ("A", vec![(1, 2), (3, 4), (5, 6)]),
+            ("B", vec![(2, 7), (6, 8)]),
+            ("C", vec![(4, 9), (6, 8)]),
+        ]);
+        let frozen = eng.session(&i).freeze().unwrap();
+        assert_eq!(collect(&frozen), naive_set(text, &i));
+        assert_eq!(sets_built_on_demand(&frozen), 0, "freeze warmed them");
+
+        // A rotation that rebuilds the probed member warms the new engine.
+        let c2 = frozen
+            .build_context()
+            .insert_rows(&i.get_shared("C").unwrap(), &Relation::from_pairs([(2, 7)]));
+        let i2 = i.with_relation_shared("C", c2);
+        let next = frozen.refreeze(&i2).unwrap();
+        assert_eq!(collect(&next), naive_set(text, &i2));
+        assert_eq!(sets_built_on_demand(&next), 0, "refreeze warmed them");
+    }
+
+    #[test]
+    fn a_request_for_one_answer_says_so_to_its_producer() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use ucq_enumerate::{Budgeted, QueryBudget};
+        struct Probe(Arc<AtomicUsize>);
+        impl Enumerator for Probe {
+            fn next(&mut self) -> Option<Tuple> {
+                Some(Tuple::empty())
+            }
+            fn expect_at_most(&mut self, rows: usize) {
+                self.0.store(rows, Ordering::Relaxed);
+            }
+        }
+        let hinted = Arc::new(AtomicUsize::new(0));
+        let answers = || UcqAnswers {
+            strategy: Strategy::UnionExtension,
+            inner: Box::new(Probe(Arc::clone(&hinted))),
+        };
+        assert!(answers().has_answer());
+        assert_eq!(hinted.load(Ordering::Relaxed), 1);
+        // An answer cap travels the same way: n answers and the one beyond.
+        let budget = QueryBudget::unlimited().with_max_answers(40);
+        let mut page = Budgeted::new(answers(), budget);
+        assert_eq!(page.collect_all().len(), 40);
+        assert_eq!(hinted.load(Ordering::Relaxed), 41);
     }
 
     #[test]

@@ -173,6 +173,10 @@ impl Enumerator for FdAnswers {
             .next()
             .map(|t| Tuple(t.values()[..self.prefix].into()))
     }
+
+    fn expect_at_most(&mut self, rows: usize) {
+        self.inner.expect_at_most(rows);
+    }
 }
 
 #[cfg(test)]

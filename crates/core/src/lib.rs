@@ -38,7 +38,7 @@ pub mod request;
 pub mod search;
 mod static_asserts;
 
-pub use algorithm1::Algorithm1;
+pub use algorithm1::{Algorithm1, Algorithm1Ids};
 pub use body_iso::{align_body_isomorphic, AlignedUnion};
 pub use classify::{
     classify, classify_with, cq_status, Classification, CqStatus, HardnessWitness, Hypothesis,

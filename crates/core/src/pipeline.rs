@@ -13,8 +13,10 @@
 //! feeds output-projected id rows straight into the chain
 //! ([`OwnedCdyIter`]'s [`IdEnumerator`] adapter), and the Cheater dedups,
 //! parks and paces interned rows. Answers are decoded to value
-//! [`Tuple`]s exactly once — at emission through the value facade — and
-//! not at all for duplicates or for id-aware callers
+//! [`Tuple`]s exactly once, a block at a time, by the [`IdDecoder`] the
+//! value facade pulls the Cheater's emissions through
+//! ([`UcqPipeline::rows_decoded`] counts them; the Cheater's own `decoded`
+//! stays 0) — and not at all for duplicates or for id-aware callers
 //! ([`UcqPipeline::next_ids`]).
 //!
 //! The preprocessing phase is reified as [`UcqPipelinePrep`]: all member
@@ -28,7 +30,7 @@ use crate::lemma8::materialize_atom_in;
 use crate::plan::ExtensionPlan;
 use std::sync::Arc;
 use ucq_enumerate::{
-    Cheater, CheaterStats, Enumerator, IdChainEnumerator, IdEnumerator, IdVecEnumerator,
+    Cheater, CheaterStats, Enumerator, IdChainEnumerator, IdDecoder, IdEnumerator, IdVecEnumerator,
 };
 use ucq_query::{Cq, Ucq};
 use ucq_storage::{CtxView, IdBlock, Instance, Tuple, ValueId};
@@ -38,15 +40,15 @@ use ucq_yannakakis::{CdyEngine, EvalError, OwnedCdyIter, SharedShapes};
 /// materialized virtual relations folded into per-member CDY engines, ready
 /// to start enumerations.
 ///
-/// Cloning is cheap (the member engines are shared `Arc`s; the early-answer
-/// ids are one flat memcpy) — `FrozenSession::refreeze` clones the prep
-/// wholesale when no relation it reads was touched by a delta.
+/// Cloning is cheap (the member engines and the early-answer ids are shared
+/// `Arc`s) — `FrozenSession::refreeze` clones the prep wholesale when no
+/// relation it reads was touched by a delta.
 #[derive(Clone)]
 pub struct UcqPipelinePrep {
     /// Provider answers emitted during materialization (Lemma 8's output
     /// charging), as flat id rows; replayed at the head of every
-    /// enumeration without decoding.
-    early_ids: Vec<ValueId>,
+    /// enumeration from this one buffer, without copying or decoding.
+    early_ids: Arc<[ValueId]>,
     /// Number of early answers (authoritative for Boolean unions).
     n_early: usize,
     /// Ids per answer (the union's head arity).
@@ -100,7 +102,7 @@ impl UcqPipelinePrep {
         // once per materialization (Lemma 5's m).
         let budget = ucq.len() + plan.atoms.len() + 1;
         Ok(UcqPipelinePrep {
-            early_ids,
+            early_ids: early_ids.into(),
             n_early,
             arity,
             engines,
@@ -125,37 +127,38 @@ impl UcqPipelinePrep {
     }
 
     /// Starts one enumeration over the preprocessed state. Starting is
-    /// O(answers already emitted during materialization) — one flat memcpy
-    /// of the early id rows; no linear pass is repeated.
+    /// O(1) in the data: cursors over shared engines and a shared replay
+    /// buffer; no linear pass is repeated.
     pub fn start(&self) -> UcqPipeline {
         let mut stages: Vec<Box<dyn IdEnumerator + Send>> =
             Vec::with_capacity(self.engines.len() + 1);
         stages.push(Box::new(IdVecEnumerator::new(
             self.arity,
-            self.early_ids.clone(),
+            Arc::clone(&self.early_ids),
             self.n_early,
         )));
         for eng in &self.engines {
             stages.push(Box::new(OwnedCdyIter::new(Arc::clone(eng))));
         }
+        // The early answers are genuine distinct outputs, so their count
+        // is a free lower bound for the dedup table.
+        let cheater = Cheater::with_capacity_hint(
+            IdChainEnumerator::new(self.arity, stages),
+            self.budget,
+            self.ctx.clone(),
+            self.n_early,
+        );
         UcqPipeline {
-            // The early answers are genuine distinct outputs, so their
-            // count is a free lower bound for the dedup table.
-            inner: Cheater::with_capacity_hint(
-                IdChainEnumerator::new(self.arity, stages),
-                self.budget,
-                self.ctx.clone(),
-                self.n_early,
-            ),
+            inner: IdDecoder::new(cheater, self.ctx.clone()),
             materialized_sizes: self.materialized_sizes.clone(),
         }
     }
 }
 
 /// A `DelayClin` enumerator for a free-connex UCQ: the id-level Cheater
-/// spine with a thin `Tuple`-yielding facade ([`Enumerator`]).
+/// spine behind the block-decoding value facade ([`Enumerator`]).
 pub struct UcqPipeline {
-    inner: Cheater<IdChainEnumerator>,
+    inner: IdDecoder<Cheater<IdChainEnumerator>>,
     /// See [`UcqPipelinePrep::materialized_sizes`].
     pub materialized_sizes: Vec<usize>,
 }
@@ -184,13 +187,25 @@ impl UcqPipeline {
 
     /// Dedup/pacing statistics of the underlying Cheater compiler.
     pub fn stats(&self) -> CheaterStats {
-        self.inner.stats()
+        self.inner.inner().stats()
+    }
+
+    /// Rows the value facade has pulled from the Cheater.
+    pub fn rows_pulled(&self) -> usize {
+        self.inner.rows_pulled()
+    }
+
+    /// Rows the value facade has decoded (once per pulled row).
+    pub fn rows_decoded(&self) -> usize {
+        self.inner.rows_decoded()
     }
 
     /// The next answer as a borrowed interned id row — the escape hatch
-    /// for id-aware callers (no decode; see [`Cheater::next_ids`]).
+    /// for id-aware callers (no decode; see [`Cheater::next_ids`]). Drain
+    /// a pipeline through one surface: rows taken here are not seen by
+    /// [`Enumerator::next`] (see [`IdDecoder::inner_mut`]).
     pub fn next_ids(&mut self) -> Option<&[ValueId]> {
-        self.inner.next_ids()
+        self.inner.inner_mut().next_ids()
     }
 }
 
@@ -198,17 +213,22 @@ impl Enumerator for UcqPipeline {
     fn next(&mut self) -> Option<Tuple> {
         self.inner.next()
     }
+
+    fn expect_at_most(&mut self, rows: usize) {
+        self.inner.expect_at_most(rows);
+    }
 }
 
 /// The pipeline is itself an id enumerator, so id-aware callers can drain
-/// it block-at-a-time (delay measurement, chained unions, benches).
+/// it block-at-a-time (delay measurement, chained unions, benches) — as
+/// with [`UcqPipeline::next_ids`], instead of the value facade.
 impl IdEnumerator for UcqPipeline {
     fn arity(&self) -> usize {
-        IdEnumerator::arity(&self.inner)
+        self.inner.inner().arity()
     }
 
     fn next_block(&mut self, block: &mut IdBlock) -> usize {
-        self.inner.next_block(block)
+        self.inner.inner_mut().next_block(block)
     }
 }
 
@@ -234,7 +254,9 @@ mod tests {
         let mut p = UcqPipeline::build(&u, &plan, i).unwrap();
         let got = p.collect_all();
         let s = p.stats();
-        assert_eq!(s.decoded, s.emitted, "decode exactly once per emission");
+        assert_eq!(p.rows_decoded(), s.emitted, "decode once per emission");
+        assert_eq!(p.rows_pulled(), s.emitted);
+        assert_eq!(s.decoded, 0, "the Cheater's own value facade is not used");
         let want = evaluate_ucq_naive(&u, i).unwrap();
         (got, want)
     }
@@ -383,9 +405,8 @@ mod tests {
             via_ids.push(t);
         }
         assert_eq!(via_ids, via_values, "same answers in the same order");
-        let s = p.stats();
-        assert_eq!(s.decoded, 0, "next_ids never decodes");
-        assert_eq!(s.emitted, via_values.len());
+        assert_eq!(p.rows_decoded(), 0, "next_ids never decodes");
+        assert_eq!(p.stats().emitted, via_values.len());
     }
 
     #[test]

@@ -140,8 +140,15 @@ pub struct Budgeted<E> {
 }
 
 impl<E: Enumerator> Budgeted<E> {
-    /// Wraps `inner` under `budget` with the default block stride.
-    pub fn new(inner: E, budget: QueryBudget) -> Budgeted<E> {
+    /// Wraps `inner` under `budget` with the default block stride. An
+    /// answer cap is passed down as [`Enumerator::expect_at_most`]: the
+    /// cap plus the one further answer that proves
+    /// [`Truncation::MaxAnswers`], so a block-decoding producer stops
+    /// there instead of preparing a block nobody reads.
+    pub fn new(mut inner: E, budget: QueryBudget) -> Budgeted<E> {
+        if let Some(max) = budget.max_answers {
+            inner.expect_at_most(max.saturating_add(1));
+        }
         Budgeted {
             inner,
             budget,

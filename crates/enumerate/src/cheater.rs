@@ -12,10 +12,11 @@
 //! id rows, dedup runs in an [`IdSet`] over packed `u128` row keys
 //! (inline keys beyond 4 columns — no per-answer heap allocation, no
 //! value decode either way), and fresh answers are parked *as id rows* in
-//! one flat queue buffer. Values are decoded exactly once, when
-//! an answer crosses the value-level [`Enumerator::next`] boundary — and
-//! not at all through the [`Cheater::next_ids`] escape hatch that id-aware
-//! callers (benches, the union evaluator, future async sessions) use.
+//! one flat queue buffer. The Cheater never decodes on the id paths
+//! ([`IdEnumerator::next_block`], which the pipeline's block decoder
+//! pulls, and the [`Cheater::next_ids`] escape hatch); its own value-level
+//! [`Enumerator::next`], for callers that drive a bare Cheater, decodes
+//! each emission once.
 //!
 //! **Lemma 5 accounting.** The pump budget is still counted in inner
 //! *results*, not blocks: each [`next`](Enumerator::next) call processes up
@@ -46,8 +47,12 @@ pub struct CheaterStats {
     pub emitted: usize,
     /// Maximum number of parked results observed (queue high-water mark).
     pub queue_high_water: usize,
-    /// Results actually decoded to values (emissions through the value
-    /// facade; [`Cheater::next_ids`] emissions never decode).
+    /// Results decoded by the Cheater's *own* value facade
+    /// ([`Enumerator::next`] on the Cheater itself). Emissions taken as ids
+    /// ([`Cheater::next_ids`], `next_block`) never count here: whoever
+    /// pulls them decodes them — the Theorem 12 pipeline does so in its
+    /// [`IdDecoder`](crate::IdDecoder), which keeps its own
+    /// `rows_pulled`/`rows_decoded`.
     pub decoded: usize,
     /// Blocks pulled from the inner enumerator.
     pub blocks_pumped: usize,

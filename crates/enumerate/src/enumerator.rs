@@ -13,6 +13,14 @@ pub trait Enumerator {
     /// Produces the next answer, or `None` when exhausted.
     fn next(&mut self) -> Option<Tuple>;
 
+    /// Tells the producer that the caller means to pull at most `rows`
+    /// more answers, so a producer that works ahead in blocks need not
+    /// prepare more. A **hint, not a limit**: it is derived from a
+    /// request (its answer cap), never enforced — pulling past it stays
+    /// correct and still yields every answer, only without the
+    /// read-ahead. Producers with nothing to save ignore it.
+    fn expect_at_most(&mut self, _rows: usize) {}
+
     /// Drains everything into a vector (test/bench helper).
     fn collect_all(&mut self) -> Vec<Tuple>
     where
@@ -47,49 +55,6 @@ impl Enumerator for VecEnumerator {
     }
 }
 
-/// Chains several enumerators back to back.
-pub struct ChainEnumerator {
-    stages: Vec<Box<dyn Enumerator>>,
-    current: usize,
-}
-
-impl ChainEnumerator {
-    /// Chains the given stages in order.
-    pub fn new(stages: Vec<Box<dyn Enumerator>>) -> ChainEnumerator {
-        ChainEnumerator { stages, current: 0 }
-    }
-}
-
-impl Enumerator for ChainEnumerator {
-    fn next(&mut self) -> Option<Tuple> {
-        while self.current < self.stages.len() {
-            if let Some(t) = self.stages[self.current].next() {
-                return Some(t);
-            }
-            self.current += 1;
-        }
-        None
-    }
-}
-
-/// Wraps a closure as an enumerator.
-pub struct FnEnumerator<F: FnMut() -> Option<Tuple>> {
-    f: F,
-}
-
-impl<F: FnMut() -> Option<Tuple>> FnEnumerator<F> {
-    /// Wraps `f`; enumeration ends at the first `None`.
-    pub fn new(f: F) -> FnEnumerator<F> {
-        FnEnumerator { f }
-    }
-}
-
-impl<F: FnMut() -> Option<Tuple>> Enumerator for FnEnumerator<F> {
-    fn next(&mut self) -> Option<Tuple> {
-        (self.f)()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,29 +70,5 @@ mod tests {
         assert_eq!(e.next(), Some(t(2)));
         assert_eq!(e.next(), None);
         assert_eq!(e.next(), None, "stays exhausted");
-    }
-
-    #[test]
-    fn chain_concatenates() {
-        let mut e = ChainEnumerator::new(vec![
-            Box::new(VecEnumerator::new(vec![t(1)])),
-            Box::new(VecEnumerator::new(vec![])),
-            Box::new(VecEnumerator::new(vec![t(2), t(3)])),
-        ]);
-        assert_eq!(e.collect_all(), vec![t(1), t(2), t(3)]);
-    }
-
-    #[test]
-    fn fn_enumerator_counts_down() {
-        let mut n = 3i64;
-        let mut e = FnEnumerator::new(move || {
-            if n == 0 {
-                None
-            } else {
-                n -= 1;
-                Some(t(n))
-            }
-        });
-        assert_eq!(e.collect_all(), vec![t(2), t(1), t(0)]);
     }
 }

@@ -1,14 +1,12 @@
 //! The id-level enumeration spine: block-at-a-time producers of interned
 //! answer rows.
 //!
-//! The value-level [`Enumerator`](crate::Enumerator) decodes every answer
-//! to an owned [`Tuple`] — one heap allocation and one dictionary sweep
-//! per answer, paid even for answers that a downstream stage (the Cheater
-//! dedup, a counting bench, the union evaluator) immediately discards.
-//! [`IdEnumerator`] is the spine underneath: stages exchange whole
-//! [`IdBlock`]s of flat [`ValueId`] rows, and values are decoded exactly
-//! once, at the API boundary, by whichever facade needs them
-//! ([`IdDecoder`], or [`Cheater::next`](crate::Cheater)).
+//! Stages exchange whole [`IdBlock`]s of flat [`ValueId`] rows, so an
+//! answer that a downstream stage discards (the Cheater dedup, Algorithm
+//! 1's membership probe, a counting bench) never costs a heap allocation
+//! or a dictionary sweep. Values are decoded exactly once, at the API
+//! boundary, a block at a time, by [`IdDecoder`] — the one value facade
+//! of every strategy arm.
 //!
 //! The contract of [`IdEnumerator::next_block`]: append rows to the block
 //! until it [`is_full`](IdBlock::is_full) or the producer is exhausted,
@@ -74,22 +72,27 @@ impl IdEnumerator for Box<dyn IdEnumerator + Send> {
     }
 }
 
-/// Replays a pre-materialized flat id table (the id-level analogue of
-/// [`VecEnumerator`](crate::VecEnumerator)); used for the pipeline's early
-/// answers and for materialized (naive) answer sets.
+/// Replays a pre-materialized flat id table; used for the pipeline's early
+/// answers and for materialized (naive) answer sets. The table is any
+/// buffer of ids: an owned `Vec`, or an `Arc<[ValueId]>` that every
+/// replay of one prepared table shares without copying.
 #[derive(Clone, Debug)]
-pub struct IdVecEnumerator {
+pub struct IdVecEnumerator<B = Vec<ValueId>> {
     arity: usize,
-    ids: Vec<ValueId>,
+    ids: B,
     n_rows: usize,
     pos: usize,
 }
 
-impl IdVecEnumerator {
+impl<B: AsRef<[ValueId]>> IdVecEnumerator<B> {
     /// Wraps a flat run of `n_rows` rows, `arity` ids each. For arity 0 the
     /// run is empty and `n_rows` alone carries the content.
-    pub fn new(arity: usize, ids: Vec<ValueId>, n_rows: usize) -> IdVecEnumerator {
-        assert_eq!(ids.len(), arity * n_rows, "partial row in flat table");
+    pub fn new(arity: usize, ids: B, n_rows: usize) -> IdVecEnumerator<B> {
+        assert_eq!(
+            ids.as_ref().len(),
+            arity * n_rows,
+            "partial row in flat table"
+        );
         IdVecEnumerator {
             arity,
             ids,
@@ -99,14 +102,14 @@ impl IdVecEnumerator {
     }
 
     /// Wraps a flat run of positive-arity rows, inferring the row count.
-    pub fn from_flat(arity: usize, ids: Vec<ValueId>) -> IdVecEnumerator {
+    pub fn from_flat(arity: usize, ids: B) -> IdVecEnumerator<B> {
         assert!(arity > 0, "use `new` for arity-0 tables");
-        let n_rows = ids.len() / arity;
+        let n_rows = ids.as_ref().len() / arity;
         IdVecEnumerator::new(arity, ids, n_rows)
     }
 }
 
-impl IdEnumerator for IdVecEnumerator {
+impl<B: AsRef<[ValueId]>> IdEnumerator for IdVecEnumerator<B> {
     fn arity(&self) -> usize {
         self.arity
     }
@@ -118,7 +121,7 @@ impl IdEnumerator for IdVecEnumerator {
             return 0;
         }
         let start = self.pos * self.arity;
-        block.extend_flat(&self.ids[start..start + take * self.arity], take);
+        block.extend_flat(&self.ids.as_ref()[start..start + take * self.arity], take);
         self.pos += take;
         take
     }
@@ -172,13 +175,22 @@ impl IdEnumerator for IdChainEnumerator {
 /// a build-phase context is locked once per *block*, not once per row
 /// (a frozen context reads lock-free either way). This is what keeps
 /// `Tuple`-yielding public APIs unchanged above the id spine.
+///
+/// The gap between two answers is therefore a move out of a buffer,
+/// except once per block, where it is one fill plus one `decode_rows` of
+/// at most [`DEFAULT_BLOCK_ROWS`] rows: a constant, independent of the
+/// instance.
 pub struct IdDecoder<E: IdEnumerator> {
     inner: E,
     ctx: CtxView,
     block: IdBlock,
-    decoded: Vec<Tuple>,
-    cursor: usize,
+    decoded: std::vec::IntoIter<Tuple>,
     done: bool,
+    pulled: usize,
+    rows_decoded: usize,
+    /// The value of `pulled` at which the caller's stated need ends (see
+    /// [`Enumerator::expect_at_most`]); fills stop there.
+    expected_end: usize,
 }
 
 impl<E: IdEnumerator> IdDecoder<E> {
@@ -189,41 +201,86 @@ impl<E: IdEnumerator> IdDecoder<E> {
             inner,
             ctx,
             block,
-            decoded: Vec::new(),
-            cursor: 0,
+            decoded: Vec::new().into_iter(),
             done: false,
+            pulled: 0,
+            rows_decoded: 0,
+            expected_end: usize::MAX,
         }
+    }
+
+    /// The wrapped id enumerator.
+    pub fn inner(&self) -> &E {
+        &self.inner
+    }
+
+    /// The wrapped id enumerator, for id-aware callers that pull rows
+    /// themselves. Such rows bypass this facade: no row is lost or
+    /// repeated, but rows it has already buffered come out of
+    /// [`Enumerator::next`] later than rows pulled here.
+    pub fn inner_mut(&mut self) -> &mut E {
+        &mut self.inner
     }
 
     /// The wrapped id enumerator (consumes the facade).
     pub fn into_inner(self) -> E {
         self.inner
     }
+
+    /// Rows pulled from the inner enumerator so far.
+    pub fn rows_pulled(&self) -> usize {
+        self.pulled
+    }
+
+    /// Rows decoded to values so far — every pulled row, once, whether or
+    /// not the caller went on to take it.
+    pub fn rows_decoded(&self) -> usize {
+        self.rows_decoded
+    }
+
+    /// Pulls and decodes the next block; `false` when exhausted.
+    fn refill(&mut self) -> bool {
+        if self.done {
+            return false;
+        }
+        // Never below one row: the expectation is a hint, and a caller
+        // that pulls past it is still owed every answer.
+        let still_expected = self.expected_end.saturating_sub(self.pulled).max(1);
+        self.block.clear();
+        self.block
+            .set_max_rows(still_expected.min(DEFAULT_BLOCK_ROWS));
+        let n = self.inner.next_block(&mut self.block);
+        if n == 0 {
+            self.done = true;
+            return false;
+        }
+        self.pulled += n;
+        let tuples = if self.block.arity() == 0 {
+            // Nullary rows are a count, not ids (Boolean answers).
+            vec![Tuple::empty(); n]
+        } else {
+            self.ctx.decode_rows(self.block.arity(), self.block.ids())
+        };
+        self.rows_decoded += tuples.len();
+        self.decoded = tuples.into_iter();
+        true
+    }
 }
 
 impl<E: IdEnumerator> Enumerator for IdDecoder<E> {
     fn next(&mut self) -> Option<Tuple> {
-        if self.cursor == self.decoded.len() {
-            if self.done {
-                return None;
-            }
-            self.block.clear();
-            self.decoded.clear();
-            self.cursor = 0;
-            if self.inner.next_block(&mut self.block) == 0 {
-                self.done = true;
-                return None;
-            }
-            self.decoded = if self.block.arity() == 0 {
-                // Nullary rows are a count, not ids (Boolean answers).
-                vec![Tuple::empty(); self.block.len()]
-            } else {
-                self.ctx.decode_rows(self.block.arity(), self.block.ids())
-            };
+        if let Some(t) = self.decoded.next() {
+            return Some(t);
         }
-        let t = std::mem::replace(&mut self.decoded[self.cursor], Tuple::empty());
-        self.cursor += 1;
-        Some(t)
+        if !self.refill() {
+            return None;
+        }
+        self.decoded.next()
+    }
+
+    fn expect_at_most(&mut self, rows: usize) {
+        let handed_out = self.pulled - self.decoded.len();
+        self.expected_end = handed_out.saturating_add(rows);
     }
 }
 
@@ -294,5 +351,61 @@ mod tests {
             vec![Tuple::from(&[10i64, 20][..]), Tuple::from(&[20i64, 10][..])]
         );
         assert_eq!(d.next(), None);
+        assert_eq!((d.rows_pulled(), d.rows_decoded()), (2, 2));
+    }
+
+    fn counting_decoder(rows: u32) -> IdDecoder<IdVecEnumerator> {
+        let ctx = CtxView::new();
+        let ids: Vec<ValueId> = (0..rows)
+            .map(|i| ctx.intern(Value::Int(i64::from(i))))
+            .collect();
+        IdDecoder::new(IdVecEnumerator::from_flat(1, ids), ctx)
+    }
+
+    #[test]
+    fn expected_rows_bound_what_is_pulled_and_decoded() {
+        let n = 2 * DEFAULT_BLOCK_ROWS + 7;
+        let mut d = counting_decoder(4 * DEFAULT_BLOCK_ROWS as u32);
+        d.expect_at_most(n);
+        for _ in 0..n {
+            assert!(d.next().is_some());
+        }
+        assert_eq!((d.rows_pulled(), d.rows_decoded()), (n, n));
+        // Without the hint the same pulls read a whole block ahead.
+        let mut d = counting_decoder(4 * DEFAULT_BLOCK_ROWS as u32);
+        for _ in 0..n {
+            assert!(d.next().is_some());
+        }
+        assert_eq!(d.rows_pulled(), 3 * DEFAULT_BLOCK_ROWS);
+    }
+
+    #[test]
+    fn the_expectation_is_a_hint_not_a_limit() {
+        let total = DEFAULT_BLOCK_ROWS + 5;
+        let mut d = counting_decoder(total as u32);
+        d.expect_at_most(3);
+        // Past the hint the decoder fills one row at a time, and still
+        // hands out every answer.
+        assert_eq!(d.collect_all().len(), total);
+        assert_eq!((d.rows_pulled(), d.rows_decoded()), (total, total));
+        // A later hint counts from the answers already handed out.
+        let mut d = counting_decoder(total as u32);
+        assert!(d.next().is_some());
+        d.expect_at_most(2);
+        assert!(d.next().is_some() && d.next().is_some());
+        assert_eq!(
+            d.rows_pulled(),
+            DEFAULT_BLOCK_ROWS,
+            "still inside the first block"
+        );
+    }
+
+    #[test]
+    fn a_shared_table_replays_from_the_one_buffer() {
+        let table: std::sync::Arc<[ValueId]> = ids(&[1, 2, 3, 4]).into();
+        for _ in 0..2 {
+            let (got, rows) = IdVecEnumerator::new(2, table.clone(), 2).collect_ids();
+            assert_eq!((got.as_slice(), rows), (&*table, 2));
+        }
     }
 }

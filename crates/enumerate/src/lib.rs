@@ -7,9 +7,9 @@
 //!
 //! Answers flow between stages as blocks of interned
 //! [`ValueId`](ucq_storage::ValueId) rows; the decode to owned
-//! [`Tuple`](ucq_storage::Tuple)s happens exactly once, at the outermost
-//! API boundary (an [`IdDecoder`] facade or [`Cheater`]'s value-level
-//! `next`), and not at all for answers that dedup discards or that
+//! [`Tuple`](ucq_storage::Tuple)s happens exactly once, a block at a time,
+//! at the outermost API boundary (the [`IdDecoder`] facade every strategy
+//! arm ends in), and not at all for answers that dedup discards or that
 //! id-aware callers consume through [`Cheater::next_ids`]. Lemma 5's
 //! pacing accounting is preserved: pump budgets count inner *results*,
 //! blocks only amortize virtual-call and buffer overhead (see
@@ -26,7 +26,7 @@ pub mod idenum;
 pub use budget::{Budgeted, CancelToken, QueryBudget, Truncation};
 pub use cheater::{Cheater, CheaterStats, PumpBudgetError};
 pub use delay::{measure, measure_ids, DelayProfile};
-pub use enumerator::{ChainEnumerator, Enumerator, FnEnumerator, VecEnumerator};
+pub use enumerator::{Enumerator, VecEnumerator};
 pub use idenum::{IdChainEnumerator, IdDecoder, IdEnumerator, IdVecEnumerator, DEFAULT_BLOCK_ROWS};
 
 pub use ucq_storage::IdBlock;

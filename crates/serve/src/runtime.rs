@@ -24,7 +24,9 @@ use crate::shield;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use ucq_core::{FrozenSession, RequestError, Served};
-use ucq_enumerate::{Budgeted, CancelToken, Enumerator, QueryBudget, Truncation};
+use ucq_enumerate::{
+    Budgeted, CancelToken, Enumerator, QueryBudget, Truncation, DEFAULT_BLOCK_ROWS,
+};
 use ucq_storage::faults;
 use ucq_storage::sync::{AtomicUsize, Ordering};
 use ucq_storage::EpochCell;
@@ -388,7 +390,15 @@ fn run_request(request: Request<'_>) -> RequestOutcome {
         if let Some(token) = cancel {
             budgeted = budgeted.with_cancel(token);
         }
-        let answers = budgeted.collect_all();
+        // The reply is freed by the client's thread. Starting it at a block
+        // keeps its buffer out of the allocator's per-thread cache of small
+        // chunks, which can hand this worker a chunk of the client's arena
+        // for the buffer to grow in; the release of a large reply then tidies
+        // the wrong arena and the next request on this worker pays for it.
+        let mut answers = Vec::with_capacity(DEFAULT_BLOCK_ROWS);
+        while let Some(answer) = budgeted.next() {
+            answers.push(answer);
+        }
         Ok(match budgeted.truncated_by() {
             None => Served::Complete { answers },
             Some(truncated_by) => Served::Partial {

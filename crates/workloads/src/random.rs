@@ -1,4 +1,5 @@
-//! Random instance generation for queries.
+//! Random instance generation for queries, and random free-connex unions
+//! for the differential tests of the Theorem 4 arm.
 //!
 //! Uniform tuples over a bounded domain: with `rows` tuples per relation and
 //! domain size `Θ(rows / join_factor)`, multi-way joins have plentiful but
@@ -7,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use ucq_query::Ucq;
+use ucq_query::{Cq, Ucq};
 use ucq_storage::{Instance, Relation, Value};
 
 /// Parameters for [`random_instance`].
@@ -72,10 +73,62 @@ pub fn random_instance(ucq: &Ucq, spec: &InstanceSpec) -> Instance {
     inst
 }
 
+/// The relation pool of [`random_free_connex_union`], with the arity each
+/// name keeps across members (so one instance serves the whole union).
+const POOL: [(&str, usize); 5] = [("R0", 2), ("R1", 2), ("R2", 3), ("R3", 1), ("R4", 2)];
+const VARS: [&str; 5] = ["a", "b", "c", "d", "e"];
+
+/// A random union of `members` free-connex CQs with `head_arity` head
+/// positions each (0 gives a Boolean union), deterministic in `seed`.
+///
+/// Members have one to three atoms over a shared pool of relations (so they
+/// overlap), atoms may repeat a variable, and head positions are drawn with
+/// replacement from the member's variables (so heads repeat variables too).
+/// Candidates are drawn until one is free-connex; a single atom always is.
+pub fn random_free_connex_union(seed: u64, members: usize, head_arity: usize) -> Ucq {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let cqs = (0..members)
+        .map(|m| loop {
+            let n_atoms = rng.gen_range(1usize..=3);
+            let atoms: Vec<(&str, Vec<&str>)> = (0..n_atoms)
+                .map(|_| {
+                    let (rel, arity) = POOL[rng.gen_range(0..POOL.len())];
+                    let args = (0..arity).map(|_| VARS[rng.gen_range(0..VARS.len())]);
+                    (rel, args.collect())
+                })
+                .collect();
+            let used: Vec<&str> = atoms.iter().flat_map(|(_, a)| a.iter().copied()).collect();
+            let head: Vec<&str> = (0..head_arity)
+                .map(|_| used[rng.gen_range(0..used.len())])
+                .collect();
+            let refs: Vec<(&str, &[&str])> = atoms.iter().map(|(r, a)| (*r, &a[..])).collect();
+            let cq =
+                Cq::build(&format!("Q{m}"), &head, &refs).expect("well-formed by construction");
+            if cq.is_free_connex() {
+                break cq;
+            }
+        })
+        .collect();
+    Ucq::new(cqs).expect("members share one head arity")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ucq_query::parse_ucq;
+
+    #[test]
+    fn random_unions_are_free_connex_and_deterministic() {
+        for seed in 0..40 {
+            let u = random_free_connex_union(seed, 2 + seed as usize % 3, seed as usize % 4);
+            assert_eq!(u.len(), 2 + seed as usize % 3);
+            assert!(u.cqs().iter().all(|cq| cq.is_free_connex()));
+            assert_eq!(u.head_arity(), seed as usize % 4);
+            let again = random_free_connex_union(seed, u.len(), u.head_arity());
+            assert_eq!(format!("{u:?}"), format!("{again:?}"));
+            random_instance(&u, &InstanceSpec::scaled(8, seed)); // one arity per name
+        }
+    }
 
     #[test]
     fn deterministic_given_seed() {

@@ -1,0 +1,164 @@
+//! Differential test of the Theorem 4 arm: the id-level, block-pumped
+//! Algorithm 1 against a value-level reference that is the paper's five
+//! lines and nothing else (member cursors and `contains`, one private
+//! context per member — no shared ids, no blocks, no decoder), and against
+//! the naive evaluator, on random free-connex unions: 2–4 members, repeated
+//! head variables, an emptied member, Boolean unions; one-shot, session,
+//! frozen, refrozen after an insert and after a delete. Same set, no
+//! duplicate, same `decide`.
+
+use std::collections::HashSet;
+use ucq_core::{evaluate_ucq_naive_set, Algorithm1, Strategy, UcqEngine};
+use ucq_enumerate::Enumerator;
+use ucq_query::Ucq;
+use ucq_storage::{Instance, Relation, Tuple, Value};
+use ucq_workloads::random::{random_free_connex_union, random_instance, InstanceSpec};
+use ucq_yannakakis::{CdyEngine, CdyIter};
+
+/// Algorithm 1 as printed, nesting unions of more than two members by
+/// treating the tail as one query: `cursors[0]` is `Q1`, the rest `Q2`.
+fn reference_next(cursors: &mut [CdyIter<'_>], engines: &[CdyEngine]) -> Option<Tuple> {
+    let (first, rest) = cursors.split_first_mut()?;
+    if rest.is_empty() {
+        return first.next();
+    }
+    let rest_engines = &engines[1..];
+    if let Some(a) = first.next() {
+        if !rest_engines.iter().any(|e| e.contains(&a)) {
+            return Some(a);
+        }
+        let b = reference_next(rest, rest_engines);
+        assert!(b.is_some(), "line 5 always succeeds");
+        return b;
+    }
+    reference_next(rest, rest_engines)
+}
+
+fn reference(u: &Ucq, inst: &Instance) -> Vec<Tuple> {
+    let engines: Vec<CdyEngine> = u
+        .cqs()
+        .iter()
+        .map(|cq| CdyEngine::for_query(cq, inst).expect("members are free-connex"))
+        .collect();
+    let mut cursors: Vec<CdyIter<'_>> = engines.iter().map(CdyEngine::iter).collect();
+    std::iter::from_fn(|| reference_next(&mut cursors, &engines)).collect()
+}
+
+/// Drains `answers`, checking the stream against `want`: same set, and no
+/// answer twice.
+fn check(what: &str, case: &str, mut answers: impl Enumerator, want: &HashSet<Tuple>) {
+    let got = answers.collect_all();
+    let set: HashSet<Tuple> = got.iter().cloned().collect();
+    assert_eq!(got.len(), set.len(), "{what} repeats an answer: {case}");
+    assert_eq!(&set, want, "{what}: {case}");
+}
+
+/// Every way of evaluating `u` over `inst` that a caller has, against the
+/// reference and the naive set.
+fn check_all_paths(u: &Ucq, inst: &Instance, case: &str) -> HashSet<Tuple> {
+    let want = evaluate_ucq_naive_set(u, inst).expect("evaluates");
+    let by_reference = reference(u, inst);
+    let reference_set: HashSet<Tuple> = by_reference.iter().cloned().collect();
+    assert_eq!(by_reference.len(), reference_set.len(), "reference: {case}");
+    assert_eq!(reference_set, want, "reference vs naive: {case}");
+
+    check(
+        "one-shot Algorithm1",
+        case,
+        Algorithm1::build(u, inst).unwrap(),
+        &want,
+    );
+    let engine = UcqEngine::new(u.clone());
+    check("engine", case, engine.enumerate(inst).unwrap(), &want);
+    assert_eq!(engine.decide(inst).unwrap(), !want.is_empty(), "{case}");
+    let session = engine.session(inst);
+    for _ in 0..2 {
+        check("session", case, session.enumerate().unwrap(), &want);
+    }
+    assert_eq!(session.decide().unwrap(), !want.is_empty(), "{case}");
+    want
+}
+
+/// The relation the first member reads first, and two rows to churn it by.
+fn churn_target(u: &Ucq, inst: &Instance, seed: u64) -> (String, Relation, Relation) {
+    let atom = &u.cqs()[0].atoms()[0];
+    let stored = inst.get(&atom.rel).expect("generated");
+    let arity = stored.arity();
+    let mut fresh = Relation::new(arity);
+    for k in 0..2 {
+        let row: Vec<_> = (0..arity)
+            .map(|c| Value::Int(((seed + k + c as u64) % 5) as i64))
+            .collect();
+        fresh.push_row(&row);
+    }
+    let mut doomed = Relation::new(arity);
+    for row in stored.iter_rows().take(2) {
+        doomed.push_row(row);
+    }
+    (atom.rel.clone(), fresh, doomed)
+}
+
+#[test]
+fn algorithm1_on_ids_matches_the_paper_and_the_naive_set() {
+    let mut on_the_arm = 0;
+    let mut nonempty = 0;
+    for seed in 0..120u64 {
+        let members = 2 + (seed % 3) as usize;
+        let head_arity = (seed / 3 % 4) as usize;
+        let u = random_free_connex_union(seed, members, head_arity);
+        // A small domain, so members overlap and line 5 runs.
+        let mut inst = random_instance(
+            &u,
+            &InstanceSpec {
+                rows_per_relation: 14,
+                domain: 5,
+                seed,
+            },
+        );
+        if seed % 5 == 0 {
+            // An empty member: whatever the last member reads first.
+            let rel = &u.cqs()[members - 1].atoms()[0].rel;
+            let arity = inst.get(rel).expect("generated").arity();
+            inst.insert(rel, Relation::new(arity));
+        }
+        let case = format!("seed {seed}: {u:?}");
+        let want = check_all_paths(&u, &inst, &case);
+        nonempty += usize::from(!want.is_empty());
+
+        // Frozen, then refrozen after an insert and after a delete; every
+        // epoch against a fresh evaluation of its own instance.
+        let engine = UcqEngine::new(u.clone());
+        on_the_arm += usize::from(engine.strategy() == Strategy::Algorithm1);
+        let frozen = engine.session(&inst).freeze().unwrap();
+        check("frozen", &case, frozen.enumerate().unwrap(), &want);
+        assert_eq!(frozen.decide().unwrap(), !want.is_empty(), "{case}");
+
+        let (rel, fresh, doomed) = churn_target(&u, &inst, seed);
+        let ctx = frozen.build_context();
+        let grown = ctx.insert_rows(&inst.get_shared(&rel).unwrap(), &fresh);
+        let inst_grown = inst.with_relation_shared(&rel, grown);
+        let after_insert = frozen.refreeze(&inst_grown).unwrap();
+        let want_grown = check_all_paths(&u, &inst_grown, &format!("{case} + insert"));
+        let epoch = after_insert.enumerate().unwrap();
+        check("refrozen after insert", &case, epoch, &want_grown);
+
+        let shrunk = ctx.delete_rows(&inst_grown.get_shared(&rel).unwrap(), &doomed);
+        let inst_shrunk = inst_grown.with_relation_shared(&rel, shrunk);
+        let after_delete = after_insert.refreeze(&inst_shrunk).unwrap();
+        let want_shrunk = check_all_paths(&u, &inst_shrunk, &format!("{case} - delete"));
+        let epoch = after_delete.enumerate().unwrap();
+        check("refrozen after delete", &case, epoch, &want_shrunk);
+        assert_eq!(
+            after_delete.decide().unwrap(),
+            !want_shrunk.is_empty(),
+            "{case}"
+        );
+        // Earlier epochs keep serving their own instance.
+        check("frozen, later", &case, frozen.enumerate().unwrap(), &want);
+    }
+    assert!(
+        on_the_arm >= 100,
+        "only {on_the_arm} unions ran Algorithm 1"
+    );
+    assert!(nonempty >= 100, "only {nonempty} unions had answers");
+}

@@ -74,11 +74,13 @@ fn sorted(mut tuples: Vec<Tuple>) -> Vec<Tuple> {
 /// workers keep serving after every panic.
 #[test]
 fn panics_are_isolated_and_clean_requests_stay_correct() {
+    // Every arm decodes a block at a time, so an armed request visits the
+    // decode hook once per 512-row block: 8 armed requests of 3 blocks.
     let _scenario = Scenario::install(FaultPlan {
-        panic_every: 50,
+        panic_every: 5,
         ..FaultPlan::default()
     });
-    let (engine, instance) = engine_and_instance(300);
+    let (engine, instance) = engine_and_instance(1300);
     let oracle = sorted(engine.enumerate_naive(&instance).unwrap());
     let frozen = Arc::new(engine.session(&instance).freeze().unwrap());
 
@@ -134,9 +136,10 @@ fn panics_are_isolated_and_clean_requests_stay_correct() {
 /// while undelayed completions stay exact — and the books still balance.
 #[test]
 fn delays_force_deadline_timeouts_within_one_block() {
+    // One armed hook visit per decoded block: every block is delayed.
     let _scenario = Scenario::install(FaultPlan {
-        delay_every: 4,
-        delay_micros: 100,
+        delay_every: 1,
+        delay_micros: 800,
         ..FaultPlan::default()
     });
     // 2000 answers span several 512-row budget blocks, so a mid-stream
@@ -392,10 +395,11 @@ fn rotation_under_forced_overlay_misses_stays_oracle_identical() {
 /// produce real answers.
 #[test]
 fn canned_chaos_mix_balances_its_ledger() {
+    // Two blocks, so two armed probe/decode visits, per armed request.
     let _scenario = Scenario::install(FaultPlan {
-        panic_every: 400,
-        delay_every: 16,
-        delay_micros: 50,
+        panic_every: 7,
+        delay_every: 3,
+        delay_micros: 500,
         overlay_miss_every: 8,
     });
     let (engine, instance) = engine_and_instance(600);

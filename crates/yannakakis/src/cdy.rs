@@ -15,8 +15,9 @@
 //! * [`CdyEngine::iter`] enumerates the projection of the query onto `S`
 //!   with constant delay and no duplicates (the paper's Theorem 3(1) upper
 //!   bound; with `S = free(Q)` this enumerates `Q(I)`);
-//! * [`CdyEngine::contains`] answers membership in constant time (used by
-//!   Algorithm 1);
+//! * [`CdyEngine::contains`] answers membership in constant time, and
+//!   [`CdyEngine::contains_ids`] does so for a row of interned ids with no
+//!   dictionary involved (Algorithm 1's probe);
 //! * [`CdyIter::next_with_full_binding`] additionally extends every answer
 //!   to a full homomorphism — the "extend once" step in the proof of
 //!   Lemma 8.
@@ -33,7 +34,7 @@ use std::fmt;
 use std::sync::Arc;
 use ucq_hypergraph::{ext_s_connex_tree, ConnexTree, VSet};
 use ucq_query::{Cq, VarId};
-use ucq_storage::sync::OnceLock;
+use ucq_storage::sync::{AtomicUsize, OnceLock, Ordering};
 use ucq_storage::{CtxView, HashIndex, IdSet, Instance, Tuple, Value, ValueId};
 
 /// Evaluation errors.
@@ -80,10 +81,16 @@ pub struct CdyEngine {
     /// positions) — precomputed so probes and block extension gather keys
     /// without re-iterating bitsets or allocating.
     sep_vars: Vec<Vec<u32>>,
-    /// Membership sets for connex nodes, built lazily on the first
-    /// [`CdyEngine::contains`] call — enumeration-only engines never pay
-    /// for them.
+    /// Membership sets for connex nodes, built by
+    /// [`CdyEngine::warm_membership`] or, failing that, by the first probe
+    /// — enumeration-only engines never pay for them.
     row_sets: Vec<OnceLock<IdSet>>,
+    /// Sets a probe had to build because nobody warmed them (a statistic).
+    sets_built_on_demand: AtomicUsize,
+    /// How an output row maps onto the connex nodes; `Some` iff the output
+    /// variables cover the connex target `S` exactly, which is what
+    /// membership needs.
+    membership: Option<MembershipPlan>,
     /// Live row ids of the root (iterated in full).
     root_rows: Vec<u32>,
     /// Output spec: one variable per output position.
@@ -295,6 +302,9 @@ impl CdyEngine {
             .map(|(idx, live)| idx.as_ref().map(|idx| idx.retain_rows(live)))
             .collect();
         let row_sets: Vec<OnceLock<IdSet>> = vec![OnceLock::new(); n_nodes];
+        let covered: VSet = output.iter().copied().collect();
+        let membership =
+            (covered == ct.s).then(|| MembershipPlan::new(&output, &order[..n_connex], &rels));
         let root_live = &live[ct.tree.root()];
         let root_rows: Vec<u32> = (0..root_live.len() as u32)
             .filter(|&r| root_live[r as usize])
@@ -308,6 +318,8 @@ impl CdyEngine {
             indexes,
             sep_vars,
             row_sets,
+            sets_built_on_demand: AtomicUsize::new(0),
+            membership,
             root_rows,
             output,
             n_vars: cq.n_vars(),
@@ -407,46 +419,59 @@ impl CdyEngine {
     }
 
     /// As [`CdyEngine::contains`], but reusing caller-provided scratch
-    /// buffers so repeated probes (Algorithm 1's inner loop) never allocate.
+    /// buffers so repeated probes never allocate: a dictionary lookup of
+    /// the values, then [`CdyEngine::contains_ids`].
     pub fn contains_with(&self, tuple: &Tuple, scratch: &mut ContainsScratch) -> bool {
         assert_eq!(tuple.arity(), self.output.len(), "arity mismatch");
-        let covered: VSet = self.output.iter().copied().collect();
-        assert_eq!(
-            covered, self.ct.s,
-            "membership requires the output to cover S exactly"
-        );
-        if !self.nonempty {
-            return false;
-        }
+        let plan = self.membership_plan();
         // A value the session has never interned cannot be in any relation.
-        if !self.ctx.lookup_row(tuple.values(), &mut scratch.ids) {
+        self.ctx.lookup_row(tuple.values(), &mut scratch.ids)
+            && self.probe(plan, &scratch.ids, &mut scratch.buf)
+    }
+
+    /// Constant-time membership test for an output row of interned ids —
+    /// no dictionary involved, so ids from any engine over the same
+    /// dictionary lineage (the other members of a union) probe directly.
+    /// Same precondition as [`CdyEngine::contains`].
+    pub fn contains_ids(&self, row: &[ValueId], scratch: &mut ContainsScratch) -> bool {
+        self.probe(self.membership_plan(), row, &mut scratch.buf)
+    }
+
+    fn membership_plan(&self) -> &MembershipPlan {
+        self.membership
+            .as_ref()
+            .expect("membership requires the output to cover S exactly")
+    }
+
+    fn probe(&self, plan: &MembershipPlan, row: &[ValueId], buf: &mut Vec<ValueId>) -> bool {
+        assert_eq!(row.len(), self.output.len(), "arity mismatch");
+        if !self.nonempty || plan.repeats.iter().any(|&(a, b)| row[a] != row[b]) {
             return false;
         }
-        // Bind output positions, rejecting inconsistent repeats.
-        scratch.binding.clear();
-        scratch.binding.resize(self.n_vars as usize, None);
-        for (pos, &v) in self.output.iter().enumerate() {
-            let id = scratch.ids[pos];
-            match scratch.binding[v as usize] {
-                Some(existing) if existing != id => return false,
-                _ => scratch.binding[v as usize] = Some(id),
-            }
-        }
+        plan.node_cols.iter().all(|(n, cols)| {
+            buf.clear();
+            buf.extend(cols.iter().map(|&c| row[c]));
+            let rows = self.row_sets[*n].get_or_init(|| {
+                self.sets_built_on_demand.fetch_add(1, Ordering::Relaxed);
+                self.live_row_set(*n)
+            });
+            rows.contains(buf)
+        })
+    }
+
+    /// Builds the membership sets now, so that no later probe does: a
+    /// session that will probe this engine on a reader's path (Algorithm 1
+    /// probes every member but the first) calls this on the writer's.
+    pub fn warm_membership(&self) {
         for &n in &self.order[..self.n_connex] {
-            let nr = &self.rels[n];
-            scratch.buf.clear();
-            for &v in &nr.vars {
-                match scratch.binding[v as usize] {
-                    Some(id) => scratch.buf.push(id),
-                    None => unreachable!("T' variables are all in S"),
-                }
-            }
-            let rows = self.row_sets[n].get_or_init(|| self.live_row_set(n));
-            if !rows.contains(&scratch.buf) {
-                return false;
-            }
+            self.row_sets[n].get_or_init(|| self.live_row_set(n));
         }
-        true
+    }
+
+    /// Membership sets built by a probe rather than by
+    /// [`CdyEngine::warm_membership`].
+    pub fn membership_sets_built_on_demand(&self) -> usize {
+        self.sets_built_on_demand.load(Ordering::Relaxed)
     }
 
     /// The set of `node`'s live rows (membership tests must not see the
@@ -599,11 +624,41 @@ fn root_at_unshared(ct: ConnexTree, cq: &Cq, shared: &SharedShapes) -> ConnexTre
     }
 }
 
-/// Reusable buffers for [`CdyEngine::contains_with`].
+/// Where each connex node's key sits in an output row, fixed at build
+/// time so a probe is gathers and set lookups only.
+#[derive(Debug)]
+struct MembershipPlan {
+    /// `(pos, first)`: output position `pos` repeats the variable first
+    /// seen at `first`; a member row holds equal ids at both.
+    repeats: Vec<(usize, usize)>,
+    /// Per connex node, the output position of each of its columns.
+    node_cols: Vec<(usize, Vec<usize>)>,
+}
+
+impl MembershipPlan {
+    fn new(output: &[VarId], connex: &[usize], rels: &[NodeRel]) -> MembershipPlan {
+        let first_pos = |v: VarId| output.iter().position(|&o| o == v);
+        let repeats = output
+            .iter()
+            .enumerate()
+            .filter_map(|(pos, &v)| first_pos(v).filter(|&f| f < pos).map(|f| (pos, f)))
+            .collect();
+        let node_cols = connex
+            .iter()
+            .map(|&n| {
+                let pos = |&v: &VarId| first_pos(v).expect("T' variables are all in S");
+                (n, rels[n].vars.iter().map(pos).collect())
+            })
+            .collect();
+        MembershipPlan { repeats, node_cols }
+    }
+}
+
+/// Reusable buffers for [`CdyEngine::contains_with`] and
+/// [`CdyEngine::contains_ids`].
 #[derive(Debug, Default)]
 pub struct ContainsScratch {
     ids: Vec<ValueId>,
-    binding: Vec<Option<ValueId>>,
     buf: Vec<ValueId>,
 }
 
@@ -800,13 +855,16 @@ impl ucq_enumerate::Enumerator for CdyIter<'_> {
 pub struct OwnedCdyIter {
     eng: Arc<CdyEngine>,
     core: IterCore,
+    /// The current answer's output row, for [`OwnedCdyIter::next_row`].
+    row: Vec<ValueId>,
 }
 
 impl OwnedCdyIter {
     /// Builds an enumerator over a shared preprocessed engine.
     pub fn new(eng: Arc<CdyEngine>) -> OwnedCdyIter {
         let core = IterCore::new(&eng);
-        OwnedCdyIter { eng, core }
+        let row = Vec::with_capacity(eng.output.len());
+        OwnedCdyIter { eng, core, row }
     }
 
     /// Access to the underlying engine (e.g. for membership tests).
@@ -820,6 +878,19 @@ impl OwnedCdyIter {
         self.core
             .advance(&self.eng)
             .then(|| self.eng.project_output(&self.core.binding))
+    }
+
+    /// Advances to the next answer and returns its output-projected id
+    /// row — no decode, no allocation; valid until the next call.
+    pub fn next_row(&mut self) -> Option<&[ValueId]> {
+        if !self.core.advance(&self.eng) {
+            return None;
+        }
+        self.row.clear();
+        let binding = &self.core.binding;
+        self.row
+            .extend(self.eng.output.iter().map(|&v| binding[v as usize]));
+        Some(&self.row)
     }
 
     /// See [`CdyIter::next_with_full_binding`].
@@ -951,6 +1022,80 @@ mod tests {
         assert!(eng.contains_with(&Tuple::from(&[1i64, 2, 3][..]), &mut scratch));
         assert!(!eng.contains_with(&Tuple::from(&[1i64, 2, 9][..]), &mut scratch));
         assert!(eng.contains_with(&Tuple::from(&[1i64, 2, 3][..]), &mut scratch));
+    }
+
+    /// `contains_ids` and `contains_with` are one implementation behind two
+    /// doors; this holds them to it on `tuple`, whatever the answer is.
+    fn probe_both(eng: &CdyEngine, tuple: &Tuple) -> bool {
+        let mut scratch = ContainsScratch::default();
+        let by_value = eng.contains_with(tuple, &mut scratch);
+        let mut ids = Vec::new();
+        let by_id = eng.context().lookup_row(tuple.values(), &mut ids)
+            && eng.contains_ids(&ids, &mut scratch);
+        assert_eq!(by_id, by_value, "id and value probes disagree on {tuple:?}");
+        by_id
+    }
+
+    #[test]
+    fn id_membership_agrees_with_value_membership() {
+        let q = parse_cq("Q(x, x, z, y) <- R(x, z), S(z, y)").unwrap();
+        let ctx = CtxView::new();
+        let i = inst(&[
+            ("R", vec![(1, 2), (5, 6), (7, 2)]),
+            ("S", vec![(2, 3), (2, 4), (6, 8)]),
+        ]);
+        let eng = CdyEngine::for_query_in(&q, &i, &ctx).unwrap();
+        let answers = eng.iter().collect_all();
+        assert_eq!(answers.len(), 5);
+        for t in &answers {
+            assert!(probe_both(&eng, t));
+        }
+        // Near misses: a value the session never saw, a known value in the
+        // wrong place, and a repeated head variable bound inconsistently.
+        assert!(!probe_both(&eng, &Tuple::from(&[1i64, 1, 2, 99][..])));
+        assert!(!probe_both(&eng, &Tuple::from(&[1i64, 1, 6, 3][..])));
+        assert!(!probe_both(&eng, &Tuple::from(&[1i64, 5, 2, 3][..])));
+        assert_eq!(eng.membership_sets_built_on_demand(), 2, "R's and S's");
+
+        // A delete leaves S's (6, 8) dangling — still stored, no longer
+        // live — and both probes must stop seeing answers through it.
+        let r2 = ctx.delete_rows(&i.get_shared("R").unwrap(), &Relation::from_pairs([(5, 6)]));
+        let after = CdyEngine::for_query_in(&q, &i.with_relation_shared("R", r2), &ctx).unwrap();
+        after.warm_membership();
+        let gone = Tuple::from(&[5i64, 5, 6, 8][..]);
+        assert!(probe_both(&eng, &gone), "the old engine keeps its epoch");
+        assert!(!probe_both(&after, &gone));
+        for t in &answers {
+            assert_eq!(probe_both(&after, t), *t != gone);
+        }
+        assert_eq!(after.membership_sets_built_on_demand(), 0, "warmed");
+    }
+
+    #[test]
+    #[should_panic(expected = "cover S exactly")]
+    fn membership_needs_the_output_to_cover_s() {
+        // π_x with S = {x, z}: z is enumerated but not output.
+        let q = parse_cq("Q(x, y) <- R(x, z), S(z, y)").unwrap();
+        let s: VSet = [0u32, 2].into_iter().collect();
+        let i = inst(&[("R", vec![(1, 2)]), ("S", vec![(2, 3)])]);
+        let eng = CdyEngine::build_in(&q, s, vec![0], &i, &CtxView::new()).unwrap();
+        eng.contains(&Tuple::from(&[1i64][..]));
+    }
+
+    #[test]
+    fn owned_iter_rows_match_its_blocks() {
+        let q = parse_cq("Q(y, x, x) <- R(x, y)").unwrap();
+        let i = inst(&[("R", vec![(1, 2), (3, 4)])]);
+        let eng = Arc::new(CdyEngine::for_query(&q, &i).unwrap());
+        let mut by_row: Vec<ValueId> = Vec::new();
+        let mut it = OwnedCdyIter::new(Arc::clone(&eng));
+        while let Some(row) = it.next_row() {
+            by_row.extend_from_slice(row);
+        }
+        let (by_block, rows) =
+            ucq_enumerate::IdEnumerator::collect_ids(&mut OwnedCdyIter::new(eng));
+        assert_eq!(rows, 2);
+        assert_eq!(by_row, by_block);
     }
 
     #[test]
