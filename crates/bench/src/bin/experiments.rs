@@ -38,9 +38,6 @@ fn main() {
     e8_classifier();
     e9_cdy_vs_naive(scale);
     e11_alg1_vs_pipeline(scale);
-    e12_concurrent_serving(scale);
-    e13_fd_extension(scale);
-    e15_resilient_serving(scale);
 }
 
 /// E1/E2/E3: the DelayClin pipelines vs the naive union, growing |I|.
@@ -379,162 +376,6 @@ fn e11_alg1_vs_pipeline(scale: usize) {
             fmt_ns(p2.median_ns()),
             fmt_dur(p2.preprocessing + p2.total),
         );
-    }
-    println!();
-}
-
-/// E12: freeze-and-share serving — one frozen session drained by N OS
-/// threads with the total work held fixed; reports aggregate answers/sec
-/// and the p99 first-answer delay per thread count.
-fn e12_concurrent_serving(scale: usize) {
-    use ucq_workloads::drive_frozen_fixed_work;
-
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("## E12 (freeze-and-share: N threads over one frozen session)\n");
-    println!(
-        "Host parallelism: {hw} core(s). Fixed total work per row; speedup \
-         is capped by the core count.\n"
-    );
-    println!("| query | threads | drains | answers | total | answers/sec | p99 first-answer |");
-    println!("|---|---:|---:|---:|---:|---:|---:|");
-    for (id, base_rows) in [("two_free_connex", 8_000usize), ("example2", 2_000)] {
-        let rows = base_rows * scale / 4;
-        let engine = engine_for(id);
-        let inst = instance_for(id, rows.max(500), 11);
-        let frozen = engine
-            .session(&inst)
-            .freeze()
-            .expect("DelayClin strategy freezes");
-        let single = frozen.enumerate().expect("strategy").collect_all().len();
-        for threads in [1usize, 2, 4, 8] {
-            let total_drains = 16;
-            let report = drive_frozen_fixed_work(&frozen, threads, total_drains);
-            assert_eq!(report.total_answers, single * total_drains);
-            println!(
-                "| {id} | {threads} | {} | {} | {} | {:.0} | {} |",
-                report.drains,
-                report.total_answers,
-                fmt_dur(report.elapsed),
-                report.answers_per_sec(),
-                fmt_ns(report.p99_first_answer_ns()),
-            );
-        }
-    }
-    println!();
-}
-
-/// E13: Remark 2 — the mat-mul query under a key FD becomes tractable;
-/// measure the FD pipeline against naive evaluation.
-fn e13_fd_extension(scale: usize) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use ucq_core::{evaluate_ucq_naive, Fd, FdSet, FdUcqEngine};
-    use ucq_enumerate::measure;
-    use ucq_query::parse_ucq;
-    use ucq_storage::{Instance, Relation};
-
-    println!("## E13 (Remark 2: FD-extension makes mat-mul-hard query tractable)\n");
-    println!("| |I| | answers | verdict | prep | median delay | p99 delay | naive total |");
-    println!("|---:|---:|---|---:|---:|---:|---:|");
-    let u = parse_ucq("Pi(x, y) <- A(x, z), B(z, y)").expect("query");
-    let fds = FdSet::new(vec![Fd::new("A", vec![0], 1)]);
-    let engine = FdUcqEngine::new(u.clone(), fds).expect("extends");
-    assert!(engine.classification().is_tractable());
-    for step in 0..3 {
-        let rows = 8_000 * scale * (1 << step) / 4;
-        // Key-respecting A: x is unique; B is a plain random relation.
-        let mut rng = StdRng::seed_from_u64(31 + step as u64);
-        let domain = (rows as i64 / 4).max(4);
-        let a_rel = Relation::from_pairs((0..rows as i64).map(|x| (x, rng.gen_range(0..domain))));
-        let b_rel = Relation::from_pairs(
-            (0..rows).map(|_| (rng.gen_range(0..domain), rng.gen_range(0..domain))),
-        );
-        let inst: Instance = [("A", a_rel), ("B", b_rel)].into_iter().collect();
-        let (answers, prof) = measure(|| engine.enumerate(&inst).expect("FDs hold"));
-        let t0 = Instant::now();
-        let naive = evaluate_ucq_naive(&u, &inst).expect("naive");
-        let naive_t = t0.elapsed();
-        assert_eq!(
-            answers.iter().collect::<HashSet<_>>(),
-            naive.iter().collect::<HashSet<_>>()
-        );
-        println!(
-            "| {} | {} | FreeConnex | {} | {} | {} | {} |",
-            inst.total_tuples(),
-            answers.len(),
-            fmt_dur(prof.preprocessing),
-            fmt_ns(prof.median_ns()),
-            fmt_ns(prof.p99_ns()),
-            fmt_dur(naive_t),
-        );
-    }
-    println!();
-}
-
-/// E15: resilient serving — the bounded `ucq-serve` worker pool over one
-/// frozen session, across request mixes: all-clean, answer-capped,
-/// pre-cancelled, and the canned chaos mix (deadlines + cancels; the
-/// fault seam is a no-op in this build). Reports the full outcome ledger
-/// next to throughput — the point is that it balances under every mix.
-fn e15_resilient_serving(scale: usize) {
-    use std::sync::Arc;
-    use std::time::Duration;
-    use ucq_workloads::{drive_resilient, ResilientSpec};
-
-    println!("## E15 (resilient serving: bounded pool, budgets, typed failure ledger)\n");
-    println!(
-        "| query | mix | workers | submitted | served | partial | timed out | shed | \
-         answers/sec | p99 latency |"
-    );
-    println!("|---|---|---:|---:|---:|---:|---:|---:|---:|---:|");
-    for (id, base_rows) in [("two_free_connex", 8_000usize), ("example2", 2_000)] {
-        let rows = (base_rows * scale / 4).max(500);
-        let engine = engine_for(id);
-        let inst = instance_for(id, rows, 11);
-        let frozen = Arc::new(
-            engine
-                .session(&inst)
-                .freeze()
-                .expect("DelayClin strategy freezes"),
-        );
-        let requests = 16 * scale;
-        let mixes: [(&str, ResilientSpec); 4] = [
-            ("steady", ResilientSpec::steady(4, requests, requests)),
-            (
-                "capped(64)",
-                ResilientSpec::steady(4, requests, requests).with_answer_cap(64),
-            ),
-            (
-                "cancel/3",
-                ResilientSpec::steady(4, requests, requests).with_cancel_every(3),
-            ),
-            (
-                "chaos",
-                ResilientSpec::chaos(4, requests)
-                    .with_deadline_every(5, Duration::from_micros(200)),
-            ),
-        ];
-        for (mix, spec) in mixes {
-            let report = drive_resilient(&frozen, &spec);
-            assert_eq!(
-                report.drains + report.shed + report.panicked + report.drained,
-                report.submitted,
-                "E15 ledger does not balance for mix {mix}: {report:?}"
-            );
-            println!(
-                "| {id} | {mix} | {} | {} | {} | {} | {} | {} | {:.0} | {} |",
-                spec.workers,
-                report.submitted,
-                report.drains,
-                report.partial,
-                report.timed_out,
-                report.shed,
-                report.answers_per_sec(),
-                fmt_ns(report.p99_first_answer_ns()),
-            );
-        }
     }
     println!();
 }

@@ -24,9 +24,10 @@
 
 use std::fmt::Write as _;
 use ucq_core::{classify, plan_free_connex_costed, SearchConfig, Strategy, UcqEngine, Verdict};
-use ucq_enumerate::Enumerator;
+use ucq_enumerate::{Budgeted, Enumerator, QueryBudget, VecEnumerator};
 use ucq_query::{parse_ucq, Ucq};
 use ucq_storage::{parse_instance, CtxView, Instance};
+use ucq_workloads::{drive, Churn, LoadSpec};
 
 /// A CLI failure: message + suggested exit code.
 #[derive(Debug)]
@@ -390,30 +391,19 @@ fn cmd_run(
     // The request's own context, kept so `--stats` can say what it cached.
     let ctx = CtxView::new();
     let started = std::time::Instant::now();
-    let mut count = 0usize;
-    if force_naive {
-        for t in engine
-            .enumerate_naive(inst)
-            .map_err(|e| CliError::new(e.to_string()))?
-        {
-            if limit.map(|l| count >= l).unwrap_or(false) {
-                break;
-            }
-            let _ = writeln!(out, "{t}");
-            count += 1;
-        }
+    let eval_error = |e: ucq_core::EvalError| CliError::new(e.to_string());
+    let (count, truncated_by, rows) = if force_naive {
+        let all = engine.enumerate_naive(inst).map_err(eval_error)?;
+        let page = print_answers(VecEnumerator::new(all), limit, &mut out);
+        (page.answers_emitted(), page.truncated_by(), None)
     } else {
-        let mut ans = engine
-            .enumerate_in(&ctx, inst)
-            .map_err(|e| CliError::new(e.to_string()))?;
-        while let Some(t) = ans.next() {
-            if limit.map(|l| count >= l).unwrap_or(false) {
-                break;
-            }
-            let _ = writeln!(out, "{t}");
-            count += 1;
-        }
-    }
+        let answers = engine.enumerate_in(&ctx, inst).map_err(eval_error)?;
+        let page = print_answers(answers, limit, &mut out);
+        let (count, truncated_by) = (page.answers_emitted(), page.truncated_by());
+        let stream = page.into_inner();
+        let rows = (stream.rows_pulled(), stream.rows_decoded());
+        (count, truncated_by, Some(rows))
+    };
     if stats {
         let _ = writeln!(
             out,
@@ -421,6 +411,12 @@ fn cmd_run(
             started.elapsed(),
             inst.total_tuples()
         );
+        if let Some(why) = truncated_by {
+            let _ = writeln!(out, "-- truncated by {why}");
+        }
+        if let Some((pulled, decoded)) = rows {
+            let _ = writeln!(out, "-- {pulled} row(s) pulled, {decoded} decoded");
+        }
         for name in engine.classification().minimized.relation_names() {
             let line = inst
                 .get_shared(name)
@@ -433,10 +429,28 @@ fn cmd_run(
     Ok(out)
 }
 
+/// Prints the answers of one request, at most `limit` of them: the limit
+/// is the request's answer cap, so a block-decoding stream is told about
+/// it up front and prepares `limit + 1` rows — the one beyond is what says
+/// whether the output was cut — not a block. Returns the drained page (its
+/// count, why it stopped early if it did, and the stream).
+fn print_answers<E: Enumerator>(answers: E, limit: Option<usize>, out: &mut String) -> Budgeted<E> {
+    let budget = match limit {
+        Some(n) => QueryBudget::unlimited().with_max_answers(n),
+        None => QueryBudget::unlimited(),
+    };
+    let mut page = Budgeted::new(answers, budget);
+    while let Some(t) = page.next() {
+        let _ = writeln!(out, "{t}");
+    }
+    page
+}
+
 fn cmd_decide(ucq: &Ucq, inst: &Instance) -> Result<String, CliError> {
     let engine = UcqEngine::new(ucq.clone());
     let yes = engine
-        .decide(inst)
+        .session(inst)
+        .decide()
         .map_err(|e| CliError::new(e.to_string()))?;
     Ok(format!("{}\n", if yes { "yes" } else { "no" }))
 }
@@ -460,16 +474,10 @@ fn cmd_serve_bench(
         return Err(CliError::new("--workers and --requests must be positive"));
     }
     let engine = UcqEngine::new(ucq.clone());
-    let frozen = std::sync::Arc::new(
-        engine
-            .session(inst)
-            .freeze()
-            .map_err(|e| CliError::new(e.to_string()))?,
-    );
     let mut spec = if chaos {
-        ucq_workloads::ResilientSpec::chaos(workers, requests)
+        LoadSpec::chaos(workers, requests)
     } else {
-        ucq_workloads::ResilientSpec::steady(workers, workers.max(2), requests)
+        LoadSpec::steady(workers, workers.max(2), requests)
     };
     if let Some(capacity) = queue {
         if capacity == 0 {
@@ -477,7 +485,9 @@ fn cmd_serve_bench(
         }
         spec.queue_capacity = capacity;
     }
-    let report = ucq_workloads::drive_resilient(&frozen, &spec);
+    let report =
+        drive(&engine, inst, Churn::NONE, &spec).map_err(|e| CliError::new(e.to_string()))?;
+    let ledger = report.serve;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -491,17 +501,23 @@ fn cmd_serve_bench(
         out,
         "  served {} (partial {}, timed out {}), shed {}, panicked {}, drained {}",
         report.drains,
-        report.partial,
-        report.timed_out,
-        report.shed,
-        report.panicked,
-        report.drained
+        ledger.partial,
+        ledger.timed_out,
+        ledger.shed,
+        ledger.panicked,
+        ledger.drained
     );
     let _ = writeln!(
         out,
         "  ledger: {} of {} submitted accounted",
-        report.drains + report.shed + report.panicked + report.drained,
-        report.submitted
+        ledger.accounted(),
+        ledger.submitted
+    );
+    let _ = writeln!(
+        out,
+        "  oracle: {} of {} drain(s) match a fresh build",
+        report.matched(),
+        report.drains
     );
     let _ = writeln!(
         out,
@@ -509,13 +525,13 @@ fn cmd_serve_bench(
         report.total_answers,
         report.elapsed,
         report.answers_per_sec(),
-        report.queue_high_water
+        ledger.queue_high_water
     );
     let _ = writeln!(
         out,
         "  latency (submit→resolution): median {} ns, p99 {} ns",
-        report.median_first_answer_ns(),
-        report.p99_first_answer_ns()
+        report.median_resolution_ns(),
+        report.p99_resolution_ns()
     );
     Ok(out)
 }
@@ -668,6 +684,33 @@ mod tests {
         assert_eq!(out.lines().filter(|l| l.starts_with('(')).count(), 2);
         let out = dispatch(&args(&["run", &q, &i, "--naive"])).unwrap();
         assert!(out.contains("strategy: Naive"));
+        // The cut is reported, and only when it was one.
+        for (limit, cut) in [("2", true), ("3", false), ("9", false)] {
+            for naive in [&["--naive"][..], &[]] {
+                let mut argv = vec!["run", &q, &i, "--stats", "--limit", limit];
+                argv.extend_from_slice(naive);
+                let out = dispatch(&args(&argv)).unwrap();
+                assert_eq!(out.contains("-- truncated by max-answers"), cut, "{out}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_limit_reaches_the_block_decoder_as_the_answer_cap() {
+        let q = write_temp("cap_q", "Q1(x, y) <- R(x, y)\nQ2(x, y) <- S(x, y)");
+        let facts: String = (0..1500)
+            .map(|k| format!("R({k}, {k}). S({}, {k}). ", k + 700))
+            .collect();
+        let i = write_temp("cap_i", &facts);
+        // `--limit 2` prepares two rows and the one beyond that proves the
+        // cut: not a 512-row block, and not a row past that.
+        let out = dispatch(&args(&["run", &q, &i, "--limit", "2", "--stats"])).unwrap();
+        assert!(out.contains("strategy: Algorithm1"), "{out}");
+        assert!(out.contains("-- 2 answer(s)"), "{out}");
+        assert!(out.contains("-- truncated by max-answers"), "{out}");
+        assert!(out.contains("-- 3 row(s) pulled, 3 decoded"), "{out}");
+        let out = dispatch(&args(&["run", &q, &i, "--stats"])).unwrap();
+        assert!(out.contains("-- 3000 row(s) pulled, 3000 decoded"), "{out}");
     }
 
     #[test]
@@ -690,6 +733,7 @@ mod tests {
         assert!(out.contains("served 6"), "{out}");
         assert!(out.contains("ledger: 6 of 6 submitted accounted"), "{out}");
         assert!(out.contains("18 answers"), "{out}");
+        assert!(out.contains("oracle: 6 of 6 drain(s)"), "{out}");
     }
 
     #[test]

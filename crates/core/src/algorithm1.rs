@@ -28,7 +28,7 @@
 
 use std::sync::Arc;
 use ucq_enumerate::{Enumerator, IdDecoder, IdEnumerator};
-use ucq_query::Ucq;
+use ucq_query::{Cq, Ucq};
 use ucq_storage::{CtxView, IdBlock, Instance, Tuple, ValueId};
 use ucq_yannakakis::{CdyEngine, ContainsScratch, EvalError, OwnedCdyIter, SharedShapes};
 
@@ -168,11 +168,7 @@ impl Algorithm1 {
         instance: &Instance,
         ctx: &CtxView,
     ) -> Result<Vec<Arc<CdyEngine>>, EvalError> {
-        let shared = SharedShapes::of(ucq.cqs());
-        ucq.cqs()
-            .iter()
-            .map(|cq| CdyEngine::for_member_in(cq, &shared, instance, ctx).map(Arc::new))
-            .collect()
+        member_engines(ucq.cqs(), ucq.head_arity(), instance, ctx)
     }
 
     /// Wires preprocessed member engines into the interleaving enumerator,
@@ -203,6 +199,33 @@ impl Algorithm1 {
     pub fn rows_decoded(&self) -> usize {
         self.inner.rows_decoded()
     }
+}
+
+/// The engines of a union's members (`cqs`), rooted off the shapes they
+/// share so that a shared relation is indexed once for all of them.
+pub(crate) fn member_engines(
+    cqs: &[Cq],
+    answer_arity: usize,
+    instance: &Instance,
+    ctx: &CtxView,
+) -> Result<Vec<Arc<CdyEngine>>, EvalError> {
+    let shared = SharedShapes::of(cqs);
+    let member = |cq| member_engine(cq, answer_arity, &shared, instance, ctx);
+    cqs.iter().map(member).collect()
+}
+
+/// One member's engine: connex for its whole head, enumerating the first
+/// `answer_arity` positions of it — all of them, except under an FD rewrite
+/// whose heads grew by determined variables ([`crate::fd::fd_rewrite`]).
+pub(crate) fn member_engine(
+    cq: &Cq,
+    answer_arity: usize,
+    shared: &SharedShapes,
+    instance: &Instance,
+    ctx: &CtxView,
+) -> Result<Arc<CdyEngine>, EvalError> {
+    let output = cq.head()[..answer_arity].to_vec();
+    CdyEngine::build_rooted(cq, cq.free(), output, shared, instance, ctx).map(Arc::new)
 }
 
 /// A view that decodes every member's ids. After a refreeze the members

@@ -1,70 +1,47 @@
 //! The top-level engine: classify once, then evaluate instances with the
 //! best applicable strategy.
 //!
-//! Two shapes of use:
+//! Whatever the strategy, the linear phase ends in one value — a
+//! [`Prepared`]: Algorithm 1's per-member CDY engines, the Theorem 12
+//! pipeline's prep, or the naive fallback's answer table — and every way of
+//! asking is that value plus what its rung of the ladder adds:
 //!
-//! * **One-shot** — [`UcqEngine::enumerate`] builds a private context per
-//!   call (unchanged public signature).
+//! * **One-shot** — [`UcqEngine::enumerate`] builds a `Prepared` in a
+//!   private context, starts one stream off it and drops it.
 //! * **Session** — [`UcqEngine::session`] pins an instance and returns an
-//!   [`EvalSession`] whose context (dictionary, interned relations,
-//!   normalizations, [`IndexCache`](ucq_storage::IndexCache)) and
-//!   preprocessed per-member engines persist across calls: repeated
-//!   [`EvalSession::enumerate`]s skip the linear preprocessing entirely —
-//!   the "serve traffic" shape.
-//! * **Frozen session** — [`EvalSession::freeze`] snapshots the prepared
-//!   session into a [`FrozenSession`]: `Send + Sync`, drivable from any
-//!   number of threads at once, with no lock on the per-answer hot path
-//!   (see [`ucq_storage::FrozenContext`]). Each [`FrozenSession::enumerate`]
-//!   call hands the calling thread its own cursors and scratch.
+//!   [`EvalSession`] that keeps the `Prepared` (and the context: dictionary,
+//!   interned relations, normalizations,
+//!   [`IndexCache`](ucq_storage::IndexCache)) across calls: repeated
+//!   [`EvalSession::enumerate`]s only start streams — the "serve traffic"
+//!   shape.
+//! * **Frozen session** — [`EvalSession::freeze`] snapshots the context and
+//!   retargets the `Prepared` onto the snapshot, warming what readers would
+//!   otherwise build: a [`FrozenSession`], `Send + Sync`, drivable from any
+//!   number of threads at once with no lock on the per-answer hot path (see
+//!   [`ucq_storage::FrozenContext`]). Each [`FrozenSession::enumerate`]
+//!   hands the calling thread its own cursors and scratch.
+//! * **Next epoch** — [`FrozenSession::refreeze`] rebuilds the parts of the
+//!   `Prepared` downstream of a touched relation, shares the rest, and
+//!   freezes again.
+//!
+//! A union under functional dependencies climbs the same ladder: its
+//! rewrite ([`crate::fd::fd_rewrite`]) is an ordinary union whose answers
+//! are a prefix of its head ([`crate::fd::FdRewrite::engine`]).
 
-use crate::algorithm1::Algorithm1;
+use crate::algorithm1::{member_engine, member_engines, Algorithm1Ids};
 use crate::classify::{classify_with, Classification, CqStatus, Verdict};
 use crate::cost::CostedSearch;
-use crate::naive_ucq::{evaluate_ucq_naive_ids_in, evaluate_ucq_naive_in};
-use crate::pipeline::{UcqPipeline, UcqPipelinePrep};
+use crate::naive_ucq::evaluate_ucq_naive_ids_in;
+use crate::pipeline::UcqPipelinePrep;
 use crate::plan::ExtensionPlan;
 use crate::search::SearchConfig;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::sync::Arc;
-use ucq_enumerate::{Enumerator, IdDecoder, IdVecEnumerator};
+use ucq_enumerate::{Enumerator, IdDecoder, IdEnumerator, IdVecEnumerator};
 use ucq_query::Ucq;
 use ucq_storage::sync::OnceLock;
-use ucq_storage::{CtxView, Instance, Tuple};
-use ucq_yannakakis::{CdyEngine, EvalError, IdTable, SharedShapes};
-
-/// Materializes the naive union on the id layer and wraps it in the
-/// lazily-decoding value facade (ids stay interned under `ctx`; one decode
-/// per answer actually pulled).
-fn naive_id_answers(
-    ucq: &Ucq,
-    instance: &Instance,
-    ctx: &CtxView,
-) -> Result<IdDecoder<IdVecEnumerator>, EvalError> {
-    let table = evaluate_ucq_naive_ids_in(ucq, instance, ctx)?;
-    Ok(IdDecoder::new(
-        IdVecEnumerator::new(table.width, table.data, table.n_rows),
-        ctx.clone(),
-    ))
-}
-
-/// Replays a pre-materialized naive answer table through the lazily
-/// decoding value facade (the frozen-session serve path).
-fn replay_id_table(table: &IdTable, ctx: &CtxView) -> IdDecoder<IdVecEnumerator> {
-    IdDecoder::new(
-        IdVecEnumerator::new(table.width, table.data.clone(), table.n_rows),
-        ctx.clone(),
-    )
-}
-
-/// Builds the membership sets Algorithm 1 will probe — every member's but
-/// the first's, which is only ever enumerated — so that the writer pays for
-/// them at freeze/refreeze and no served request does. (Already built sets
-/// are left alone; one-shot evaluation stays lazy.)
-fn warm_probed_members(engines: &[Arc<CdyEngine>]) {
-    for eng in engines.iter().skip(1) {
-        eng.warm_membership();
-    }
-}
+use ucq_storage::{CtxView, Instance, Tuple, ValueId};
+use ucq_yannakakis::{CdyEngine, EvalError, SharedShapes};
 
 /// Which evaluation strategy a run used.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -114,6 +91,9 @@ pub struct UcqEngine {
     ucq: Ucq,
     cfg: SearchConfig,
     classification: Classification,
+    /// Head positions an answer consists of: the whole head, or the prefix
+    /// an FD rewrite started from (see [`UcqEngine::projecting`]).
+    answer_arity: usize,
     /// The instance-independent half of the costed planner (availability
     /// fixpoint + candidate extension sets), prepared lazily on the first
     /// plan-cache miss and shared by every later miss: fresh contexts
@@ -129,11 +109,29 @@ impl UcqEngine {
 
     /// Classifies `ucq` with explicit search bounds.
     pub fn with_config(ucq: Ucq, cfg: &SearchConfig) -> UcqEngine {
+        let arity = ucq.head_arity();
+        UcqEngine::projecting(ucq, arity, cfg)
+    }
+
+    /// Classifies `ucq` and answers with the first `answer_arity` positions
+    /// of its head — what an FD rewrite ([`crate::fd::fd_rewrite`]) asks
+    /// for: members stay connex for their whole (extended) head, and the
+    /// projection happens on the id rows they emit. Projected answers of
+    /// one member are distinct when the dropped positions are functions of
+    /// the kept ones; across members they need not be (each may have grown
+    /// by a different determined variable), so a projecting union of
+    /// several members never runs Algorithm 1 (see [`UcqEngine::strategy`]).
+    pub(crate) fn projecting(ucq: Ucq, answer_arity: usize, cfg: &SearchConfig) -> UcqEngine {
+        assert!(
+            answer_arity <= ucq.head_arity(),
+            "answers are a head prefix"
+        );
         let classification = classify_with(&ucq, cfg);
         UcqEngine {
             ucq,
             cfg: cfg.clone(),
             classification,
+            answer_arity,
             costed: OnceLock::new(),
         }
     }
@@ -149,21 +147,28 @@ impl UcqEngine {
     }
 
     /// The strategy [`UcqEngine::enumerate`] will pick.
+    ///
+    /// Algorithm 1's line-4 probe needs member outputs that cover their
+    /// connex target; a projecting union of several members has none, and
+    /// equal answers can reach it from different members. It goes through
+    /// the spine that absorbs a constant number of duplicates instead: the
+    /// Theorem 12 pipeline with nothing to materialize (the Cheater over
+    /// the members' cursors, Lemma 5 budget `members + 1`).
     pub fn strategy(&self) -> Strategy {
-        match &self.classification.verdict {
-            Verdict::FreeConnex { plan } => {
-                let all_fc = self
-                    .classification
-                    .statuses
-                    .iter()
-                    .all(|s| *s == CqStatus::FreeConnex);
-                if all_fc && !plan.needs_extension() {
-                    Strategy::Algorithm1
-                } else {
-                    Strategy::UnionExtension
-                }
-            }
-            _ => Strategy::Naive,
+        let Verdict::FreeConnex { plan } = &self.classification.verdict else {
+            return Strategy::Naive;
+        };
+        let minimized = &self.classification.minimized;
+        let all_fc = self
+            .classification
+            .statuses
+            .iter()
+            .all(|s| *s == CqStatus::FreeConnex);
+        let probes = minimized.len() == 1 || self.answer_arity == minimized.head_arity();
+        if all_fc && !plan.needs_extension() && probes {
+            Strategy::Algorithm1
+        } else {
+            Strategy::UnionExtension
         }
     }
 
@@ -190,24 +195,7 @@ impl UcqEngine {
         ctx: &CtxView,
         instance: &Instance,
     ) -> Result<UcqAnswers, EvalError> {
-        let minimized = &self.classification.minimized;
-        match self.strategy() {
-            Strategy::Algorithm1 => Ok(UcqAnswers {
-                strategy: Strategy::Algorithm1,
-                inner: Box::new(Algorithm1::build_in(minimized, instance, ctx)?),
-            }),
-            Strategy::UnionExtension => {
-                let plan = self.executable_plan(ctx, instance, None);
-                Ok(UcqAnswers {
-                    strategy: Strategy::UnionExtension,
-                    inner: Box::new(UcqPipeline::build_in(minimized, &plan, instance, ctx)?),
-                })
-            }
-            Strategy::Naive => Ok(UcqAnswers {
-                strategy: Strategy::Naive,
-                inner: Box::new(naive_id_answers(minimized, instance, ctx)?),
-            }),
-        }
+        Ok(Prepared::build(self, ctx, instance, None)?.start(ctx))
     }
 
     /// The plan the union-extension strategy should execute over
@@ -291,41 +279,153 @@ impl UcqEngine {
 
     /// Forces the naive strategy (baseline for experiments).
     pub fn enumerate_naive(&self, instance: &Instance) -> Result<Vec<Tuple>, EvalError> {
-        evaluate_ucq_naive_in(&self.classification.minimized, instance, &CtxView::new())
-    }
-
-    /// `Decide⟨Q⟩`: whether the union has at least one answer. For unions
-    /// of free-connex members this is a pure preprocessing question (each
-    /// member's CDY `decide()` after its linear pass); otherwise it asks
-    /// the chosen enumeration strategy for a first answer.
-    pub fn decide(&self, instance: &Instance) -> Result<bool, EvalError> {
         let ctx = CtxView::new();
         let minimized = &self.classification.minimized;
-        if minimized
-            .cqs()
-            .iter()
-            .all(|cq| matches!(crate::classify::cq_status(cq), CqStatus::FreeConnex))
-        {
-            for cq in minimized.cqs() {
-                if CdyEngine::for_query_in(cq, instance, &ctx)?.decide() {
-                    return Ok(true);
-                }
-            }
-            return Ok(false);
-        }
-        Ok(self.enumerate_in(&ctx, instance)?.has_answer())
+        let table = evaluate_ucq_naive_ids_in(minimized, self.answer_arity, instance, &ctx)?;
+        Ok(table.decode(&ctx))
+    }
+
+    /// `Decide⟨Q⟩`: whether the union has at least one answer. Runs the
+    /// chosen strategy's whole linear phase first — every member is built
+    /// even when the first one already has an answer — and then asks it;
+    /// still linear, and one construction path instead of two.
+    pub fn decide(&self, instance: &Instance) -> Result<bool, EvalError> {
+        let ctx = CtxView::new();
+        Ok(Prepared::build(self, &ctx, instance, None)?.decide(&ctx))
     }
 }
 
-/// The per-strategy preprocessed state an [`EvalSession`] caches.
+/// The preprocessed state of one `(engine, instance)` pair, per strategy:
+/// what the linear phase leaves behind and every enumeration starts from.
+/// Cloning shares everything (engines, early answers and the naive table
+/// are `Arc`s).
+#[derive(Clone)]
 enum Prepared {
-    /// Per-member CDY engines (Algorithm 1 restarts enumerators off them).
+    /// Per-member CDY engines (Algorithm 1 restarts cursors off them).
     Algorithm1(Vec<Arc<CdyEngine>>),
     /// The Theorem 12 prep: materializations folded into member engines.
     Union(UcqPipelinePrep),
-    /// Naive fallback has no reusable enumeration structure beyond the
-    /// context caches themselves.
-    Naive,
+    /// The naive fallback's materialized answers, replayed from one shared
+    /// buffer by every enumeration (this value is the rewound prototype).
+    Naive(IdVecEnumerator<Arc<[ValueId]>>),
+}
+
+impl Prepared {
+    /// Runs the linear phase of `engine`'s strategy over `instance` through
+    /// `ctx`. Lazy where a one-shot caller may never look: Algorithm 1's
+    /// membership sets are left to the first probe (or to
+    /// [`Prepared::retarget`], for sessions that will be served).
+    fn build(
+        engine: &UcqEngine,
+        ctx: &CtxView,
+        instance: &Instance,
+        counters: Option<&PlannerCounters>,
+    ) -> Result<Prepared, EvalError> {
+        let minimized = &engine.classification.minimized;
+        let arity = engine.answer_arity;
+        Ok(match engine.strategy() {
+            Strategy::Algorithm1 => {
+                Prepared::Algorithm1(member_engines(minimized.cqs(), arity, instance, ctx)?)
+            }
+            Strategy::UnionExtension => {
+                let plan = engine.executable_plan(ctx, instance, counters);
+                let prep =
+                    UcqPipelinePrep::prepare_projected(minimized, &plan, arity, instance, ctx);
+                Prepared::Union(prep?)
+            }
+            Strategy::Naive => {
+                let table = evaluate_ucq_naive_ids_in(minimized, arity, instance, ctx)?;
+                Prepared::Naive(IdVecEnumerator::new(
+                    table.width,
+                    table.data.into(),
+                    table.n_rows,
+                ))
+            }
+        })
+    }
+
+    /// Starts one enumeration: O(1) in the data on every arm — fresh
+    /// cursors over shared engines and buffers — and the same block decoder
+    /// above each of them. It decodes through `ctx`, the caller's view, not
+    /// one of the engines': after a refreeze the members hold views of
+    /// different epochs, and only the newest decodes every member's ids.
+    fn start(&self, ctx: &CtxView) -> UcqAnswers {
+        let (strategy, ids): (Strategy, Box<dyn IdEnumerator + Send>) = match self {
+            Prepared::Algorithm1(engines) => (
+                Strategy::Algorithm1,
+                Box::new(Algorithm1Ids::new(engines.clone())),
+            ),
+            Prepared::Union(prep) => (Strategy::UnionExtension, Box::new(prep.start_ids())),
+            Prepared::Naive(table) => (Strategy::Naive, Box::new(table.clone())),
+        };
+        UcqAnswers {
+            strategy,
+            inner: IdDecoder::new(ids, ctx.clone()),
+        }
+    }
+
+    /// `Decide⟨Q⟩` from the preprocessed state: for Algorithm 1 a pure
+    /// preprocessing answer (each member's CDY `decide()`), otherwise a
+    /// request for one answer.
+    fn decide(&self, ctx: &CtxView) -> bool {
+        match self {
+            Prepared::Algorithm1(engines) => engines.iter().any(|e| e.decide()),
+            _ => self.start(ctx).has_answer(),
+        }
+    }
+
+    /// Moves this state onto `view`, a snapshot of the context it was built
+    /// through, and builds what a reader would otherwise build on its own
+    /// time: the membership sets Algorithm 1 probes (every member's but the
+    /// first's, which is only ever enumerated). An engine some other holder
+    /// shares — a live stream, the previous epoch — keeps the view it has,
+    /// which stays valid: one dictionary lineage, same ids.
+    fn retarget(&mut self, view: &CtxView) {
+        match self {
+            Prepared::Algorithm1(engines) => {
+                for eng in engines.iter().skip(1) {
+                    eng.warm_membership();
+                }
+                for eng in engines {
+                    if let Some(e) = Arc::get_mut(eng) {
+                        e.set_view(view.clone());
+                    }
+                }
+            }
+            Prepared::Union(prep) => prep.retarget(view),
+            Prepared::Naive(_) => {}
+        }
+    }
+
+    /// The state of the next epoch over `instance`, built through `ctx`
+    /// (the build context both epochs share): Algorithm 1 rebuilds the
+    /// members that read a `touched` relation and shares the others; the
+    /// other arms have no per-member seam and run their linear phase again
+    /// (the pipeline re-costs its plan on the way).
+    fn rebuild_touched(
+        &self,
+        engine: &UcqEngine,
+        ctx: &CtxView,
+        instance: &Instance,
+        touched: impl Fn(&[&str]) -> bool,
+    ) -> Result<Prepared, EvalError> {
+        let Prepared::Algorithm1(engines) = self else {
+            return Prepared::build(engine, ctx, instance, None);
+        };
+        let minimized = &engine.classification.minimized;
+        // The whole union's shapes, not the touched members': the rebuilt
+        // engines must root where the first build did, or they would ask
+        // for indexes nobody cached.
+        let shared = SharedShapes::of(minimized.cqs());
+        let next = engines.iter().zip(minimized.cqs()).map(|(old, cq)| {
+            if touched(&cq.relation_names()) {
+                member_engine(cq, engine.answer_arity, &shared, instance, ctx)
+            } else {
+                Ok(Arc::clone(old))
+            }
+        });
+        Ok(Prepared::Algorithm1(next.collect::<Result<_, _>>()?))
+    }
 }
 
 /// A pinned `(classified query, instance)` pair with persistent caches —
@@ -354,7 +454,7 @@ pub struct EvalSession<'e> {
     planner: PlannerCounters,
 }
 
-impl EvalSession<'_> {
+impl<'e> EvalSession<'e> {
     /// The engine this session evaluates.
     pub fn engine(&self) -> &UcqEngine {
         self.engine
@@ -376,142 +476,50 @@ impl EvalSession<'_> {
         self.planner.snapshot()
     }
 
-    fn ensure_prepared(&self) -> Result<(), EvalError> {
-        if self.prepared.borrow().is_some() {
-            return Ok(());
+    /// The session's preprocessed state, built by the first caller.
+    fn prepared(&self) -> Result<Ref<'_, Prepared>, EvalError> {
+        if self.prepared.borrow().is_none() {
+            let counters = Some(&self.planner);
+            let built = Prepared::build(self.engine, &self.ctx, &self.instance, counters)?;
+            *self.prepared.borrow_mut() = Some(built);
         }
-        let minimized = &self.engine.classification.minimized;
-        let prep = match self.engine.strategy() {
-            Strategy::Algorithm1 => Prepared::Algorithm1(Algorithm1::member_engines(
-                minimized,
-                &self.instance,
-                &self.ctx,
-            )?),
-            Strategy::UnionExtension => {
-                let plan =
-                    self.engine
-                        .executable_plan(&self.ctx, &self.instance, Some(&self.planner));
-                Prepared::Union(UcqPipelinePrep::prepare(
-                    minimized,
-                    &plan,
-                    &self.instance,
-                    &self.ctx,
-                )?)
-            }
-            Strategy::Naive => Prepared::Naive,
-        };
-        *self.prepared.borrow_mut() = Some(prep);
-        Ok(())
+        let slot = self.prepared.borrow();
+        Ok(Ref::map(slot, |p| p.as_ref().expect("just prepared")))
     }
 
     /// Starts an enumeration. The first call performs the linear
     /// preprocessing; subsequent calls only restart enumeration cursors.
     pub fn enumerate(&self) -> Result<UcqAnswers, EvalError> {
-        self.ensure_prepared()?;
-        let prepared = self.prepared.borrow();
-        match prepared.as_ref().expect("just prepared") {
-            Prepared::Algorithm1(engines) => Ok(UcqAnswers {
-                strategy: Strategy::Algorithm1,
-                inner: Box::new(Algorithm1::from_engines_in(
-                    engines.clone(),
-                    self.ctx.clone(),
-                )),
-            }),
-            Prepared::Union(prep) => Ok(UcqAnswers {
-                strategy: Strategy::UnionExtension,
-                inner: Box::new(prep.start()),
-            }),
-            Prepared::Naive => Ok(UcqAnswers {
-                strategy: Strategy::Naive,
-                inner: Box::new(naive_id_answers(
-                    &self.engine.classification.minimized,
-                    &self.instance,
-                    &self.ctx,
-                )?),
-            }),
-        }
+        Ok(self.prepared()?.start(&self.ctx))
     }
 
-    /// `Decide⟨Q⟩` against the pinned instance, reusing the session's
-    /// preprocessed engines when available.
+    /// `Decide⟨Q⟩` against the pinned instance, from the session's
+    /// preprocessed state.
     pub fn decide(&self) -> Result<bool, EvalError> {
-        self.ensure_prepared()?;
-        let prepared = self.prepared.borrow();
-        match prepared.as_ref().expect("just prepared") {
-            Prepared::Algorithm1(engines) => Ok(engines.iter().any(|e| e.decide())),
-            _ => {
-                drop(prepared);
-                Ok(self.enumerate()?.has_answer())
-            }
-        }
+        Ok(self.prepared()?.decide(&self.ctx))
     }
-}
 
-impl<'e> EvalSession<'e> {
     /// Ends the build phase: runs the linear preprocessing if it has not
     /// run yet, snapshots the context into an immutable
-    /// [`ucq_storage::FrozenContext`], and retargets the prepared engines
+    /// [`ucq_storage::FrozenContext`], and retargets the prepared state
     /// onto the snapshot — no preprocessing is repeated. The result is
     /// `Send + Sync`: N threads can call [`FrozenSession::enumerate`]
     /// concurrently, each getting its own cursors, with zero locking on
     /// the per-answer path.
-    ///
-    /// For the naive strategy the answer table is materialized here, once,
-    /// so post-freeze calls replay it instead of re-joining (and the ids
-    /// land below the frozen watermark).
     pub fn freeze(self) -> Result<FrozenSession<'e>, EvalError> {
-        self.ensure_prepared()?;
-        let minimized = &self.engine.classification.minimized;
-        let naive_table = match self.prepared.borrow().as_ref().expect("just prepared") {
-            Prepared::Naive => Some(evaluate_ucq_naive_ids_in(
-                minimized,
-                &self.instance,
-                &self.ctx,
-            )?),
-            _ => None,
-        };
-        let build_ctx = self.ctx.clone();
-        let view = self.ctx.freeze();
-        let prepared = match self.prepared.into_inner().expect("just prepared") {
-            Prepared::Algorithm1(mut engines) => {
-                warm_probed_members(&engines);
-                for eng in &mut engines {
-                    // A leftover live enumerator (pre-freeze `enumerate()`
-                    // stream) pins the Arc; such an engine keeps the
-                    // build-phase view — same ids, just mutex-guarded.
-                    if let Some(e) = Arc::get_mut(eng) {
-                        e.set_view(view.clone());
-                    }
-                }
-                FrozenPrepared::Algorithm1(engines)
-            }
-            Prepared::Union(mut prep) => {
-                prep.retarget(&view);
-                FrozenPrepared::Union(prep)
-            }
-            Prepared::Naive => FrozenPrepared::Naive(naive_table.expect("materialized above")),
-        };
+        drop(self.prepared()?);
+        let mut prepared = self.prepared.into_inner().expect("just prepared");
+        let ctx = self.ctx.freeze();
+        prepared.retarget(&ctx);
         Ok(FrozenSession {
             engine: self.engine,
             instance: self.instance,
-            ctx: view,
-            build_ctx,
+            ctx,
+            build_ctx: self.ctx,
             prepared,
             planner: self.planner.snapshot(),
         })
     }
-}
-
-/// The per-strategy state a [`FrozenSession`] serves from. Unlike
-/// [`Prepared`], every variant is immutable and shareable.
-enum FrozenPrepared {
-    /// Per-member CDY engines retargeted onto the frozen snapshot.
-    Algorithm1(Vec<Arc<CdyEngine>>),
-    /// The Theorem 12 prep retargeted onto the frozen snapshot.
-    Union(UcqPipelinePrep),
-    /// The naive answer table, materialized at freeze time; enumerations
-    /// replay it.
-    Naive(IdTable),
 }
 
 /// A frozen `(classified query, instance)` session: `Send + Sync`, served
@@ -547,11 +555,11 @@ pub struct FrozenSession<'e> {
     /// dictionary lineage and snapshot the next epoch without re-interning
     /// anything the previous epoch already holds.
     build_ctx: CtxView,
-    prepared: FrozenPrepared,
+    prepared: Prepared,
     planner: PlannerStats,
 }
 
-impl FrozenSession<'_> {
+impl<'e> FrozenSession<'e> {
     /// The engine this session evaluates.
     pub fn engine(&self) -> &UcqEngine {
         self.engine
@@ -583,35 +591,12 @@ impl FrozenSession<'_> {
     /// owning its cursors, dedup table and scratch, while all streams read
     /// the same frozen dictionary, relations and indexes lock-free.
     pub fn enumerate(&self) -> Result<UcqAnswers, EvalError> {
-        match &self.prepared {
-            // This session's view, not one of the engines': after a
-            // refreeze the members hold views of different epochs, and
-            // only the newest decodes every member's ids.
-            FrozenPrepared::Algorithm1(engines) => Ok(UcqAnswers {
-                strategy: Strategy::Algorithm1,
-                inner: Box::new(Algorithm1::from_engines_in(
-                    engines.clone(),
-                    self.ctx.clone(),
-                )),
-            }),
-            FrozenPrepared::Union(prep) => Ok(UcqAnswers {
-                strategy: Strategy::UnionExtension,
-                inner: Box::new(prep.start()),
-            }),
-            FrozenPrepared::Naive(table) => Ok(UcqAnswers {
-                strategy: Strategy::Naive,
-                inner: Box::new(replay_id_table(table, &self.ctx)),
-            }),
-        }
+        Ok(self.prepared.start(&self.ctx))
     }
 
     /// `Decide⟨Q⟩` against the frozen state (no preprocessing, no joins).
     pub fn decide(&self) -> Result<bool, EvalError> {
-        match &self.prepared {
-            FrozenPrepared::Algorithm1(engines) => Ok(engines.iter().any(|e| e.decide())),
-            FrozenPrepared::Naive(table) => Ok(table.n_rows > 0),
-            FrozenPrepared::Union(_) => Ok(self.enumerate()?.has_answer()),
-        }
+        Ok(self.prepared.decide(&self.ctx))
     }
 
     /// The build-phase context behind this snapshot — the write side of the
@@ -623,30 +608,6 @@ impl FrozenSession<'_> {
         &self.build_ctx
     }
 
-    #[cfg(test)]
-    fn a1_engines(&self) -> Option<&[Arc<CdyEngine>]> {
-        match &self.prepared {
-            FrozenPrepared::Algorithm1(engines) => Some(engines),
-            _ => None,
-        }
-    }
-}
-
-impl<'e> FrozenSession<'e> {
-    /// Whether any relation this session's (minimized) query reads differs
-    /// between the pinned instance and `instance` — by `Arc` identity, which
-    /// is exactly what the delta-ingestion API preserves for untouched
-    /// relations.
-    fn touched(&self, instance: &Instance, names: &[&str]) -> bool {
-        names.iter().any(
-            |n| match (self.instance.get_shared(n), instance.get_shared(n)) {
-                (Some(a), Some(b)) => !Arc::ptr_eq(&a, &b),
-                (None, None) => false,
-                _ => true,
-            },
-        )
-    }
-
     /// Builds the **next epoch** of this frozen session over `instance`,
     /// doing work proportional to the delta rather than the database.
     ///
@@ -655,11 +616,15 @@ impl<'e> FrozenSession<'e> {
     /// (`insert_rows`/`delete_rows` on [`FrozenSession::build_context`],
     /// spliced in with
     /// [`Instance::with_relation_shared`](ucq_storage::Instance::with_relation_shared)),
-    /// so untouched relations keep their `Arc` identity. The new snapshot is
-    /// taken from the same build context, so every untouched relation,
-    /// index, derived normalization and cached plan is *shared* with the
-    /// previous epoch — only state downstream of a touched relation is
-    /// rebuilt:
+    /// so untouched relations keep their `Arc` identity — which is how a
+    /// relation counts as untouched here. When nothing the (minimized)
+    /// query reads was touched, the next epoch *is* this one: same
+    /// snapshot, same prepared state. Otherwise the touched state is
+    /// rebuilt against the build context *before* the new snapshot is
+    /// taken, so everything it interns, indexes, materializes or plans
+    /// lands below the new epoch's watermark (no overlay traffic at serve
+    /// time), and every untouched relation, index, derived normalization
+    /// and cached plan is *shared* with the previous epoch:
     ///
     /// * **Algorithm 1** — members whose relations are all untouched keep
     ///   their prepared engine (pinned to the previous epoch's view, which
@@ -670,106 +635,58 @@ impl<'e> FrozenSession<'e> {
     ///   rows and an arena scan, not a re-hash. (A delete drops the
     ///   touched relation's normalizations; those, and their indexes, are
     ///   rebuilt once for all members.)
-    /// * **Union extension** — an untouched union clones the prep wholesale;
-    ///   otherwise the plan is re-costed (the churn ledger bumps the stats
-    ///   epoch past the replan threshold, so skew flips surface here) and
-    ///   the pipeline re-prepares.
-    /// * **Naive** — the materialized answer table is recomputed only when
-    ///   touched.
+    /// * **Union extension** — the plan is re-costed (the churn ledger
+    ///   bumps the stats epoch past the replan threshold, so skew flips
+    ///   surface here) and the pipeline re-prepares.
+    /// * **Naive** — the answer table is materialized again.
     ///
     /// The old session keeps serving its own epoch untouched throughout —
     /// pair with [`ucq_storage::EpochCell`] to rotate live traffic.
     pub fn refreeze(&self, instance: &Instance) -> Result<FrozenSession<'e>, EvalError> {
-        let minimized = &self.engine.classification.minimized;
-        if !self.touched(instance, &minimized.relation_names()) {
-            // Nothing the query reads changed: the next epoch *is* the
-            // current one, minus the snapshot cost.
-            let prepared = match &self.prepared {
-                FrozenPrepared::Algorithm1(engines) => FrozenPrepared::Algorithm1(engines.clone()),
-                FrozenPrepared::Union(prep) => FrozenPrepared::Union(prep.clone()),
-                FrozenPrepared::Naive(table) => FrozenPrepared::Naive(table.clone()),
-            };
-            return Ok(FrozenSession {
-                engine: self.engine,
-                instance: instance.clone(),
-                ctx: self.ctx.clone(),
-                build_ctx: self.build_ctx.clone(),
-                prepared,
-                planner: self.planner,
-            });
-        }
-        // Rebuild touched state against the build context *before* taking
-        // the snapshot, so everything it interns, indexes, materializes or
-        // plans lands below the new epoch's watermark (no overlay traffic
-        // at serve time).
-        let prepared = match &self.prepared {
-            FrozenPrepared::Algorithm1(engines) => {
-                let mut rebuilt: Vec<(usize, CdyEngine)> = Vec::new();
-                let mut next = engines.clone();
-                // The whole union's shapes, not the touched members': the
-                // rebuilt engines must root where the first build did, or
-                // they would ask for indexes nobody cached.
-                let shared = SharedShapes::of(minimized.cqs());
-                for (i, cq) in minimized.cqs().iter().enumerate() {
-                    if self.touched(instance, &cq.relation_names()) {
-                        let eng = CdyEngine::for_member_in(cq, &shared, instance, &self.build_ctx)?;
-                        rebuilt.push((i, eng));
-                    }
-                }
-                let view = self.build_ctx.freeze();
-                for (i, mut eng) in rebuilt {
-                    eng.set_view(view.clone());
-                    next[i] = Arc::new(eng);
-                }
-                warm_probed_members(&next);
-                return Ok(FrozenSession {
-                    engine: self.engine,
-                    instance: instance.clone(),
-                    ctx: view,
-                    build_ctx: self.build_ctx.clone(),
-                    prepared: FrozenPrepared::Algorithm1(next),
-                    planner: self.planner,
-                });
-            }
-            FrozenPrepared::Union(_) => {
-                let plan = self.engine.executable_plan(&self.build_ctx, instance, None);
-                FrozenPrepared::Union(UcqPipelinePrep::prepare(
-                    minimized,
-                    &plan,
-                    instance,
-                    &self.build_ctx,
-                )?)
-            }
-            FrozenPrepared::Naive(_) => FrozenPrepared::Naive(evaluate_ucq_naive_ids_in(
-                minimized,
-                instance,
-                &self.build_ctx,
-            )?),
+        let touched = |names: &[&str]| {
+            names.iter().any(
+                |n| match (self.instance.get_shared(n), instance.get_shared(n)) {
+                    (Some(a), Some(b)) => !Arc::ptr_eq(&a, &b),
+                    (None, None) => false,
+                    _ => true,
+                },
+            )
         };
-        let view = self.build_ctx.freeze();
-        let prepared = match prepared {
-            FrozenPrepared::Union(mut prep) => {
-                prep.retarget(&view);
-                FrozenPrepared::Union(prep)
-            }
-            other => other,
+        let (prepared, ctx) = if touched(&self.engine.classification.minimized.relation_names()) {
+            let mut next =
+                self.prepared
+                    .rebuild_touched(self.engine, &self.build_ctx, instance, touched)?;
+            let view = self.build_ctx.freeze();
+            next.retarget(&view);
+            (next, view)
+        } else {
+            (self.prepared.clone(), self.ctx.clone())
         };
         Ok(FrozenSession {
             engine: self.engine,
             instance: instance.clone(),
-            ctx: view,
+            ctx,
             build_ctx: self.build_ctx.clone(),
             prepared,
             planner: self.planner,
         })
     }
+
+    #[cfg(test)]
+    fn a1_engines(&self) -> Option<&[Arc<CdyEngine>]> {
+        match &self.prepared {
+            Prepared::Algorithm1(engines) => Some(engines),
+            _ => None,
+        }
+    }
 }
 
-/// A strategy-tagged answer stream. `Send`, so a serving thread can take
-/// an enumeration with it (each stream owns its cursors and scratch).
+/// A strategy-tagged answer stream: the strategy's id rows behind the one
+/// block decoder. `Send`, so a serving thread can take an enumeration with
+/// it (each stream owns its cursors and scratch).
 pub struct UcqAnswers {
     strategy: Strategy,
-    inner: Box<dyn Enumerator + Send>,
+    inner: IdDecoder<Box<dyn IdEnumerator + Send>>,
 }
 
 impl UcqAnswers {
@@ -778,8 +695,19 @@ impl UcqAnswers {
         self.strategy
     }
 
+    /// Rows pulled from the strategy so far.
+    pub fn rows_pulled(&self) -> usize {
+        self.inner.rows_pulled()
+    }
+
+    /// Rows decoded to values so far — every pulled row, once, whether or
+    /// not the caller went on to take it.
+    pub fn rows_decoded(&self) -> usize {
+        self.inner.rows_decoded()
+    }
+
     /// `Decide` by enumeration: asks for one answer, and says so first, so
-    /// that a block-decoding arm prepares one row rather than a block.
+    /// that the decoder prepares one row rather than a block.
     fn has_answer(mut self) -> bool {
         self.expect_at_most(1);
         self.next().is_some()
@@ -1063,7 +991,7 @@ mod tests {
         assert!(views[0] < views[1], "stale first member, fresh second");
         let want = naive_set(text, &i2);
         assert_eq!(collect(&next), want, "the session decodes through its own");
-        let direct: HashSet<Tuple> = Algorithm1::from_engines(engines)
+        let direct: HashSet<Tuple> = crate::Algorithm1::from_engines(engines)
             .collect_all()
             .into_iter()
             .collect();
@@ -1106,27 +1034,33 @@ mod tests {
     fn a_request_for_one_answer_says_so_to_its_producer() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use ucq_enumerate::{Budgeted, QueryBudget};
+        use ucq_storage::IdBlock;
+        /// An endless Boolean stream recording the most rows a fill asked for.
         struct Probe(Arc<AtomicUsize>);
-        impl Enumerator for Probe {
-            fn next(&mut self) -> Option<Tuple> {
-                Some(Tuple::empty())
+        impl IdEnumerator for Probe {
+            fn arity(&self) -> usize {
+                0
             }
-            fn expect_at_most(&mut self, rows: usize) {
-                self.0.store(rows, Ordering::Relaxed);
+            fn next_block(&mut self, block: &mut IdBlock) -> usize {
+                let asked = block.remaining();
+                self.0.fetch_max(asked, Ordering::Relaxed);
+                (0..asked).for_each(|_| block.push_row(&[]));
+                asked
             }
         }
-        let hinted = Arc::new(AtomicUsize::new(0));
+        let asked = Arc::new(AtomicUsize::new(0));
         let answers = || UcqAnswers {
             strategy: Strategy::UnionExtension,
-            inner: Box::new(Probe(Arc::clone(&hinted))),
+            inner: IdDecoder::new(Box::new(Probe(Arc::clone(&asked))), CtxView::new()),
         };
         assert!(answers().has_answer());
-        assert_eq!(hinted.load(Ordering::Relaxed), 1);
+        assert_eq!(asked.load(Ordering::Relaxed), 1);
         // An answer cap travels the same way: n answers and the one beyond.
         let budget = QueryBudget::unlimited().with_max_answers(40);
         let mut page = Budgeted::new(answers(), budget);
         assert_eq!(page.collect_all().len(), 40);
-        assert_eq!(hinted.load(Ordering::Relaxed), 41);
+        assert_eq!(asked.load(Ordering::Relaxed), 41);
+        assert_eq!(page.into_inner().rows_decoded(), 41);
     }
 
     #[test]
@@ -1238,6 +1172,33 @@ mod tests {
         let next = frozen.refreeze(&i2).unwrap();
         assert_eq!(collect(&next), naive_set(text, &i2));
         assert_eq!(collect(&frozen), naive_set(text, &i));
+    }
+
+    #[test]
+    fn naive_enumerations_share_one_table_and_never_rejoin() {
+        let eng = UcqEngine::new(parse_ucq("Q(x, y) <- A(x, z), B(z, y)").unwrap());
+        assert_eq!(eng.strategy(), Strategy::Naive);
+        let i = inst(&[("A", vec![(1, 2), (4, 2)]), ("B", vec![(2, 3)])]);
+        let table = |p: &Prepared| match p {
+            Prepared::Naive(t) => Arc::clone(t.table()),
+            _ => panic!("naive strategy prepares a table"),
+        };
+        let session = eng.session(&i);
+        let mut streams = vec![session.enumerate().unwrap(), session.enumerate().unwrap()];
+        let held = table(&session.prepared().unwrap());
+        // The session's prototype, two streams, and `held` itself.
+        assert_eq!(Arc::strong_count(&held), 4, "streams share the table");
+        let frozen = session.freeze().unwrap();
+        assert!(
+            Arc::ptr_eq(&held, &table(&frozen.prepared)),
+            "freeze keeps it"
+        );
+        streams.push(frozen.enumerate().unwrap());
+        streams.push(frozen.enumerate().unwrap());
+        assert_eq!(Arc::strong_count(&held), 6, "no copy per served request");
+        for mut s in streams {
+            assert_eq!(s.collect_all().len(), 2);
+        }
     }
 
     #[test]

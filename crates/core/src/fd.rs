@@ -33,10 +33,42 @@
 //! functionally determined columns so the extended query can run on real
 //! data. (Each added column is computed by joining with the FD's source
 //! atom — linear time with a hash index.)
+//!
+//! # Remark 2 as a rewrite
+//!
+//! [`fd_rewrite`] turns a union under FDs into an ordinary one: every
+//! member FD-extended (widened atoms renamed per member, so different
+//! members' widenings of one relation cannot collide), the number `k` of
+//! head positions the original union had, and the matching translation of
+//! instances ([`FdRewrite::instance`]). The rewritten union runs on the
+//! ordinary [`UcqEngine`] ([`FdRewrite::engine`]) — classified, enumerated
+//! one-shot, in a session, frozen, refrozen and served like any other —
+//! which answers with the first `k` head positions.
+//!
+//! What the projection onto those positions preserves: *within one member*
+//! it is injective (every appended head variable is functionally determined
+//! by the original head values), so a member's projected answers are
+//! distinct. *Across members* it is not: two members may have grown by
+//! different determined variables — `Q1(x) ← A(x, z)` and `Q2(x) ← B(x, w)`
+//! under `A: x → z`, `B: x → w` extend to `Q1(x, z)`, `Q2(x, w)`, and the
+//! answers `(1, 10)` and `(1, 20)` are one answer `(1)` of the original
+//! union. The engine therefore deduplicates a projecting union of several
+//! members (see [`UcqEngine::strategy`]): at most one copy per member, which
+//! the Cheater's Lemma absorbs within `DelayClin`.
+//!
+//! Limitation (documented; the paper leaves the FD-composition informal):
+//! per-member renaming of *widened* atoms hides cross-member provisions
+//! through those atoms, and members whose FD-extensions end up with
+//! different head arities are rejected (a typed [`QueryError`]). The
+//! flagship Remark 2 scenario — a query made free-connex by its keys, like
+//! `Π(x,y) ← A(x,z), B(z,y)` with `A : x → z` — is fully supported.
 
+use crate::engine::UcqEngine;
+use crate::search::SearchConfig;
 use std::collections::HashMap;
 use ucq_query::{Atom, Cq, QueryError, Ucq, VarId};
 use ucq_storage::{HashIndex, Instance, Relation, Value};
+use ucq_yannakakis::EvalError;
 
 /// A functional dependency `rel : lhs → rhs` over column positions.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -191,20 +223,78 @@ pub fn fd_extend_cq(cq: &Cq, fds: &FdSet) -> Result<FdExtension, QueryError> {
     Ok(FdExtension { query, widened })
 }
 
-/// Computes the FD-extension of every member of a union. Fails when the
-/// extended heads disagree in arity (heads can grow differently when the
-/// members' free variables determine different closures; the paper's
-/// setting requires the union's members to share their free variables, so
-/// the closure is shared too — on the positional encoding this surfaces as
-/// an arity mismatch and is reported as an error).
-pub fn fd_extend_ucq(ucq: &Ucq, fds: &FdSet) -> Result<(Ucq, Vec<FdExtension>), QueryError> {
-    let exts: Vec<FdExtension> = ucq
-        .cqs()
-        .iter()
-        .map(|cq| fd_extend_cq(cq, fds))
-        .collect::<Result<_, _>>()?;
-    let extended = Ucq::new(exts.iter().map(|e| e.query.clone()).collect())?;
-    Ok((extended, exts))
+/// A union under functional dependencies, rewritten into an ordinary union
+/// plus the two things needed to use it: how many head positions make an
+/// answer of the original, and how to translate instances.
+#[derive(Clone, Debug)]
+pub struct FdRewrite {
+    /// The FD-extended union `Q⁺`. Atoms widened by an FD application are
+    /// renamed `R@fd<member>`.
+    pub ucq: Ucq,
+    /// Head positions of the original union: an answer of it is the first
+    /// `answer_arity` positions of an answer of `ucq`.
+    pub answer_arity: usize,
+    fds: FdSet,
+    original: Ucq,
+    extensions: Vec<FdExtension>,
+}
+
+/// Rewrites `ucq` under `fds` (Remark 2): FD-extends every member and
+/// scopes the widened atoms' relation names to it. Fails when the extended
+/// heads disagree in arity (heads can grow differently when the members'
+/// free variables determine different closures; the paper's setting
+/// requires the union's members to share their free variables, so the
+/// closure is shared too — on the positional encoding this surfaces as an
+/// arity mismatch and is reported as an error).
+pub fn fd_rewrite(ucq: &Ucq, fds: &FdSet) -> Result<FdRewrite, QueryError> {
+    let mut extensions = Vec::with_capacity(ucq.len());
+    for (i, cq) in ucq.cqs().iter().enumerate() {
+        let mut ext = fd_extend_cq(cq, fds)?;
+        let mut atoms = ext.query.atoms().to_vec();
+        for (t, _) in &ext.widened {
+            atoms[*t].rel = format!("{}@fd{i}", cq.atoms()[*t].rel);
+        }
+        let (head, names) = (ext.query.head().to_vec(), cq.var_names().to_vec());
+        ext.query = Cq::new(ext.query.name(), head, atoms, names)?;
+        extensions.push(ext);
+    }
+    Ok(FdRewrite {
+        ucq: Ucq::new(extensions.iter().map(|e| e.query.clone()).collect())?,
+        answer_arity: ucq.head_arity(),
+        fds: fds.clone(),
+        original: ucq.clone(),
+        extensions,
+    })
+}
+
+impl FdRewrite {
+    /// The ordinary engine over the rewritten union, answering with the
+    /// original head positions. Its classification is the Remark 2 verdict.
+    pub fn engine(&self) -> UcqEngine {
+        UcqEngine::projecting(
+            self.ucq.clone(),
+            self.answer_arity,
+            &SearchConfig::default(),
+        )
+    }
+
+    /// The instance translation `I ↦ I⁺`: checks the FDs (a violation is
+    /// [`EvalError::Schema`]) and adds every member's widened relations.
+    /// Relations no member widens keep their `Arc` identity, so a
+    /// [`FrozenSession::refreeze`](crate::FrozenSession::refreeze) over the
+    /// translation of a churned instance rebuilds only what reads a widened
+    /// or churned relation.
+    pub fn instance(&self, inst: &Instance) -> Result<Instance, EvalError> {
+        if !self.fds.holds_on(inst) {
+            return Err(EvalError::Schema(
+                "instance violates the declared functional dependencies".into(),
+            ));
+        }
+        let members = self.original.cqs().iter().zip(&self.extensions);
+        Ok(members.fold(inst.clone(), |acc, (cq, ext)| {
+            extend_instance(cq, ext, &acc)
+        }))
+    }
 }
 
 /// Widens an instance to match an FD-extended query: every widened atom's
@@ -319,8 +409,10 @@ fn target_columns(original: &Cq, ext: &FdExtension, t: usize, target_now: &Relat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify;
+    use crate::naive_ucq::evaluate_ucq_naive_set;
+    use crate::{classify, Strategy};
     use std::collections::HashSet;
+    use ucq_enumerate::Enumerator;
     use ucq_query::{parse_cq, parse_ucq};
     use ucq_storage::Tuple;
     use ucq_yannakakis::evaluate_cq_naive;
@@ -410,9 +502,9 @@ mod tests {
         let u = parse_ucq("Pi(x, y) <- A(x, z), B(z, y)").unwrap();
         assert!(classify(&u).is_intractable());
         let fds = FdSet::new(vec![Fd::new("A", vec![0], 1)]);
-        let (ext, _) = fd_extend_ucq(&u, &fds).unwrap();
+        let rewrite = fd_rewrite(&u, &fds).unwrap();
         assert!(
-            classify(&ext).is_tractable(),
+            classify(&rewrite.ucq).is_tractable(),
             "Remark 2: classify the FD-extension instead"
         );
     }
@@ -434,5 +526,163 @@ mod tests {
         assert_eq!(ext.query.atoms(), q.atoms());
         assert_eq!(ext.query.head(), q.head());
         assert!(ext.widened.is_empty());
+    }
+
+    fn matmul_with_key() -> (Ucq, FdSet, Instance) {
+        // Π(x,y) <- A(x,z), B(z,y) with A : x → z. Hard without the FD;
+        // free-connex with it (Remark 2 / ICDT'18).
+        let u = parse_ucq("Pi(x, y) <- A(x, z), B(z, y)").unwrap();
+        let fds = FdSet::new(vec![Fd::new("A", vec![0], 1)]);
+        let inst: Instance = [
+            ("A", Relation::from_pairs([(1, 10), (2, 20), (3, 10)])),
+            ("B", Relation::from_pairs([(10, 5), (10, 6), (20, 7)])),
+        ]
+        .into_iter()
+        .collect();
+        (u, fds, inst)
+    }
+
+    /// Drains `answers`, insisting that no answer comes twice.
+    fn distinct(mut answers: impl Enumerator) -> HashSet<Tuple> {
+        let got = answers.collect_all();
+        let set: HashSet<Tuple> = got.iter().cloned().collect();
+        assert_eq!(got.len(), set.len(), "repeated answer in {got:?}");
+        set
+    }
+
+    #[test]
+    fn matmul_with_key_fd_is_tractable_and_correct() {
+        let (u, fds, inst) = matmul_with_key();
+        let rewrite = fd_rewrite(&u, &fds).unwrap();
+        let eng = rewrite.engine();
+        assert!(eng.classification().is_tractable());
+        assert_ne!(eng.strategy(), Strategy::Naive);
+        let got = distinct(eng.enumerate(&rewrite.instance(&inst).unwrap()).unwrap());
+        assert_eq!(got, evaluate_ucq_naive_set(&u, &inst).unwrap());
+        assert_eq!(got.len(), 5);
+        let naive: HashSet<Tuple> = eng
+            .enumerate_naive(&rewrite.instance(&inst).unwrap())
+            .unwrap()
+            .into_iter()
+            .collect();
+        assert_eq!(naive, got, "the forced-naive baseline projects too");
+    }
+
+    #[test]
+    fn fd_session_widens_once_and_restarts() {
+        let (u, fds, inst) = matmul_with_key();
+        let rewrite = fd_rewrite(&u, &fds).unwrap();
+        let eng = rewrite.engine();
+        let session = eng.session(&rewrite.instance(&inst).unwrap());
+        let want = evaluate_ucq_naive_set(&u, &inst).unwrap();
+        for _ in 0..3 {
+            assert_eq!(distinct(session.enumerate().unwrap()), want);
+        }
+        assert!(session.decide().unwrap());
+        // What the mirror ladder could not do: freeze, and serve threads.
+        let frozen = session.freeze().unwrap();
+        assert_eq!(distinct(frozen.enumerate().unwrap()), want);
+        assert!(frozen.decide().unwrap());
+    }
+
+    #[test]
+    fn fd_violation_is_rejected_at_runtime() {
+        let (u, fds, _) = matmul_with_key();
+        let bad: Instance = [
+            ("A", Relation::from_pairs([(1, 10), (1, 11)])),
+            ("B", Relation::from_pairs([(10, 5)])),
+        ]
+        .into_iter()
+        .collect();
+        let rejected = fd_rewrite(&u, &fds).unwrap().instance(&bad);
+        assert!(matches!(rejected, Err(EvalError::Schema(_))));
+    }
+
+    #[test]
+    fn no_fds_behaves_like_plain_engine() {
+        let u = parse_ucq("Q(x, y) <- R(x, y)").unwrap();
+        let rewrite = fd_rewrite(&u, &FdSet::default()).unwrap();
+        assert_eq!(rewrite.answer_arity, 2);
+        let eng = rewrite.engine();
+        assert!(eng.classification().is_tractable());
+        let inst: Instance = [("R", Relation::from_pairs([(1, 2), (3, 4)]))]
+            .into_iter()
+            .collect();
+        let mut ans = eng.enumerate(&rewrite.instance(&inst).unwrap()).unwrap();
+        assert_eq!(ans.collect_all().len(), 2);
+    }
+
+    #[test]
+    fn widened_atoms_get_member_scoped_names() {
+        // Two members widening the same relation must not collide.
+        let u = parse_ucq(
+            "Q1(x, w) <- R(x, y), S(x, w)\n\
+             Q2(a, b) <- R(a, c), S(a, b)",
+        )
+        .unwrap();
+        let fds = FdSet::new(vec![Fd::new("R", vec![0], 1)]);
+        let rewrite = fd_rewrite(&u, &fds).unwrap();
+        let names: Vec<Vec<&str>> = rewrite
+            .ucq
+            .cqs()
+            .iter()
+            .map(|cq| cq.atoms().iter().map(|a| a.rel.as_str()).collect())
+            .collect();
+        assert!(names[0].contains(&"S@fd0"));
+        assert!(names[1].contains(&"S@fd1"));
+
+        let inst: Instance = [
+            ("R", Relation::from_pairs([(1, 10), (2, 20)])),
+            ("S", Relation::from_pairs([(1, 5), (2, 7)])),
+        ]
+        .into_iter()
+        .collect();
+        let widened = rewrite.instance(&inst).unwrap();
+        let got = distinct(rewrite.engine().enumerate(&widened).unwrap());
+        assert_eq!(got, evaluate_ucq_naive_set(&u, &inst).unwrap());
+    }
+
+    #[test]
+    fn members_that_grew_by_different_variables_answer_once() {
+        // (1, 10) of Q1⁺ and (1, 20) of Q2⁺ are one answer (1) of the union.
+        let u = parse_ucq("Q1(x) <- A(x, z)\nQ2(x) <- B(x, w)").unwrap();
+        let fds = FdSet::new(vec![Fd::new("A", vec![0], 1), Fd::new("B", vec![0], 1)]);
+        let inst: Instance = [
+            ("A", Relation::from_pairs([(1, 10), (2, 30)])),
+            ("B", Relation::from_pairs([(1, 20), (2, 30)])),
+        ]
+        .into_iter()
+        .collect();
+        let rewrite = fd_rewrite(&u, &fds).unwrap();
+        assert_eq!((rewrite.answer_arity, rewrite.ucq.head_arity()), (1, 2));
+        let eng = rewrite.engine();
+        assert_eq!(eng.strategy(), Strategy::UnionExtension, "no line-4 probe");
+        let widened = rewrite.instance(&inst).unwrap();
+        let want = evaluate_ucq_naive_set(&u, &inst).unwrap();
+        assert_eq!(want.len(), 2);
+        assert_eq!(distinct(eng.enumerate(&widened).unwrap()), want, "one-shot");
+        let session = eng.session(&widened);
+        assert_eq!(distinct(session.enumerate().unwrap()), want, "session");
+        let frozen = session.freeze().unwrap();
+        assert_eq!(distinct(frozen.enumerate().unwrap()), want, "frozen");
+
+        let b2 = frozen.build_context().insert_rows(
+            &inst.get_shared("B").unwrap(),
+            &Relation::from_pairs([(3, 40)]),
+        );
+        let inst2 = inst.with_relation_shared("B", b2);
+        let refrozen = frozen.refreeze(&rewrite.instance(&inst2).unwrap()).unwrap();
+        let want2 = evaluate_ucq_naive_set(&u, &inst2).unwrap();
+        assert_eq!(want2.len(), 3);
+        assert_eq!(distinct(refrozen.enumerate().unwrap()), want2, "refrozen");
+        assert_eq!(distinct(frozen.enumerate().unwrap()), want, "old epoch");
+    }
+
+    #[test]
+    fn differing_extended_arities_are_a_typed_error() {
+        let u = parse_ucq("Q1(x) <- A(x, z)\nQ2(x) <- B(x, w)").unwrap();
+        let only_a = FdSet::new(vec![Fd::new("A", vec![0], 1)]);
+        let err = fd_rewrite(&u, &only_a).unwrap_err();
+        assert!(err.message().contains("arity mismatch"), "{err}");
     }
 }

@@ -27,7 +27,6 @@ pub mod classify;
 pub mod cost;
 pub mod engine;
 pub mod fd;
-pub mod fd_engine;
 pub mod guards;
 pub mod lemma8;
 pub mod naive_ucq;
@@ -46,8 +45,7 @@ pub use classify::{
 };
 pub use cost::{plan_free_connex_costed, CostModel, CostedPlan, CostedSearch};
 pub use engine::{EvalSession, FrozenSession, PlannerStats, Strategy, UcqAnswers, UcqEngine};
-pub use fd::{extend_instance, fd_extend_cq, fd_extend_ucq, Fd, FdExtension, FdSet};
-pub use fd_engine::{FdAnswers, FdSession, FdUcqEngine};
+pub use fd::{extend_instance, fd_extend_cq, fd_rewrite, Fd, FdExtension, FdRewrite, FdSet};
 pub use naive_ucq::{
     evaluate_ucq_naive, evaluate_ucq_naive_ids_in, evaluate_ucq_naive_in, evaluate_ucq_naive_set,
 };

@@ -22,21 +22,24 @@ pub fn evaluate_ucq_naive(ucq: &Ucq, instance: &Instance) -> Result<Vec<Tuple>, 
 
 /// Evaluates the union on the id layer: per-member batched-probe joins,
 /// union dedup on flat id rows, *no decode* — the result stays interned
-/// under `ctx`'s dictionary. This is the entry point for id-aware callers
-/// (the engine's naive strategy wraps it in a lazily-decoding facade).
+/// under `ctx`'s dictionary. Answers are the first `width` head positions
+/// of every member (the whole head, except under an FD rewrite whose heads
+/// grew), cut before the dedup. This is the entry point for id-aware
+/// callers (the engine's naive strategy replays the table through a
+/// lazily-decoding facade).
 pub fn evaluate_ucq_naive_ids_in(
     ucq: &Ucq,
+    width: usize,
     instance: &Instance,
     ctx: &CtxView,
 ) -> Result<IdTable, EvalError> {
     let mut seen: FastSet<InlineKey> = FastSet::default();
-    let mut width = 0usize;
     let mut union: Vec<ValueId> = Vec::new();
     let mut n_rows = 0usize;
     for cq in ucq.cqs() {
         let member = evaluate_cq_naive_ids_in(cq, instance, ctx)?;
-        width = member.width;
         for row in member.rows() {
+            let row = &row[..width];
             if seen.insert(InlineKey::from_slice(row)) {
                 union.extend_from_slice(row);
                 n_rows += 1;
@@ -57,12 +60,7 @@ pub fn evaluate_ucq_naive_in(
     instance: &Instance,
     ctx: &CtxView,
 ) -> Result<Vec<Tuple>, EvalError> {
-    let table = evaluate_ucq_naive_ids_in(ucq, instance, ctx)?;
-    if table.width == 0 {
-        // Boolean union: at most the single empty answer survives dedup.
-        return Ok(vec![Tuple::empty(); table.n_rows]);
-    }
-    Ok(ctx.decode_rows(table.width, &table.data))
+    Ok(evaluate_ucq_naive_ids_in(ucq, ucq.head_arity(), instance, ctx)?.decode(ctx))
 }
 
 /// Evaluates into a set.

@@ -26,6 +26,7 @@
 //! what [`EvalSession`](crate::engine::EvalSession) caches to serve
 //! repeated queries without redoing linear preprocessing.
 
+use crate::algorithm1::member_engines;
 use crate::lemma8::materialize_atom_in;
 use crate::plan::ExtensionPlan;
 use std::sync::Arc;
@@ -34,7 +35,7 @@ use ucq_enumerate::{
 };
 use ucq_query::{Cq, Ucq};
 use ucq_storage::{CtxView, IdBlock, Instance, Tuple, ValueId};
-use ucq_yannakakis::{CdyEngine, EvalError, OwnedCdyIter, SharedShapes};
+use ucq_yannakakis::{CdyEngine, EvalError, OwnedCdyIter};
 
 /// The preprocessed (linear-phase) state of the Theorem 12 pipeline:
 /// materialized virtual relations folded into per-member CDY engines, ready
@@ -72,8 +73,22 @@ impl UcqPipelinePrep {
         instance: &Instance,
         ctx: &CtxView,
     ) -> Result<UcqPipelinePrep, EvalError> {
+        UcqPipelinePrep::prepare_projected(ucq, plan, ucq.head_arity(), instance, ctx)
+    }
+
+    /// As [`UcqPipelinePrep::prepare`], answering with the first `arity`
+    /// head positions only (an FD rewrite whose heads grew): early answers
+    /// are cut to them, member engines output them, and the Cheater absorbs
+    /// answers that only differed beyond them — at most one per member, so
+    /// the Lemma 5 budget stands.
+    pub(crate) fn prepare_projected(
+        ucq: &Ucq,
+        plan: &ExtensionPlan,
+        arity: usize,
+        instance: &Instance,
+        ctx: &CtxView,
+    ) -> Result<UcqPipelinePrep, EvalError> {
         let mut ext_instance = instance.clone();
-        let arity = ucq.cqs()[0].head().len();
         let mut early_ids: Vec<ValueId> = Vec::new();
         let mut n_early = 0usize;
         let mut materialized_sizes = Vec::with_capacity(plan.atoms.len());
@@ -84,19 +99,20 @@ impl UcqPipelinePrep {
             let m = materialize_atom_in(ucq, atom, &name_of, &ext_instance, ctx)?;
             materialized_sizes.push(m.relation.len());
             ext_instance.insert_shared(atom.rel_name.clone(), m.relation);
-            debug_assert_eq!(m.provider_width, arity, "providers share the union arity");
-            early_ids.extend_from_slice(&m.provider_ids);
+            if m.provider_width == arity {
+                early_ids.extend_from_slice(&m.provider_ids);
+            } else if arity > 0 {
+                for row in m.provider_ids.chunks_exact(m.provider_width) {
+                    early_ids.extend_from_slice(&row[..arity]);
+                }
+            }
             n_early += m.n_provider_answers;
         }
 
         let extended: Vec<Cq> = (0..ucq.len())
             .map(|i| plan.extended_query(ucq, i))
             .collect();
-        let shared = SharedShapes::of(&extended);
-        let engines = extended
-            .iter()
-            .map(|cq| CdyEngine::for_member_in(cq, &shared, &ext_instance, ctx).map(Arc::new))
-            .collect::<Result<Vec<_>, _>>()?;
+        let engines = member_engines(&extended, arity, &ext_instance, ctx)?;
 
         // Duplication bound: each answer can surface once per member and
         // once per materialization (Lemma 5's m).
@@ -130,6 +146,15 @@ impl UcqPipelinePrep {
     /// O(1) in the data: cursors over shared engines and a shared replay
     /// buffer; no linear pass is repeated.
     pub fn start(&self) -> UcqPipeline {
+        UcqPipeline {
+            inner: IdDecoder::new(self.start_ids(), self.ctx.clone()),
+            materialized_sizes: self.materialized_sizes.clone(),
+        }
+    }
+
+    /// [`UcqPipelinePrep::start`] without the value facade: the Cheater
+    /// over the early answers and the members' cursors.
+    pub(crate) fn start_ids(&self) -> Cheater<IdChainEnumerator> {
         let mut stages: Vec<Box<dyn IdEnumerator + Send>> =
             Vec::with_capacity(self.engines.len() + 1);
         stages.push(Box::new(IdVecEnumerator::new(
@@ -142,16 +167,12 @@ impl UcqPipelinePrep {
         }
         // The early answers are genuine distinct outputs, so their count
         // is a free lower bound for the dedup table.
-        let cheater = Cheater::with_capacity_hint(
+        Cheater::with_capacity_hint(
             IdChainEnumerator::new(self.arity, stages),
             self.budget,
             self.ctx.clone(),
             self.n_early,
-        );
-        UcqPipeline {
-            inner: IdDecoder::new(cheater, self.ctx.clone()),
-            materialized_sizes: self.materialized_sizes.clone(),
-        }
+        )
     }
 }
 

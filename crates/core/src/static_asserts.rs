@@ -5,8 +5,8 @@
 //! The whole point of freezing: the serve-phase session is shareable
 //! across threads, and every answer stream — including the boxed
 //! enumerator chain inside it — can move to the thread that drains it.
-//! `EvalSession`/`FdSession` are deliberately absent: they are
-//! single-threaded build-phase objects (see `analysis/allow.toml`).
+//! `EvalSession` is deliberately absent: it is a single-threaded
+//! build-phase object (see `analysis/allow.toml`).
 
 use crate::engine::{FrozenSession, UcqAnswers};
 use ucq_enumerate::Enumerator;

@@ -1,9 +1,13 @@
 //! The request's answer cap reaches the block decoder, as exact counts: a
 //! `Budgeted` page of `n` answers over either `DelayClin` arm pulls and
 //! decodes at most `n + 1` rows (the one beyond is what proves
-//! `Truncation::MaxAnswers`), not a block beyond.
+//! `Truncation::MaxAnswers`), not a block beyond. So does a page over an FD
+//! rewrite: it is an ordinary engine stream, and its projection happens
+//! below the decoder, so there is no wrapper that could drop the hint.
 
-use ucq_core::{plan_free_connex, Algorithm1, SearchConfig, UcqPipelinePrep};
+use ucq_core::{
+    fd_rewrite, plan_free_connex, Algorithm1, Fd, FdSet, SearchConfig, Strategy, UcqPipelinePrep,
+};
 use ucq_enumerate::{Budgeted, Enumerator, QueryBudget, Truncation, DEFAULT_BLOCK_ROWS};
 use ucq_query::{parse_ucq, Ucq};
 use ucq_storage::{CtxView, Instance, Relation};
@@ -87,4 +91,36 @@ fn a_page_over_the_pipeline_pulls_and_decodes_its_answers_and_one_more() {
         |p| (p.rows_pulled(), p.rows_decoded()),
         total,
     );
+}
+
+#[test]
+fn a_page_over_an_fd_rewrite_pulls_and_decodes_its_answers_and_one_more() {
+    let key = |rel: &str| Fd::new(rel, vec![0], 1);
+    // One member on Algorithm 1 (no probe to lose), then two members whose
+    // heads grew apart, deduplicated by the Cheater: 1500 answers from both.
+    let cases = [
+        ("Pi(x, y) <- A(x, z), B(z, y)", vec![key("A")], 1500),
+        (
+            "Q1(x) <- A(x, z)\nQ2(x) <- B(x, w)",
+            vec![key("A"), key("B")],
+            2100,
+        ),
+    ];
+    for (text, fds, total) in cases {
+        let rewrite = fd_rewrite(&union(text), &FdSet::new(fds)).unwrap();
+        let i: Instance = [
+            ("A", pairs((0..1500).map(|k| (k, k % 50)))),
+            ("B", pairs((0..2100).map(|k| (k, k % 50)))),
+        ]
+        .into_iter()
+        .collect();
+        let engine = rewrite.engine();
+        assert_ne!(engine.strategy(), Strategy::Naive);
+        let session = engine.session(&rewrite.instance(&i).unwrap());
+        check_arm(
+            || session.enumerate().unwrap(),
+            |a| (a.rows_pulled(), a.rows_decoded()),
+            total,
+        );
+    }
 }

@@ -107,6 +107,11 @@ impl<B: AsRef<[ValueId]>> IdVecEnumerator<B> {
         let n_rows = ids.as_ref().len() / arity;
         IdVecEnumerator::new(arity, ids, n_rows)
     }
+
+    /// The buffer being replayed.
+    pub fn table(&self) -> &B {
+        &self.ids
+    }
 }
 
 impl<B: AsRef<[ValueId]>> IdEnumerator for IdVecEnumerator<B> {

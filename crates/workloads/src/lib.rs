@@ -1,5 +1,6 @@
 //! Workloads: the paper's query catalog, random instance generators, and
-//! the concurrent-serving load generator.
+//! the load driver — [`drive`] (in `rotation`), shaped by a [`LoadSpec`]
+//! (`resilient`), reporting a [`LoadReport`] (`serving`).
 
 #![forbid(unsafe_code)]
 
@@ -14,6 +15,6 @@ mod static_asserts;
 pub use catalog::{by_id, catalog, example31, CatalogEntry, PaperVerdict};
 pub use generators::{example39, path_cq, star_cq};
 pub use random::{random_instance, InstanceSpec};
-pub use resilient::{drive_resilient, ResilientSpec};
-pub use rotation::{drive_rotation, RotationReport, RotationSpec};
-pub use serving::{drive_frozen, drive_frozen_fixed_work, ServingReport};
+pub use resilient::LoadSpec;
+pub use rotation::{drive, Churn};
+pub use serving::LoadReport;

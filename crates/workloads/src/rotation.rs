@@ -1,25 +1,29 @@
-//! A churn-and-rotate load generator: delta ingestion + epoch re-freezing
-//! under live serving traffic.
+//! The load driver: one bounded `ucq-serve` pool, a [`LoadSpec`] mix of
+//! well-behaved and misbehaving requests, and — between request batches —
+//! delta ingestion and epoch re-freezing under the live traffic.
 //!
-//! Where [`crate::resilient::drive_resilient`] stresses one fixed snapshot
-//! with misbehaving requests, this driver exercises the *write* side of
-//! the serve lifecycle: requests resolve their session through a shared
-//! [`EpochCell`] ([`Request::from_cell`]), and between request batches the
-//! driver ingests a delta into the session's build context
-//! (`insert_rows`), re-freezes the next epoch
-//! ([`FrozenSession::refreeze`] — delta-proportional work), and installs
-//! it into the cell *while the previous batch is still in flight*. The
-//! report proves the zero-downtime claims:
+//! Requests resolve their session through a shared [`EpochCell`]
+//! ([`Request::from_cell`]). After each batch the driver ingests the next
+//! delta into the session's build context (`insert_rows`), re-freezes the
+//! next epoch ([`ucq_core::FrozenSession::refreeze`] — delta-proportional
+//! work) and installs it into the cell *while the batch is still in
+//! flight*. A fixed snapshot is the same run with no deltas
+//! ([`Churn::NONE`]). The report proves the serving claims:
 //!
-//! * nothing is shed because of a rotation (the pool never pauses);
-//! * every drained request's answers equal a fresh-build oracle of some
-//!   epoch at or after the one current when it was submitted — in-flight
-//!   requests finish on their old epoch, later ones see the new one;
-//! * with [`RotationSpec::fault_rotations`] (chaos suite, under
+//! * every submission lands in exactly one ledger entry, and nothing is
+//!   shed because of a rotation (the pool never pauses);
+//! * every drained request's answers — without repeats — equal a
+//!   fresh-build oracle of some epoch at or after the one current when it
+//!   was submitted (or, for a budget-truncated request, are part of one):
+//!   in-flight requests finish on their old epoch, later ones see the new;
+//! * with [`LoadSpec::fault_rotations`] (chaos suite, under
 //!   `--cfg ucq_fault_inject`), a refreeze killed by an injected panic
 //!   leaves the previous epoch installed and serving.
+//!
+//! The `ucq serve-bench` command, this crate's tests and the chaos suite
+//! all drive this one entry point.
 
-use crate::serving::ServingReport;
+use crate::{LoadReport, LoadSpec};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -29,81 +33,22 @@ use ucq_enumerate::Enumerator;
 use ucq_serve::{serve, EpochCell, Request, ServeConfig};
 use ucq_storage::{faults, Instance, Relation, Tuple};
 
-/// The shape of one rotation run: pool size, batch size, and whether the
-/// refreezes themselves run with the fault seam armed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RotationSpec {
-    /// Worker threads in the pool.
-    pub workers: usize,
-    /// Admission-queue bound.
-    pub queue_capacity: usize,
-    /// Requests submitted per phase (once before any rotation, then once
-    /// after each delta — each batch still in flight when the next epoch
-    /// installs).
-    pub requests_per_phase: usize,
-    /// Arm the `ucq_fault_inject` seam around each refreeze (a no-op
-    /// without the cfg): injected panics abort the rotation, which must
-    /// leave the previous epoch installed.
-    pub fault_rotations: bool,
+/// The write side of a run: deltas rotated, one per phase, into one
+/// relation of the instance.
+#[derive(Clone, Copy, Debug)]
+pub struct Churn<'a> {
+    /// The relation the deltas are inserted into.
+    pub rel: &'a str,
+    /// One delta per rotation.
+    pub deltas: &'a [Relation],
 }
 
-impl RotationSpec {
-    /// A fault-free rotation run.
-    pub fn steady(
-        workers: usize,
-        queue_capacity: usize,
-        requests_per_phase: usize,
-    ) -> RotationSpec {
-        RotationSpec {
-            workers,
-            queue_capacity,
-            requests_per_phase,
-            fault_rotations: false,
-        }
-    }
-
-    /// Arms the fault seam around every refreeze.
-    pub fn with_faulted_rotations(mut self) -> RotationSpec {
-        self.fault_rotations = true;
-        self
-    }
-}
-
-/// What one [`drive_rotation`] run proved. The serving ledger is in
-/// [`RotationReport::serving`]; the rotation-specific counters classify
-/// every drained request against per-epoch fresh-build oracles.
-#[derive(Clone, Debug)]
-pub struct RotationReport {
-    /// Deltas the driver tried to rotate in.
-    pub rotations_attempted: usize,
-    /// Rotations that installed a new epoch (all of them, unless a faulted
-    /// refreeze was aborted by an injected panic).
-    pub rotations_installed: usize,
-    /// The cell's epoch after the run (equals `rotations_installed`).
-    pub final_epoch: u64,
-    /// Drained requests whose answers matched the fresh-build oracle of an
-    /// admissible epoch (at or after the epoch current at submission).
-    pub matched: usize,
-    /// The subset of `matched` that served exactly the epoch current at
-    /// submission — when the final epoch is newer, these are requests that
-    /// finished on an old epoch while rotation proceeded.
-    pub pinned_to_submit_epoch: usize,
-    /// The subset of `matched` that served a newer epoch than the one at
-    /// submission (dequeued after an install).
-    pub upgraded_epoch: usize,
-    /// Drained requests matching no admissible oracle — always zero unless
-    /// rotation broke snapshot isolation.
-    pub mismatched: usize,
-    /// The runtime's outcome ledger and latency numbers.
-    pub serving: ServingReport,
-}
-
-impl RotationReport {
-    /// Whether every drained request was oracle-identical to some
-    /// admissible epoch.
-    pub fn oracle_identical(&self) -> bool {
-        self.mismatched == 0
-    }
+impl Churn<'static> {
+    /// No writes: one phase of requests against a fixed snapshot.
+    pub const NONE: Churn<'static> = Churn {
+        rel: "",
+        deltas: &[],
+    };
 }
 
 /// A fresh-build oracle: one-shot enumeration with a private context.
@@ -115,39 +60,46 @@ fn oracle(engine: &UcqEngine, instance: &Instance) -> Result<HashSet<Tuple>, Eva
         .collect())
 }
 
-/// Serves `requests_per_phase` requests per epoch through a bounded pool
-/// while rotating `deltas` into `churn_rel` one at a time: ingest via
+/// Serves `spec.requests` requests per phase through a bounded pool while
+/// rotating `churn.deltas` into `churn.rel` one at a time: ingest via
 /// `insert_rows` on the live session's build context, build the next epoch
 /// with `refreeze`, install it into the shared [`EpochCell`] — all without
 /// pausing the pool. Every drained request is checked against the
 /// fresh-build oracles of the epochs it could legitimately have served.
-pub fn drive_rotation(
+pub fn drive(
     engine: &UcqEngine,
     instance: &Instance,
-    churn_rel: &str,
-    deltas: &[Relation],
-    spec: &RotationSpec,
-) -> Result<RotationReport, EvalError> {
+    churn: Churn<'_>,
+    spec: &LoadSpec,
+) -> Result<LoadReport, EvalError> {
     let config = ServeConfig::new(spec.workers, spec.queue_capacity)
-        .expect("rotation spec needs positive workers and queue capacity");
+        .expect("a load spec needs positive workers and queue capacity");
     let mut expected = vec![oracle(engine, instance)?];
     let cell = Arc::new(EpochCell::from_arc(Arc::new(
         engine.session(instance).freeze()?,
     )));
     let mut current = instance.clone();
-    let mut rotations_installed = 0usize;
+    let mut report = LoadReport {
+        workers: spec.workers,
+        rotations_attempted: churn.deltas.len(),
+        ..LoadReport::default()
+    };
     let t0 = Instant::now();
-    let (outcome, stats) = serve(config, |handle| -> Result<_, EvalError> {
-        let mut tickets = Vec::with_capacity((deltas.len() + 1) * spec.requests_per_phase);
-        for phase in 0..=deltas.len() {
-            for _ in 0..spec.requests_per_phase {
+    let (resolved, stats) = serve(config, |handle| -> Result<_, EvalError> {
+        let mut tickets = Vec::with_capacity((churn.deltas.len() + 1) * spec.requests);
+        let mut index = 0usize;
+        for phase in 0..=churn.deltas.len() {
+            for _ in 0..spec.requests {
                 let at_epoch = cell.epoch();
                 let submitted_at = Instant::now();
-                if let Ok(ticket) = handle.submit(Request::from_cell(Arc::clone(&cell))) {
+                index += 1;
+                let request = spec.dress(index, Request::from_cell(Arc::clone(&cell)));
+                // Shed submissions are already accounted by the runtime.
+                if let Ok(ticket) = handle.submit(request) {
                     tickets.push((at_epoch, submitted_at, ticket));
                 }
             }
-            let Some(delta) = deltas.get(phase) else {
+            let Some(delta) = churn.deltas.get(phase) else {
                 break;
             };
             // Rotate while this phase's requests are still in flight: O(Δ)
@@ -155,10 +107,10 @@ pub fn drive_rotation(
             // epoch install. The pool never stops admitting.
             let session = cell.load();
             let base = current
-                .get_shared(churn_rel)
+                .get_shared(churn.rel)
                 .expect("churn relation exists in the instance");
             let next_rel = session.build_context().insert_rows(&base, delta);
-            let next_instance = current.with_relation_shared(churn_rel, next_rel);
+            let next_instance = current.with_relation_shared(churn.rel, next_rel);
             let refrozen = if spec.fault_rotations {
                 catch_unwind(AssertUnwindSafe(|| {
                     faults::armed(|| session.refreeze(&next_instance))
@@ -166,84 +118,47 @@ pub fn drive_rotation(
             } else {
                 Ok(session.refreeze(&next_instance))
             };
-            match refrozen {
-                Ok(next) => {
-                    cell.install(Arc::new(next?));
-                    expected.push(oracle(engine, &next_instance)?);
-                    current = next_instance;
-                    rotations_installed += 1;
-                }
-                Err(_injected_panic) => {
-                    // The rotation died mid-refreeze; the cell still holds
-                    // the previous epoch and serving continues on it.
-                }
+            // An injected panic killed the rotation mid-refreeze: the cell
+            // still holds the previous epoch and serving continues on it.
+            if let Ok(next) = refrozen {
+                cell.install(Arc::new(next?));
+                expected.push(oracle(engine, &next_instance)?);
+                current = next_instance;
+                report.rotations_installed += 1;
             }
         }
-        let mut first_answer_ns = Vec::with_capacity(tickets.len());
-        let (mut total_answers, mut drains) = (0usize, 0usize);
-        let (mut matched, mut pinned, mut upgraded, mut mismatched) = (0usize, 0, 0, 0);
-        for (at_epoch, submitted_at, ticket) in tickets {
-            if let Ok(served) = ticket.wait() {
-                drains += 1;
-                let answers = served.answers();
-                total_answers += answers.len();
-                if !answers.is_empty() {
-                    first_answer_ns.push(submitted_at.elapsed().as_nanos() as u64);
-                }
-                let got: HashSet<Tuple> = answers.iter().cloned().collect();
-                match expected[at_epoch as usize..]
-                    .iter()
-                    .position(|want| *want == got)
-                {
-                    Some(0) => {
-                        matched += 1;
-                        pinned += 1;
-                    }
-                    Some(_) => {
-                        matched += 1;
-                        upgraded += 1;
-                    }
-                    None => mismatched += 1,
-                }
-            }
-        }
-        Ok((
-            first_answer_ns,
-            total_answers,
-            drains,
-            matched,
-            pinned,
-            upgraded,
-            mismatched,
-        ))
+        Ok(tickets
+            .into_iter()
+            .filter_map(|(at_epoch, submitted_at, ticket)| {
+                let served = ticket.wait().ok()?;
+                Some((at_epoch, submitted_at.elapsed().as_nanos() as u64, served))
+            })
+            .collect::<Vec<_>>())
     });
-    let elapsed = t0.elapsed();
-    let (mut first_answer_ns, total_answers, drains, matched, pinned, upgraded, mismatched) =
-        outcome?;
-    first_answer_ns.sort_unstable();
-    Ok(RotationReport {
-        rotations_attempted: deltas.len(),
-        rotations_installed,
-        final_epoch: cell.epoch(),
-        matched,
-        pinned_to_submit_epoch: pinned,
-        upgraded_epoch: upgraded,
-        mismatched,
-        serving: ServingReport {
-            threads: spec.workers,
-            drains,
-            total_answers,
-            elapsed,
-            first_answer_ns,
-            submitted: stats.submitted,
-            shed: stats.shed,
-            partial: stats.partial,
-            timed_out: stats.timed_out,
-            panicked: stats.panicked,
-            drained: stats.drained,
-            queue_high_water: stats.queue_high_water,
-        },
-    })
+    report.elapsed = t0.elapsed();
+    report.serve = stats;
+    report.final_epoch = cell.epoch();
+    for (at_epoch, latency_ns, served) in resolved? {
+        let answers = served.answers();
+        report.drains += 1;
+        report.total_answers += answers.len();
+        if !answers.is_empty() {
+            report.resolution_ns.push(latency_ns);
+        }
+        let got: HashSet<&Tuple> = answers.iter().collect();
+        let fits = |want: &HashSet<Tuple>| {
+            got.len() == answers.len()
+                && got.iter().all(|t| want.contains(*t))
+                && (served.is_partial() || got.len() == want.len())
+        };
+        match expected[at_epoch as usize..].iter().position(fits) {
+            Some(0) => report.pinned_to_submit_epoch += 1,
+            Some(_) => report.upgraded_epoch += 1,
+            None => report.mismatched += 1,
+        }
+    }
+    report.resolution_ns.sort_unstable();
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -266,14 +181,18 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let spec = RotationSpec::steady(2, 64, 8);
-        let report = drive_rotation(&engine, &instance, "R", &deltas(3, 1000), &spec).unwrap();
+        let spec = LoadSpec::steady(2, 64, 8);
+        let churn = Churn {
+            rel: "R",
+            deltas: &deltas(3, 1000),
+        };
+        let report = drive(&engine, &instance, churn, &spec).unwrap();
         assert_eq!(report.rotations_installed, 3);
         assert_eq!(report.final_epoch, 3);
         assert!(report.oracle_identical(), "{report:?}");
-        assert_eq!(report.serving.shed, 0, "rotation never sheds");
-        assert_eq!(report.serving.drains, 4 * 8, "every request drained");
-        assert_eq!(report.matched, 4 * 8);
+        assert_eq!(report.serve.shed, 0, "rotation never sheds");
+        assert_eq!(report.drains, 4 * 8, "every request drained");
+        assert_eq!(report.matched(), 4 * 8);
     }
 
     #[test]
@@ -292,16 +211,20 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let spec = RotationSpec::steady(2, 32, 4);
+        let spec = LoadSpec::steady(2, 32, 4);
         let ds = vec![
             Relation::from_pairs([(8, 2)]),
             Relation::from_pairs([(8, 5), (6, 7)]),
         ];
-        let report = drive_rotation(&engine, &instance, "R1", &ds, &spec).unwrap();
+        let churn = Churn {
+            rel: "R1",
+            deltas: &ds,
+        };
+        let report = drive(&engine, &instance, churn, &spec).unwrap();
         assert_eq!(report.rotations_installed, 2);
         assert!(report.oracle_identical(), "{report:?}");
-        assert_eq!(report.serving.shed, 0);
-        assert!(report.serving.total_answers > 0);
+        assert_eq!(report.serve.shed, 0);
+        assert!(report.total_answers > 0);
     }
 
     #[test]
@@ -310,17 +233,22 @@ mod tests {
         let instance: Instance = [("R", Relation::from_pairs([(1, 2), (3, 4)]))]
             .into_iter()
             .collect();
-        let spec = RotationSpec::steady(1, 16, 3);
-        let report = drive_rotation(&engine, &instance, "R", &deltas(2, 50), &spec).unwrap();
-        assert_eq!(report.serving.submitted, 3 * 3);
+        let spec = LoadSpec::steady(1, 16, 3);
+        let churn = Churn {
+            rel: "R",
+            deltas: &deltas(2, 50),
+        };
+        let report = drive(&engine, &instance, churn, &spec).unwrap();
+        assert_eq!(report.serve.submitted, 3 * 3);
+        assert!(report.serve.is_balanced(), "{report:?}");
         assert_eq!(
-            report.matched + report.mismatched,
-            report.serving.drains,
+            report.matched() + report.mismatched,
+            report.drains,
             "every drained request classified"
         );
         assert_eq!(
             report.pinned_to_submit_epoch + report.upgraded_epoch,
-            report.matched
+            report.matched()
         );
     }
 }

@@ -1,56 +1,49 @@
-//! A concurrent-serving load generator: N OS threads draining one
-//! [`FrozenSession`].
-//!
-//! This is the measurement harness behind the `e12_concurrent_serving`
-//! experiment/bench: freeze a prepared session once, then spawn 1/2/4/8
-//! enumeration threads against it and report aggregate answers/sec plus
-//! the p99 first-answer delay. Every thread gets its own answer stream
-//! (cursors, dedup table, scratch) from [`FrozenSession::enumerate`]; all
-//! threads read the same frozen dictionary, relations and indexes with no
-//! locking, so on a multi-core host throughput scales with the thread
-//! count. On a single-core host the threads time-share one CPU and the
-//! aggregate rate stays flat — the harness reports whatever the hardware
-//! actually delivers.
+//! What one load run ([`crate::drive`]) measured and proved: throughput and
+//! latency, the pool's own outcome ledger, and every drained request
+//! classified against fresh-build oracles of the epochs it could have
+//! served.
 
-use std::time::{Duration, Instant};
-use ucq_core::FrozenSession;
-use ucq_enumerate::Enumerator;
+use std::time::Duration;
+use ucq_serve::ServeStats;
 
-/// What one [`drive_frozen`] run measured.
-#[derive(Clone, Debug)]
-pub struct ServingReport {
-    /// Number of serving threads.
-    pub threads: usize,
-    /// Full enumerations (drains) completed across all threads.
-    pub drains: usize,
-    /// Answers emitted across all drains.
-    pub total_answers: usize,
-    /// Wall-clock time from launch to the last thread finishing.
+/// The report of one [`crate::drive`] run.
+#[derive(Clone, Debug, Default)]
+pub struct LoadReport {
+    /// Worker threads in the pool.
+    pub workers: usize,
+    /// Wall-clock time from the pool's start to its last reply.
     pub elapsed: Duration,
-    /// First-answer delay per drain, sorted ascending (empty drains — no
-    /// first answer — are excluded).
-    pub first_answer_ns: Vec<u64>,
-    /// Requests offered to the runtime. For the plain [`drive_frozen`]
-    /// harness (every drain admitted unconditionally) this equals
-    /// `drains`; the resilient driver reports the true submission count
-    /// including requests that were refused.
-    pub submitted: usize,
-    /// Requests refused at admission (queue full or closed).
-    pub shed: usize,
-    /// Requests truncated by their budget (deadline, caps, or cancel).
-    pub partial: usize,
-    /// The subset of `partial` truncated specifically by a deadline.
-    pub timed_out: usize,
-    /// Requests that panicked and were isolated by the runtime.
-    pub panicked: usize,
-    /// Requests abandoned in the queue at shutdown.
-    pub drained: usize,
-    /// The deepest the admission queue ever got (0 for the plain
-    /// harness, which has no queue).
-    pub queue_high_water: usize,
+    /// Requests that resolved to answers, complete or partial.
+    pub drains: usize,
+    /// Answers across all drains.
+    pub total_answers: usize,
+    /// Submit-to-resolution latency of every drain that produced at least
+    /// one answer, sorted ascending (shed, cancelled-empty and failed
+    /// requests show in the ledger instead).
+    pub resolution_ns: Vec<u64>,
+    /// The runtime's exactly-once outcome ledger.
+    pub serve: ServeStats,
+    /// Deltas the driver tried to rotate in.
+    pub rotations_attempted: usize,
+    /// Rotations that installed a new epoch (all of them, unless a faulted
+    /// refreeze was aborted by an injected panic).
+    pub rotations_installed: usize,
+    /// The cell's epoch after the run (equals `rotations_installed`).
+    pub final_epoch: u64,
+    /// Drains that served exactly the epoch current at their submission:
+    /// the answers, without a repeat, equal its fresh-build oracle — or, for
+    /// a request its budget cut short, are part of it. When the final epoch
+    /// is newer, these finished on an old epoch while rotation proceeded.
+    pub pinned_to_submit_epoch: usize,
+    /// Drains that served, in the same sense, a newer epoch than the one at
+    /// submission (dequeued after an install).
+    pub upgraded_epoch: usize,
+    /// Drains matching no admissible oracle — always zero unless serving
+    /// or rotation broke snapshot isolation.
+    pub mismatched: usize,
 }
 
-impl ServingReport {
+impl LoadReport {
     /// Aggregate throughput over the whole run.
     pub fn answers_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
@@ -60,15 +53,26 @@ impl ServingReport {
         self.total_answers as f64 / secs
     }
 
-    /// The p99 first-answer delay (nearest-rank), in nanoseconds; `0` if
-    /// no drain produced an answer.
-    pub fn p99_first_answer_ns(&self) -> u64 {
-        percentile(&self.first_answer_ns, 99)
+    /// The p99 submit-to-resolution latency (nearest-rank), in
+    /// nanoseconds; `0` if no drain produced an answer.
+    pub fn p99_resolution_ns(&self) -> u64 {
+        percentile(&self.resolution_ns, 99)
     }
 
-    /// The median first-answer delay, in nanoseconds.
-    pub fn median_first_answer_ns(&self) -> u64 {
-        percentile(&self.first_answer_ns, 50)
+    /// The median submit-to-resolution latency, in nanoseconds.
+    pub fn median_resolution_ns(&self) -> u64 {
+        percentile(&self.resolution_ns, 50)
+    }
+
+    /// Drains that matched the oracle of an admissible epoch: the one
+    /// current at submission, or a later one.
+    pub fn matched(&self) -> usize {
+        self.pinned_to_submit_epoch + self.upgraded_epoch
+    }
+
+    /// Whether every drain was oracle-identical to some admissible epoch.
+    pub fn oracle_identical(&self) -> bool {
+        self.mismatched == 0
     }
 }
 
@@ -81,116 +85,39 @@ fn percentile(sorted: &[u64], pct: usize) -> u64 {
     sorted[rank - 1]
 }
 
-/// Drives `threads` OS threads against one frozen session, each performing
-/// `drains_per_thread` full enumerations, and collects the aggregate
-/// throughput and per-drain first-answer delays.
-///
-/// The total work (`threads * drains_per_thread` drains) is what scaling
-/// comparisons should hold fixed — see [`drive_frozen_fixed_work`].
-pub fn drive_frozen(
-    session: &FrozenSession<'_>,
-    threads: usize,
-    drains_per_thread: usize,
-) -> ServingReport {
-    assert!(threads > 0, "at least one serving thread");
-    let t0 = Instant::now();
-    let per_thread: Vec<(usize, Vec<u64>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut answers = 0usize;
-                    let mut delays = Vec::with_capacity(drains_per_thread);
-                    for _ in 0..drains_per_thread {
-                        let start = Instant::now();
-                        let mut ans = session.enumerate().expect("frozen enumeration starts");
-                        if ans.next().is_some() {
-                            delays.push(start.elapsed().as_nanos() as u64);
-                            answers += 1;
-                            while ans.next().is_some() {
-                                answers += 1;
-                            }
-                        }
-                    }
-                    (answers, delays)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("serving thread panicked"))
-            .collect()
-    });
-    let elapsed = t0.elapsed();
-    let total_answers = per_thread.iter().map(|(a, _)| a).sum();
-    let mut first_answer_ns: Vec<u64> = per_thread.into_iter().flat_map(|(_, d)| d).collect();
-    first_answer_ns.sort_unstable();
-    ServingReport {
-        threads,
-        drains: threads * drains_per_thread,
-        total_answers,
-        elapsed,
-        first_answer_ns,
-        submitted: threads * drains_per_thread,
-        shed: 0,
-        partial: 0,
-        timed_out: 0,
-        panicked: 0,
-        drained: 0,
-        queue_high_water: 0,
-    }
-}
-
-/// As [`drive_frozen`], but holding the *total* number of drains fixed and
-/// splitting them across the threads (`total_drains` must be divisible by
-/// `threads`) — the fair scaling comparison: same work, more workers.
-pub fn drive_frozen_fixed_work(
-    session: &FrozenSession<'_>,
-    threads: usize,
-    total_drains: usize,
-) -> ServingReport {
-    assert_eq!(
-        total_drains % threads,
-        0,
-        "total_drains must split evenly across threads"
-    );
-    drive_frozen(session, threads, total_drains / threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{drive, Churn, LoadSpec};
     use ucq_core::UcqEngine;
     use ucq_query::parse_ucq;
     use ucq_storage::{Instance, Relation};
 
+    fn run(rows: impl IntoIterator<Item = (i64, i64)>, spec: &LoadSpec) -> LoadReport {
+        let engine = UcqEngine::new(parse_ucq("Q(x, y) <- R(x, y)").unwrap());
+        let instance: Instance = [("R", Relation::from_pairs(rows))].into_iter().collect();
+        drive(&engine, &instance, Churn::NONE, spec).unwrap()
+    }
+
     #[test]
     fn drive_reports_totals() {
-        let u = parse_ucq("Q(x, y) <- R(x, y)").unwrap();
-        let engine = UcqEngine::new(u);
-        let instance: Instance = [("R", Relation::from_pairs([(1, 2), (3, 4), (5, 6)]))]
-            .into_iter()
-            .collect();
-        let frozen = engine.session(&instance).freeze().unwrap();
-        let report = drive_frozen(&frozen, 2, 3);
-        assert_eq!(report.threads, 2);
+        let report = run([(1, 2), (3, 4), (5, 6)], &LoadSpec::steady(2, 8, 6));
+        assert_eq!(report.workers, 2);
         assert_eq!(report.drains, 6);
         assert_eq!(report.total_answers, 6 * 3);
-        assert_eq!(report.first_answer_ns.len(), 6);
+        assert_eq!(report.resolution_ns.len(), 6);
         assert!(report.answers_per_sec() > 0.0);
-        assert!(report.p99_first_answer_ns() >= report.median_first_answer_ns());
+        assert!(report.p99_resolution_ns() >= report.median_resolution_ns());
     }
 
     #[test]
     fn fixed_work_splits_evenly() {
-        let u = parse_ucq("Q(x, y) <- R(x, y)").unwrap();
-        let engine = UcqEngine::new(u);
-        let instance: Instance = [("R", Relation::from_pairs([(7, 8)]))]
-            .into_iter()
-            .collect();
-        let frozen = engine.session(&instance).freeze().unwrap();
-        let report = drive_frozen_fixed_work(&frozen, 4, 8);
-        assert_eq!(report.drains, 8);
-        assert_eq!(report.total_answers, 8);
+        // The same eight requests, whatever the number of workers.
+        for workers in [1, 4] {
+            let report = run([(7, 8)], &LoadSpec::steady(workers, 8, 8));
+            assert_eq!(report.drains, 8);
+            assert_eq!(report.total_answers, 8);
+        }
     }
 
     #[test]
@@ -221,43 +148,27 @@ mod tests {
 
     #[test]
     fn empty_report_rates_are_zero_not_nan() {
-        let report = ServingReport {
-            threads: 1,
-            drains: 0,
-            total_answers: 0,
-            elapsed: Duration::ZERO,
-            first_answer_ns: Vec::new(),
-            submitted: 0,
-            shed: 0,
-            partial: 0,
-            timed_out: 0,
-            panicked: 0,
-            drained: 0,
-            queue_high_water: 0,
-        };
+        let report = LoadReport::default();
         // Zero elapsed must not divide: the rate is defined as 0, not NaN.
         assert_eq!(report.answers_per_sec(), 0.0);
-        // No drain produced an answer: the delay percentiles are 0.
-        assert_eq!(report.p99_first_answer_ns(), 0);
-        assert_eq!(report.median_first_answer_ns(), 0);
+        // No drain produced an answer: the latency percentiles are 0.
+        assert_eq!(report.p99_resolution_ns(), 0);
+        assert_eq!(report.median_resolution_ns(), 0);
     }
 
     #[test]
     fn all_empty_drains_report_no_delays() {
-        let u = parse_ucq("Q(x, y) <- R(x, y)").unwrap();
-        let engine = UcqEngine::new(u);
         // An empty relation: every drain completes with zero answers.
-        let instance: Instance = [("R", Relation::from_pairs([]))].into_iter().collect();
-        let frozen = engine.session(&instance).freeze().unwrap();
-        let report = drive_frozen(&frozen, 2, 2);
+        let report = run([], &LoadSpec::steady(2, 8, 4));
         assert_eq!(report.drains, 4);
         assert_eq!(report.total_answers, 0);
         assert!(
-            report.first_answer_ns.is_empty(),
-            "empty drains must not record a first-answer delay"
+            report.resolution_ns.is_empty(),
+            "empty drains must not record a latency"
         );
-        assert_eq!(report.p99_first_answer_ns(), 0);
-        assert_eq!(report.submitted, report.drains);
-        assert_eq!(report.shed + report.panicked + report.drained, 0);
+        assert_eq!(report.p99_resolution_ns(), 0);
+        assert_eq!(report.serve.submitted, report.drains);
+        let ledger = report.serve;
+        assert_eq!(ledger.shed + ledger.panicked + ledger.drained, 0);
     }
 }

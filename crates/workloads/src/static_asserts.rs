@@ -2,13 +2,13 @@
 //! colocated in one place per crate (mirroring `static_asserts` in
 //! `ucq-storage` and `ucq-core`).
 //!
-//! [`ServingReport`](crate::serving::ServingReport) is aggregated across
-//! scoped serving threads and handed back to whoever launched the run, so
+//! [`LoadReport`](crate::serving::LoadReport) is assembled from what the
+//! pool's workers resolved and handed back to whoever launched the run, so
 //! it must stay plain shareable data.
 
-use crate::serving::ServingReport;
+use crate::serving::LoadReport;
 
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ServingReport>();
+    assert_send_sync::<LoadReport>();
 };

@@ -6,11 +6,19 @@
 //! head variables, an emptied member, Boolean unions; one-shot, session,
 //! frozen, refrozen after an insert and after a delete. Same set, no
 //! duplicate, same `decide`.
+//!
+//! The second test adds the column the first has no pool for: unions under
+//! functional dependencies — an FD rewrite on the ordinary engine — served
+//! through `ucq_serve::serve`, before and after a rotation.
 
 use std::collections::HashSet;
-use ucq_core::{evaluate_ucq_naive_set, Algorithm1, Strategy, UcqEngine};
-use ucq_enumerate::Enumerator;
-use ucq_query::Ucq;
+use std::sync::Arc;
+use ucq_core::{
+    evaluate_ucq_naive_set, fd_rewrite, Algorithm1, Fd, FdSet, FrozenSession, Strategy, UcqEngine,
+};
+use ucq_enumerate::{Enumerator, VecEnumerator};
+use ucq_query::{parse_ucq, Ucq};
+use ucq_serve::{serve, Request, ServeConfig};
 use ucq_storage::{Instance, Relation, Tuple, Value};
 use ucq_workloads::random::{random_free_connex_union, random_instance, InstanceSpec};
 use ucq_yannakakis::{CdyEngine, CdyIter};
@@ -161,4 +169,88 @@ fn algorithm1_on_ids_matches_the_paper_and_the_naive_set() {
         "only {on_the_arm} unions ran Algorithm 1"
     );
     assert!(nonempty >= 100, "only {nonempty} unions had answers");
+}
+
+/// Four requests against `session` through a two-worker pool, each checked
+/// like any other stream.
+fn check_served(case: &str, session: FrozenSession<'_>, want: &HashSet<Tuple>) {
+    let session = Arc::new(session);
+    let config = ServeConfig::new(2, 8).expect("positive sizes");
+    let (replies, stats) = serve(config, |handle| {
+        let tickets: Vec<_> = (0..4)
+            .map(|_| handle.submit(Request::new(Arc::clone(&session))))
+            .collect();
+        tickets
+            .into_iter()
+            .map(|t| t.expect("admitted").wait().expect("served"))
+            .collect::<Vec<_>>()
+    });
+    assert!(
+        stats.is_balanced() && stats.completed == 4,
+        "{case}: {stats:?}"
+    );
+    for served in replies {
+        check(
+            "served",
+            case,
+            VecEnumerator::new(served.into_answers()),
+            want,
+        );
+    }
+}
+
+#[test]
+fn fd_rewrites_answer_once_on_every_rung_up_to_the_pool() {
+    let key = |rel: &str| Fd::new(rel, vec![0], 1);
+    let keyed = |rows: i64, modulus: i64| Relation::from_pairs((0..rows).map(|k| (k, k % modulus)));
+    let cases = [
+        (
+            "Pi(x, y) <- A(x, z), B(z, y)",
+            vec![key("A")],
+            Relation::from_pairs((0..240).map(|k| (k % 12, k))),
+            Relation::from_pairs([(3, 9000), (11, 9001)]),
+            Strategy::Algorithm1,
+        ),
+        // Heads that grow by different determined variables: (1, 10) and
+        // (1, 20) of the rewrite are one answer (1) of the union.
+        (
+            "Q1(x) <- A(x, z)\nQ2(x) <- B(x, w)",
+            vec![key("A"), key("B")],
+            keyed(900, 5),
+            Relation::from_pairs([(5000, 3), (5001, 4)]),
+            Strategy::UnionExtension,
+        ),
+    ];
+    for (text, fds, b, delta, strategy) in cases {
+        let u = parse_ucq(text).unwrap();
+        let inst: Instance = [("A", keyed(700, 12)), ("B", b)].into_iter().collect();
+        let rewrite = fd_rewrite(&u, &FdSet::new(fds)).unwrap();
+        let engine = rewrite.engine();
+        assert_eq!(engine.strategy(), strategy, "{text}");
+        let widened = rewrite.instance(&inst).unwrap();
+        let want = evaluate_ucq_naive_set(&u, &inst).unwrap();
+        assert!(want.len() > 512, "{text}: more than a block of answers");
+
+        check("one-shot", text, engine.enumerate(&widened).unwrap(), &want);
+        let session = engine.session(&widened);
+        for _ in 0..2 {
+            check("session", text, session.enumerate().unwrap(), &want);
+        }
+        let frozen = session.freeze().unwrap();
+        check("frozen", text, frozen.enumerate().unwrap(), &want);
+
+        let grown = frozen
+            .build_context()
+            .insert_rows(&inst.get_shared("B").unwrap(), &delta);
+        let inst_grown = inst.with_relation_shared("B", grown);
+        let next = frozen
+            .refreeze(&rewrite.instance(&inst_grown).unwrap())
+            .unwrap();
+        let want_grown = evaluate_ucq_naive_set(&u, &inst_grown).unwrap();
+        assert!(want_grown.len() > want.len(), "{text}: the delta shows");
+        check("refrozen", text, next.enumerate().unwrap(), &want_grown);
+
+        check_served(text, frozen, &want);
+        check_served(text, next, &want_grown);
+    }
 }

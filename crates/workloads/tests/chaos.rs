@@ -30,6 +30,7 @@ use ucq_serve::{
 };
 use ucq_storage::faults::{self, FaultPlan, INJECTED_PANIC_MSG};
 use ucq_storage::{Instance, Relation, Tuple, Value};
+use ucq_workloads::{drive, Churn, LoadSpec};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -309,8 +310,12 @@ fn faulted_refreeze_leaves_previous_epoch_serving() {
     let deltas: Vec<Relation> = (0..3)
         .map(|d| Relation::from_pairs([(200 + d, d % 10)]))
         .collect();
-    let spec = ucq_workloads::RotationSpec::steady(2, 64, 6).with_faulted_rotations();
-    let report = ucq_workloads::drive_rotation(&engine, &instance, "R", &deltas, &spec).unwrap();
+    let spec = LoadSpec::steady(2, 64, 6).with_faulted_rotations();
+    let churn = Churn {
+        rel: "R",
+        deltas: &deltas,
+    };
+    let report = drive(&engine, &instance, churn, &spec).unwrap();
 
     assert_eq!(report.rotations_attempted, 3);
     assert_eq!(
@@ -325,13 +330,13 @@ fn faulted_refreeze_leaves_previous_epoch_serving() {
     // Serving never noticed: nothing shed, nothing panicked (request
     // threads are unarmed), every drain matches the epoch-0 oracle.
     assert!(report.oracle_identical(), "{report:?}");
-    assert_eq!(report.matched, report.serving.drains);
-    assert_eq!(report.pinned_to_submit_epoch, report.serving.drains);
-    assert_eq!(report.serving.shed, 0);
-    assert_eq!(report.serving.panicked, 0);
+    assert_eq!(report.matched(), report.drains);
+    assert_eq!(report.pinned_to_submit_epoch, report.drains);
+    assert_eq!(report.serve.shed, 0);
+    assert_eq!(report.serve.panicked, 0);
     assert_eq!(
-        report.serving.drains + report.serving.drained,
-        report.serving.submitted,
+        report.drains + report.serve.drained,
+        report.serve.submitted,
         "rotation ledger does not balance: {report:?}"
     );
 }
@@ -356,8 +361,12 @@ fn rotation_under_forced_overlay_misses_stays_oracle_identical() {
     let deltas: Vec<Relation> = (0..2)
         .map(|d| Relation::from_pairs([(300 + d, d % 8)]))
         .collect();
-    let spec = ucq_workloads::RotationSpec::steady(2, 64, 5).with_faulted_rotations();
-    let report = ucq_workloads::drive_rotation(&engine, &instance, "R", &deltas, &spec).unwrap();
+    let spec = LoadSpec::steady(2, 64, 5).with_faulted_rotations();
+    let churn = Churn {
+        rel: "R",
+        deltas: &deltas,
+    };
+    let report = drive(&engine, &instance, churn, &spec).unwrap();
 
     assert_eq!(
         report.rotations_installed, 2,
@@ -365,11 +374,8 @@ fn rotation_under_forced_overlay_misses_stays_oracle_identical() {
     );
     assert_eq!(report.final_epoch, 2);
     assert!(report.oracle_identical(), "{report:?}");
-    assert_eq!(report.serving.shed, 0);
-    assert_eq!(
-        report.serving.drains + report.serving.drained,
-        report.serving.submitted
-    );
+    assert_eq!(report.serve.shed, 0);
+    assert_eq!(report.drains + report.serve.drained, report.serve.submitted);
 
     // Pin the diversion on the rotated snapshot itself: an armed lookup
     // against the *new* epoch's frozen context must take the overlay path
@@ -403,22 +409,22 @@ fn canned_chaos_mix_balances_its_ledger() {
         overlay_miss_every: 8,
     });
     let (engine, instance) = engine_and_instance(600);
-    let frozen = Arc::new(engine.session(&instance).freeze().unwrap());
+    let report = drive(&engine, &instance, Churn::NONE, &LoadSpec::chaos(2, 30)).unwrap();
 
-    let spec = ucq_workloads::ResilientSpec::chaos(2, 30);
-    let report = ucq_workloads::drive_resilient(&frozen, &spec);
-
-    assert_eq!(report.submitted, 30);
+    assert_eq!(report.serve.submitted, 30);
     // This query cannot produce eval errors, so the ledger closes over
     // exactly these four outcome classes — `drains` counts the Ok
     // resolutions (complete + partial).
+    let ledger = report.serve;
     assert_eq!(
-        report.drains + report.shed + report.panicked + report.drained,
-        report.submitted,
+        report.drains + ledger.shed + ledger.panicked + ledger.drained,
+        ledger.submitted,
         "ledger does not balance: {report:?}"
     );
     assert!(report.total_answers > 0, "chaos starved every request");
-    assert!(report.timed_out <= report.partial);
+    assert!(ledger.timed_out <= ledger.partial);
     // Latencies are recorded only for requests that produced answers.
-    assert!(report.first_answer_ns.len() <= report.drains);
+    assert!(report.resolution_ns.len() <= report.drains);
+    // Whatever was cut short or delayed, nothing served a wrong answer.
+    assert!(report.oracle_identical(), "{report:?}");
 }

@@ -164,7 +164,11 @@ impl CdyEngine {
         CdyEngine::build_rooted(cq, s, output, &SharedShapes::default(), instance, ctx)
     }
 
-    fn build_rooted(
+    /// [`CdyEngine::build_in`] for a member of a union (see
+    /// [`CdyEngine::for_member_in`] for what `shared` does): connex target
+    /// `s` and output columns chosen separately, so a member can enumerate
+    /// a prefix of its head while staying connex for all of it.
+    pub fn build_rooted(
         cq: &Cq,
         s: VSet,
         output: Vec<VarId>,

@@ -50,6 +50,15 @@ impl IdTable {
         let width = self.width;
         (0..self.n_rows).map(move |r| &self.data[r * width..(r + 1) * width])
     }
+
+    /// Decodes every row through `ctx`'s dictionary (nullary rows are a
+    /// count: that many empty tuples).
+    pub fn decode(&self, ctx: &CtxView) -> Vec<Tuple> {
+        if self.width == 0 {
+            return vec![Tuple::empty(); self.n_rows];
+        }
+        ctx.decode_rows(self.width, &self.data)
+    }
 }
 
 /// Evaluates `Q(I)` naively with a private context, returning the
@@ -64,11 +73,7 @@ pub fn evaluate_cq_naive_in(
     instance: &Instance,
     ctx: &CtxView,
 ) -> Result<Vec<Tuple>, EvalError> {
-    let ids = evaluate_cq_naive_ids_in(cq, instance, ctx)?;
-    if ids.width == 0 {
-        return Ok(vec![Tuple::empty(); ids.n_rows]);
-    }
-    Ok(ctx.decode_rows(ids.width, &ids.data))
+    Ok(evaluate_cq_naive_ids_in(cq, instance, ctx)?.decode(ctx))
 }
 
 /// Evaluates `Q(I)` naively on the id layer, returning the deduplicated

@@ -66,8 +66,8 @@ pub use ucq_yannakakis as yannakakis;
 /// The names most programs need.
 pub mod prelude {
     pub use ucq_core::{
-        classify, Classification, CqStatus, EvalSession, Fd, FdSet, FdUcqEngine, FrozenSession,
-        HardnessWitness, Hypothesis, SearchConfig, Strategy, UcqEngine, Verdict,
+        classify, fd_rewrite, Classification, CqStatus, EvalSession, Fd, FdRewrite, FdSet,
+        FrozenSession, HardnessWitness, Hypothesis, SearchConfig, Strategy, UcqEngine, Verdict,
     };
     pub use ucq_enumerate::{measure, DelayProfile, Enumerator};
     pub use ucq_query::{parse_cq, parse_ucq, Cq, Ucq};
