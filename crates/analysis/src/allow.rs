@@ -180,6 +180,14 @@ reason = "build-phase session types are intentionally !Sync"
     }
 
     #[test]
+    fn comment_only_file_has_no_waivers() {
+        // What `analysis/allow.toml` is when nothing is waived.
+        let src = "# Workspace lint waivers\n# (none)\n\n   # indented comment\n";
+        assert_eq!(parse(src), Ok(Vec::new()));
+        assert_eq!(parse(""), Ok(Vec::new()));
+    }
+
+    #[test]
     fn missing_reason_is_an_error() {
         let src = "[[allow]]\ncode = \"L3\"\nfile = \"x.rs\"\n";
         assert!(parse(src).unwrap_err().contains("missing `reason`"));

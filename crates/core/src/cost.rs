@@ -406,6 +406,49 @@ mod tests {
     }
 
     #[test]
+    fn costed_picks_the_selective_provider_on_skewed_stats() {
+        use crate::naive_ucq::evaluate_ucq_naive_set;
+        use crate::pipeline::UcqPipeline;
+        use std::collections::HashSet;
+        use ucq_enumerate::Enumerator;
+        use ucq_storage::Tuple;
+        // Q1 needs a virtual atom on {x, z, y}; Q2 provides it off the
+        // near-cartesian R1 × π(R3) (n² rows), Q3 off the selective join
+        // R1 ⋈ R2 (n/8 rows). The availability fixpoint sees Q2 first.
+        let u = parse_ucq(
+            "Q1(x, y, w) <- R1(x, z), R2(z, y), R3(y, w)\n\
+             Q2(x, y, w) <- R1(x, y), R3(w, v)\n\
+             Q3(x, y, w) <- R1(x, y), R2(y, w)",
+        )
+        .unwrap();
+        let n = 64i64;
+        let rel = |rows: i64, from: i64| {
+            Relation::from_pairs((0..rows).map(|i| (from + i, from + n + i)))
+        };
+        let mut inst = Instance::new();
+        inst.insert("R1", rel(n, 0));
+        inst.insert("R2", rel(n / 8, n));
+        inst.insert("R3", rel(n, 2 * n));
+        let cfg = SearchConfig::default();
+        let first = plan_free_connex(&u, &cfg).unwrap();
+        let costed = plan_free_connex_costed(&u, &cfg, &inst, &CtxView::new()).unwrap();
+        assert_eq!((first.atoms.len(), costed.plan.atoms.len()), (1, 1));
+        assert_ne!(
+            first.atoms[0].provenance.provider, costed.plan.atoms[0].provenance.provider,
+            "statistics skew must flip the provider choice"
+        );
+        assert_eq!(costed.plan.atoms[0].provenance.provider, 2, "R1 ⋈ R2");
+        // Whichever provider materializes the atom, the answers are Q's.
+        let want = evaluate_ucq_naive_set(&u, &inst).unwrap();
+        assert!(!want.is_empty());
+        for plan in [&first, &costed.plan] {
+            let got = UcqPipeline::build(&u, plan, &inst).unwrap().collect_all();
+            assert_eq!(got.len(), want.len(), "no repeats");
+            assert_eq!(got.into_iter().collect::<HashSet<Tuple>>(), want);
+        }
+    }
+
+    #[test]
     fn costed_agrees_on_unplannability() {
         let u = parse_ucq(
             "Q1(x, y, v) <- R1(x, z), R2(z, y), R3(y, v), R4(v, w)\n\

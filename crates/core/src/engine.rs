@@ -35,11 +35,10 @@ use crate::naive_ucq::evaluate_ucq_naive_ids_in;
 use crate::pipeline::UcqPipelinePrep;
 use crate::plan::ExtensionPlan;
 use crate::search::SearchConfig;
-use std::cell::{Cell, Ref, RefCell};
 use std::sync::Arc;
 use ucq_enumerate::{Enumerator, IdDecoder, IdEnumerator, IdVecEnumerator};
 use ucq_query::Ucq;
-use ucq_storage::sync::OnceLock;
+use ucq_storage::sync::{AtomicUsize, OnceLock, Ordering::Relaxed};
 use ucq_storage::{CtxView, Instance, Tuple, ValueId};
 use ucq_yannakakis::{CdyEngine, EvalError, SharedShapes};
 
@@ -69,19 +68,20 @@ pub struct PlannerStats {
 }
 
 /// Interior-mutable planner counters (sessions hand out `&self` streams).
+/// Statistics only — they publish nothing, hence `Relaxed`.
 #[derive(Default)]
 struct PlannerCounters {
-    plans_searched: Cell<usize>,
-    candidates_costed: Cell<usize>,
-    plan_cache_hits: Cell<usize>,
+    plans_searched: AtomicUsize,
+    candidates_costed: AtomicUsize,
+    plan_cache_hits: AtomicUsize,
 }
 
 impl PlannerCounters {
     fn snapshot(&self) -> PlannerStats {
         PlannerStats {
-            plans_searched: self.plans_searched.get(),
-            candidates_costed: self.candidates_costed.get(),
-            plan_cache_hits: self.plan_cache_hits.get(),
+            plans_searched: self.plans_searched.load(Relaxed),
+            candidates_costed: self.candidates_costed.load(Relaxed),
+            plan_cache_hits: self.plan_cache_hits.load(Relaxed),
         }
     }
 }
@@ -225,13 +225,13 @@ impl UcqEngine {
         if let Some(cached) = ctx.cached_plan(fingerprint, epoch) {
             if let Ok(plan) = cached.downcast::<ExtensionPlan>() {
                 if let Some(c) = counters {
-                    c.plan_cache_hits.set(c.plan_cache_hits.get() + 1);
+                    c.plan_cache_hits.fetch_add(1, Relaxed);
                 }
                 return plan;
             }
         }
         if let Some(c) = counters {
-            c.plans_searched.set(c.plans_searched.get() + 1);
+            c.plans_searched.fetch_add(1, Relaxed);
         }
         let search = self
             .costed
@@ -240,7 +240,7 @@ impl UcqEngine {
             Some(costed) => {
                 if let Some(c) = counters {
                     c.candidates_costed
-                        .set(c.candidates_costed.get() + costed.candidates_costed);
+                        .fetch_add(costed.candidates_costed, Relaxed);
                 }
                 Arc::new(costed.plan)
             }
@@ -272,12 +272,13 @@ impl UcqEngine {
             engine: self,
             instance: instance.clone(),
             ctx: ctx.clone(),
-            prepared: RefCell::new(None),
+            prepared: OnceLock::new(),
             planner: PlannerCounters::default(),
         }
     }
 
-    /// Forces the naive strategy (baseline for experiments).
+    /// Forces the naive strategy: the oracle the tests and `benchmark/`
+    /// compare every other strategy against.
     pub fn enumerate_naive(&self, instance: &Instance) -> Result<Vec<Tuple>, EvalError> {
         let ctx = CtxView::new();
         let minimized = &self.classification.minimized;
@@ -450,7 +451,7 @@ pub struct EvalSession<'e> {
     engine: &'e UcqEngine,
     instance: Instance,
     ctx: CtxView,
-    prepared: RefCell<Option<Prepared>>,
+    prepared: OnceLock<Prepared>,
     planner: PlannerCounters,
 }
 
@@ -476,15 +477,15 @@ impl<'e> EvalSession<'e> {
         self.planner.snapshot()
     }
 
-    /// The session's preprocessed state, built by the first caller.
-    fn prepared(&self) -> Result<Ref<'_, Prepared>, EvalError> {
-        if self.prepared.borrow().is_none() {
-            let counters = Some(&self.planner);
-            let built = Prepared::build(self.engine, &self.ctx, &self.instance, counters)?;
-            *self.prepared.borrow_mut() = Some(built);
+    /// The session's preprocessed state, built by the first caller. Callers
+    /// that race for it each build; one result is kept.
+    fn prepared(&self) -> Result<&Prepared, EvalError> {
+        if let Some(prepared) = self.prepared.get() {
+            return Ok(prepared);
         }
-        let slot = self.prepared.borrow();
-        Ok(Ref::map(slot, |p| p.as_ref().expect("just prepared")))
+        let counters = Some(&self.planner);
+        let built = Prepared::build(self.engine, &self.ctx, &self.instance, counters)?;
+        Ok(self.prepared.get_or_init(|| built))
     }
 
     /// Starts an enumeration. The first call performs the linear
@@ -506,9 +507,11 @@ impl<'e> EvalSession<'e> {
     /// `Send + Sync`: N threads can call [`FrozenSession::enumerate`]
     /// concurrently, each getting its own cursors, with zero locking on
     /// the per-answer path.
-    pub fn freeze(self) -> Result<FrozenSession<'e>, EvalError> {
-        drop(self.prepared()?);
-        let mut prepared = self.prepared.into_inner().expect("just prepared");
+    pub fn freeze(mut self) -> Result<FrozenSession<'e>, EvalError> {
+        self.prepared()?;
+        // Moved out, not cloned: `retarget` moves only engines nobody else
+        // holds, and a copy left in the memo would hold them all.
+        let mut prepared = self.prepared.take().expect("just prepared");
         let ctx = self.ctx.freeze();
         prepared.retarget(&ctx);
         Ok(FrozenSession {
@@ -1185,7 +1188,7 @@ mod tests {
         };
         let session = eng.session(&i);
         let mut streams = vec![session.enumerate().unwrap(), session.enumerate().unwrap()];
-        let held = table(&session.prepared().unwrap());
+        let held = table(session.prepared().unwrap());
         // The session's prototype, two streams, and `held` itself.
         assert_eq!(Arc::strong_count(&held), 4, "streams share the table");
         let frozen = session.freeze().unwrap();
@@ -1204,25 +1207,41 @@ mod tests {
     #[test]
     fn redundant_member_gets_no_stages() {
         // Example 1 shape: Q1 ⊆ Q2, and Q1 alone is cyclic (it would be
-        // hopeless to plan). Union minimization must drop it before any
-        // stage is planned: the executed plan has zero materializations and
-        // zero chosen atoms for the surviving member.
-        let u = parse_ucq(
+        // hopeless to plan). Then a chain Q3 ⊆ Q2 ⊆ Q1 of free-connex
+        // members, where the whole union plans too and would pay two
+        // redundant passes plus cross-member dedup. Union minimization must
+        // drop the subsumed members before any stage is planned: the
+        // executed plan has zero materializations and zero chosen atoms for
+        // the surviving member, which answers for the whole union.
+        let unions = [
             "Q1(x, y) <- R1(x, y), R2(y, z), R3(z, x)\n\
              Q2(x, y) <- R1(x, y), R2(y, z)",
-        )
-        .unwrap();
-        let eng = UcqEngine::new(u);
-        assert_eq!(
-            eng.classification().minimized.len(),
-            1,
-            "the subsumed member is gone before planning"
-        );
-        let Verdict::FreeConnex { plan } = &eng.classification().verdict else {
-            panic!("minimized union is free-connex");
-        };
-        assert!(!plan.needs_extension(), "no stages for a redundant union");
-        assert!(plan.atoms.is_empty());
+            "Q1(x, y) <- R1(x, y)\n\
+             Q2(x, y) <- R1(x, y), R2(y, z)\n\
+             Q3(x, y) <- R1(x, y), R2(y, z), R3(z, w)",
+        ];
+        let i = inst(&[
+            ("R1", (0..40).map(|k| (k, k + 1)).collect()),
+            ("R2", (0..40).map(|k| (k + 1, (k + 2) % 30)).collect()),
+            ("R3", (0..40).map(|k| ((k + 2) % 30, k)).collect()),
+        ]);
+        for text in unions {
+            let eng = UcqEngine::new(parse_ucq(text).unwrap());
+            assert_eq!(
+                eng.classification().minimized.len(),
+                1,
+                "the subsumed members are gone before planning: {text}"
+            );
+            let Verdict::FreeConnex { plan } = &eng.classification().verdict else {
+                panic!("minimized union is free-connex");
+            };
+            assert!(!plan.needs_extension(), "no stages for a redundant union");
+            assert!(plan.atoms.is_empty());
+            let got = eng.enumerate(&i).unwrap().collect_all();
+            let want = naive_set(text, &i);
+            assert!(!want.is_empty());
+            assert_eq!(got.len(), want.len(), "minimization keeps the answers");
+        }
     }
 }
 

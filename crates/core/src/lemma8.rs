@@ -13,9 +13,10 @@
 //!    on two preimages of the same target variable) into a row of the
 //!    virtual relation.
 //!
-//! The result **contains** `π_{V1}(hom(body Q_target))` — possibly strictly
-//! (see DESIGN.md, adaptation 2) — which is exactly what joining it into the
-//! target preserves semantics.
+//! The result **contains** `π_{V1}(hom(body Q_target))` — possibly strictly:
+//! the provider's body is only a homomorphic pre-image of the target's, so
+//! it can match where the target does not — which is exactly what joining it
+//! into the target needs to preserve semantics.
 
 use crate::plan::PlannedAtom;
 use std::sync::Arc;

@@ -58,12 +58,3 @@ pub use search::{ConnexOracle, SearchConfig};
 // downstream crates (serve drivers, workloads) need not depend on the
 // yannakakis crate for their signatures.
 pub use ucq_yannakakis::EvalError;
-
-/// `Decide` for a single free-connex CQ: linear preprocessing, constant
-/// answer (Theorem 3(1) specialized to the Boolean question).
-pub fn pipeline_decide(
-    cq: &ucq_query::Cq,
-    instance: &ucq_storage::Instance,
-) -> Result<bool, ucq_yannakakis::EvalError> {
-    Ok(ucq_yannakakis::CdyEngine::for_query(cq, instance)?.decide())
-}

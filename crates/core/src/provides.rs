@@ -10,7 +10,7 @@
 //! Union extensions make this recursive (Definition 10): a provider may
 //! itself be extended by already-available virtual atoms, which can unlock
 //! new `S`-connexities (Example 13). Two structural facts keep the
-//! recursion sound (DESIGN.md, adaptation 3):
+//! recursion sound:
 //!
 //! * the body-homomorphism of condition (1) is only required on the
 //!   provider's *original* atoms — a virtual atom `P(ū)` of the provider is

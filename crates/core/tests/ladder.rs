@@ -5,10 +5,13 @@
 //! preprocessed state, so they answer in the same *order* too.
 
 use std::collections::HashSet;
-use ucq_core::{evaluate_ucq_naive_set, Strategy, UcqEngine};
+use ucq_core::{
+    evaluate_ucq_naive_set, plan_free_connex, Algorithm1, SearchConfig, Strategy, UcqEngine,
+    UcqPipeline,
+};
 use ucq_enumerate::Enumerator;
 use ucq_query::parse_ucq;
-use ucq_storage::{Instance, Relation, Tuple};
+use ucq_storage::{Instance, Relation, Tuple, Value};
 
 /// Drains `answers` (a repeat fails) and checks the set against `want`.
 fn sequence(what: &str, mut answers: impl Enumerator, want: &HashSet<Tuple>) -> Vec<Tuple> {
@@ -86,4 +89,40 @@ fn every_rung_answers_like_the_oracle_and_the_first_four_in_one_order() {
         let still = sequence("frozen, later", frozen.enumerate().unwrap(), &want);
         assert!(still == one_shot, "the old epoch reorders {text}");
     }
+}
+
+/// An all-free-connex union has two `DelayClin` strategies — Algorithm 1,
+/// with no dedup table, and the Theorem 12 pipeline with nothing to
+/// materialize, the Cheater over the members' cursors — and they return one
+/// set (the catalog's `two_free_connex`, its members overlapping).
+#[test]
+fn algorithm1_and_the_cheater_pipeline_return_one_set() {
+    let union = parse_ucq("Q1(x, y) <- R(x, y)\nQ2(a, b) <- S(a, z), T(z, b), U(a, z, b)").unwrap();
+    let mut u = Relation::new(3);
+    for k in 0..70i64 {
+        let (a, z) = (k % 10, k % 7);
+        u.push_row(&[a, z, (a + z) % 9].map(Value::Int));
+    }
+    let inst: Instance = [
+        ("R", pairs(30, |k| (k % 10, k % 9))),
+        ("S", pairs(40, |k| (k % 10, k % 7))),
+        ("T", pairs(40, |k| (k % 7, k % 9))),
+        ("U", u),
+    ]
+    .into_iter()
+    .collect();
+    let want = evaluate_ucq_naive_set(&union, &inst).unwrap();
+    assert!(want.len() > 30, "Q2 adds answers to Q1's");
+    let plan = plan_free_connex(&union, &SearchConfig::default()).unwrap();
+    assert!(!plan.needs_extension());
+    sequence(
+        "Algorithm 1",
+        Algorithm1::build(&union, &inst).unwrap(),
+        &want,
+    );
+    sequence(
+        "the Cheater pipeline",
+        UcqPipeline::build(&union, &plan, &inst).unwrap(),
+        &want,
+    );
 }

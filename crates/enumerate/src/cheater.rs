@@ -64,7 +64,7 @@ pub struct CheaterStats {
 /// The serving runtime constructs enumerators on worker threads, where a
 /// constructor panic would burn a `catch_unwind` on a statically-known
 /// configuration mistake — [`Cheater::try_new`] surfaces it as a value
-/// instead; the panicking [`Cheater::new`] delegates to it.
+/// instead; the panicking [`Cheater::with_capacity_hint`] delegates to it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PumpBudgetError;
 
@@ -108,17 +108,8 @@ pub struct Cheater<E: IdEnumerator> {
 impl<E: IdEnumerator> Cheater<E> {
     /// Wraps `inner`, pumping up to `pump_budget ≥ 1` inner results per
     /// emitted answer (the duplication bound `m` of Lemma 5). Emitted
-    /// answers decode through `ctx`'s dictionary. Panics on a zero
-    /// budget; serving-path callers use [`Cheater::try_new`].
-    pub fn new(inner: E, pump_budget: usize, ctx: CtxView) -> Cheater<E> {
-        match Cheater::try_new(inner, pump_budget, ctx) {
-            Ok(cheater) => cheater,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// As [`Cheater::new`], but a zero `pump_budget` is a typed error
-    /// instead of a panic.
+    /// answers decode through `ctx`'s dictionary. A zero budget is a typed
+    /// error.
     pub fn try_new(
         inner: E,
         pump_budget: usize,
@@ -145,29 +136,25 @@ impl<E: IdEnumerator> Cheater<E> {
         })
     }
 
-    /// Wraps with the default budget of 2 (each result produced at most
-    /// twice, as in the Theorem 12 pipeline where an answer can surface once
-    /// during provider materialization and once during its own query's
-    /// enumeration).
-    pub fn with_default_budget(inner: E, ctx: CtxView) -> Cheater<E> {
-        Cheater::new(inner, 2, ctx)
-    }
-
-    /// As [`Cheater::new`] with a distinct-answer cardinality hint: the
+    /// As [`Cheater::try_new`] with a distinct-answer cardinality hint: the
     /// dedup table preallocates for `expected_answers` keys, skipping the
     /// growth rehashes an unhinted drain pays on large outputs. A lower
     /// bound is safe (the table still grows); callers with any output
     /// estimate — the pipeline's materialized early-answer count, a
-    /// session's previous run — should pass it.
+    /// session's previous run — should pass it. Panics on a zero budget.
     pub fn with_capacity_hint(
         inner: E,
         pump_budget: usize,
         ctx: CtxView,
         expected_answers: usize,
     ) -> Cheater<E> {
-        let mut c = Cheater::new(inner, pump_budget, ctx);
-        c.seen = IdSet::with_capacity(expected_answers);
-        c
+        match Cheater::try_new(inner, pump_budget, ctx) {
+            Ok(mut cheater) => {
+                cheater.seen = IdSet::with_capacity(expected_answers);
+                cheater
+            }
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// The counters so far.
@@ -310,6 +297,13 @@ mod tests {
     use super::*;
     use crate::idenum::IdVecEnumerator;
     use ucq_storage::Value;
+
+    impl<E: IdEnumerator> Cheater<E> {
+        /// The unhinted constructor, panicking on a zero budget.
+        fn new(inner: E, pump_budget: usize, ctx: CtxView) -> Cheater<E> {
+            Cheater::with_capacity_hint(inner, pump_budget, ctx, 0)
+        }
+    }
 
     /// Interns value rows and wraps them in an id replay enumerator.
     fn id_stream(ctx: &CtxView, rows: &[[i64; 1]]) -> IdVecEnumerator {
@@ -468,6 +462,24 @@ mod tests {
         // Undershooting the hint is safe too.
         let mut low = Cheater::with_capacity_hint(id_stream(&ctx, &rows), 2, ctx.clone(), 1);
         assert_eq!(low.collect_all(), plain);
+        // The whole-drain ledger under an exact hint: 1000 distinct rows of
+        // width 2, each `dup` times in a row, budget `dup`.
+        let unique = 1000usize;
+        for dup in [1usize, 2, 4] {
+            let ids: Vec<ValueId> = (0..unique as i64)
+                .flat_map(|i| {
+                    let row = [i, 7 * i].map(|x| ctx.intern(Value::Int(x)));
+                    std::iter::repeat_n(row, dup)
+                })
+                .flatten()
+                .collect();
+            let inner = IdVecEnumerator::from_flat(2, ids);
+            let mut c = Cheater::with_capacity_hint(inner, dup, ctx.clone(), unique);
+            assert_eq!(c.collect_all().len(), unique);
+            let s = c.stats();
+            assert_eq!(s.inner_results, unique * dup);
+            assert_eq!((s.emitted, s.decoded), (unique, unique), "one decode each");
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! `DelayClin` is a RAM-model class; on real hardware we *measure* the delay
 //! between consecutive answers and report distribution statistics. A query
 //! is "constant delay" operationally when its per-answer delay statistics
-//! stay flat as the instance grows — exactly what the experiment harness
-//! plots (EXPERIMENTS.md).
+//! stay flat as the instance grows — what the benchmark's `delay_ns_*`
+//! metrics and `examples/delay_profile.rs` report.
 
 use crate::enumerator::Enumerator;
 use crate::idenum::IdEnumerator;
@@ -32,14 +32,6 @@ impl DelayProfile {
     /// Maximum observed delay.
     pub fn max_ns(&self) -> u64 {
         self.delays_ns.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Mean delay in nanoseconds.
-    pub fn mean_ns(&self) -> f64 {
-        if self.delays_ns.is_empty() {
-            return 0.0;
-        }
-        self.delays_ns.iter().sum::<u64>() as f64 / self.delays_ns.len() as f64
     }
 
     /// The `q`-quantile (0.0–1.0) of the delay distribution.
@@ -183,7 +175,6 @@ mod tests {
         let p = DelayProfile::default();
         assert_eq!(p.count(), 0);
         assert_eq!(p.max_ns(), 0);
-        assert_eq!(p.mean_ns(), 0.0);
         assert_eq!(p.median_ns(), 0);
     }
 

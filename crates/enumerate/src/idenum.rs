@@ -382,6 +382,10 @@ mod tests {
             assert!(d.next().is_some());
         }
         assert_eq!(d.rows_pulled(), 3 * DEFAULT_BLOCK_ROWS);
+        // Drained to the end it has pulled every row, and decoded each once.
+        let total = n + d.collect_all().len();
+        assert_eq!(total, 4 * DEFAULT_BLOCK_ROWS);
+        assert_eq!((d.rows_pulled(), d.rows_decoded()), (total, total));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::error::QueryError;
 /// Each CQ here owns its variable namespace, so we align heads *positionally*
 /// (all heads must have the same arity); an answer is the tuple of values the
 /// head positions take. This is equivalent to the paper's convention after
-/// renaming — see DESIGN.md, adaptation 1.
+/// renaming each member's head variables to the shared ones.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Ucq {
     cqs: Vec<Cq>,

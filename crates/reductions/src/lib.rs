@@ -1,7 +1,7 @@
 //! Executable lower-bound reductions from the paper, run *forward*: encode
 //! the hard combinatorial problem into an instance, enumerate the union,
 //! decode the answer — validating each reduction against a direct
-//! combinatorial algorithm and powering experiments E4–E6.
+//! combinatorial algorithm.
 //!
 //! * [`matmul`] — Boolean matrix multiplication via the Π query
 //!   (Theorem 3(2)) and via Example 20 (Lemma 25);

@@ -1,8 +1,8 @@
 //! The paper catalog: every example query from Carmeli & Kröll (PODS 2019),
 //! with the paper's verdict about it.
 //!
-//! The catalog is the golden data set for the classifier tests, the
-//! `classify_catalog` example, and experiment E8.
+//! The catalog is the golden data set for the classifier tests and the
+//! `classify_catalog` example.
 
 use ucq_query::{parse_ucq, Ucq};
 

@@ -384,11 +384,6 @@ impl CdyEngine {
         self.output.len()
     }
 
-    /// The output variable per position.
-    pub fn output_vars(&self) -> &[VarId] {
-        &self.output
-    }
-
     /// The evaluation context this engine shares.
     pub fn context(&self) -> &CtxView {
         &self.ctx
@@ -408,11 +403,6 @@ impl CdyEngine {
             eng: self,
             core: IterCore::new(self),
         }
-    }
-
-    /// Consumes the engine into an owning enumerator.
-    pub fn into_iter_owned(self) -> OwnedCdyIter {
-        OwnedCdyIter::new(Arc::new(self))
     }
 
     /// Constant-time membership test for an output tuple. Only valid when

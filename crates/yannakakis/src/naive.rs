@@ -296,11 +296,6 @@ pub fn evaluate_cq_naive_ids_in(
     Ok(projected)
 }
 
-/// Evaluates `Q(I)` naively into a hash set.
-pub fn evaluate_cq_naive_set(cq: &Cq, instance: &Instance) -> Result<HashSet<Tuple>, EvalError> {
-    Ok(evaluate_cq_naive(cq, instance)?.into_iter().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
