@@ -11,10 +11,12 @@
 //! ```
 //!
 //! printing `Q1(I) \ Q2(I)` in the first loop and `Q2(I)` split across
-//! lines 5 and 7 — duplicate-free without any lookup table (unlike the
-//! Cheater-based pipeline, whose dedup set grows with the output; this is
-//! the `CD∘Lin`-friendly variant the paper's conclusion highlights). Unions
-//! of `n` members nest recursively, treating the tail as one query.
+//! lines 5 and 7 — duplicate-free without any lookup table, the
+//! `CD∘Lin`-friendly variant the paper's conclusion highlights. Unions of
+//! `n` members nest recursively, treating the tail as one query. Both
+//! tractable strategy arms run it: over the members themselves (Theorem
+//! 4), and over their free-connex extensions once Lemma 8 has materialized
+//! the virtual relations (Theorem 12, [`crate::pipeline`]).
 //!
 //! The interleave runs on interned ids end to end ([`Algorithm1Ids`], an
 //! [`IdEnumerator`]): a member's cursor yields its answer as an id row,
@@ -53,8 +55,9 @@ impl Node {
     }
 
     /// Appends answers to `block` until it is full or this node is
-    /// exhausted; returns the rows appended.
-    fn next_block(&mut self, block: &mut IdBlock, scratch: &mut ContainsScratch) -> usize {
+    /// exhausted; returns the rows appended. Without `scratch` nothing is
+    /// probed: the members run back to back.
+    fn next_block(&mut self, block: &mut IdBlock, scratch: Option<&mut ContainsScratch>) -> usize {
         let (first, rest, first_done) = match self {
             Node::Leaf(it) => return it.next_block(block),
             Node::Pair {
@@ -62,6 +65,17 @@ impl Node {
                 rest,
                 first_done,
             } => (first, rest, first_done),
+        };
+        let Some(scratch) = scratch else {
+            let mut n = 0;
+            if !*first_done {
+                n = first.next_block(block);
+                *first_done = !block.is_full();
+            }
+            if *first_done {
+                n += rest.next_block(block, None);
+            }
+            return n;
         };
         let mut n = 0;
         while !*first_done && !block.is_full() {
@@ -76,7 +90,7 @@ impl Node {
                     // the rest — a fill capped at one more row.
                     let cap = block.max_rows();
                     block.set_max_rows(block.len() + 1);
-                    let fresh = rest.next_block(block, scratch);
+                    let fresh = rest.next_block(block, Some(scratch));
                     block.set_max_rows(cap);
                     debug_assert_eq!(
                         fresh, 1,
@@ -87,7 +101,7 @@ impl Node {
             }
         }
         if *first_done {
-            n += rest.next_block(block, scratch);
+            n += rest.next_block(block, Some(scratch));
         }
         n
     }
@@ -97,15 +111,22 @@ impl Node {
 pub struct Algorithm1Ids {
     root: Node,
     arity: usize,
-    /// Buffers of the line-4 probes, shared by every node.
-    scratch: ContainsScratch,
+    /// Buffers of the line-4 probes, shared by every node; `None` when some
+    /// member cannot be probed (see [`Algorithm1Ids::probes`]).
+    scratch: Option<ContainsScratch>,
 }
 
 impl Algorithm1Ids {
     /// Wires preprocessed member engines into the interleave. The engines
     /// must come from [`Algorithm1::member_engines`] (every member
-    /// free-connex, outputs = heads, one dictionary lineage).
+    /// free-connex, outputs = heads, one dictionary lineage) or be the
+    /// extended members of a Theorem 12 union.
+    ///
+    /// If some member has no membership test — its output is a strict
+    /// prefix of its head, as under an FD rewrite — the members are
+    /// enumerated back to back instead, and the caller must deduplicate.
     pub fn new(engines: Vec<Arc<CdyEngine>>) -> Algorithm1Ids {
+        let scratch = probeable(&engines).then(ContainsScratch::default);
         let mut iters: Vec<OwnedCdyIter> = engines.into_iter().map(OwnedCdyIter::new).collect();
         let last = iters.pop().expect("UCQs are non-empty");
         let arity = last.engine().output_arity();
@@ -120,8 +141,14 @@ impl Algorithm1Ids {
         Algorithm1Ids {
             root: node,
             arity,
-            scratch: ContainsScratch::default(),
+            scratch,
         }
+    }
+
+    /// Whether the members are interleaved with membership probes, so that
+    /// every answer comes out once; otherwise they run back to back.
+    pub(crate) fn probes(&self) -> bool {
+        self.scratch.is_some()
     }
 }
 
@@ -132,7 +159,7 @@ impl IdEnumerator for Algorithm1Ids {
 
     fn next_block(&mut self, block: &mut IdBlock) -> usize {
         debug_assert_eq!(block.arity(), self.arity);
-        self.root.next_block(block, &mut self.scratch)
+        self.root.next_block(block, self.scratch.as_mut())
     }
 }
 
@@ -226,6 +253,30 @@ pub(crate) fn member_engine(
 ) -> Result<Arc<CdyEngine>, EvalError> {
     let output = cq.head()[..answer_arity].to_vec();
     CdyEngine::build_rooted(cq, cq.free(), output, shared, instance, ctx).map(Arc::new)
+}
+
+/// Whether every member answers [`CdyEngine::contains_ids`].
+fn probeable(engines: &[Arc<CdyEngine>]) -> bool {
+    engines.iter().all(|e| e.has_membership())
+}
+
+/// Moves member engines onto `view`, a snapshot of the context they were
+/// built through, and first builds what a reader would otherwise build on
+/// its own time: the membership sets the interleave probes (every member's
+/// but the first's, which is only ever enumerated). An engine some other
+/// holder shares — a live stream, the previous epoch — keeps the view it
+/// has, which stays valid: one dictionary lineage, same ids.
+pub(crate) fn retarget_members(engines: &mut [Arc<CdyEngine>], view: &CtxView) {
+    if probeable(engines) {
+        for eng in engines.iter().skip(1) {
+            eng.warm_membership();
+        }
+    }
+    for eng in engines {
+        if let Some(e) = Arc::get_mut(eng) {
+            e.set_view(view.clone());
+        }
+    }
 }
 
 /// A view that decodes every member's ids. After a refreeze the members

@@ -28,7 +28,7 @@
 //! rewrite ([`crate::fd::fd_rewrite`]) is an ordinary union whose answers
 //! are a prefix of its head ([`crate::fd::FdRewrite::engine`]).
 
-use crate::algorithm1::{member_engine, member_engines, Algorithm1Ids};
+use crate::algorithm1::{member_engine, member_engines, retarget_members, Algorithm1Ids};
 use crate::classify::{classify_with, Classification, CqStatus, Verdict};
 use crate::cost::CostedSearch;
 use crate::naive_ucq::evaluate_ucq_naive_ids_in;
@@ -48,7 +48,9 @@ pub enum Strategy {
     /// Algorithm 1 (Theorem 4): all members free-connex; constant writable
     /// memory during enumeration.
     Algorithm1,
-    /// The Theorem 12 union-extension pipeline.
+    /// The Theorem 12 union-extension pipeline: Lemma 8 materializes the
+    /// virtual relations, then Algorithm 1 runs over the extended members
+    /// (the Cheater only when an FD rewrite answers on a projected head).
     UnionExtension,
     /// Materializing fallback for intractable/unknown queries.
     Naive,
@@ -152,8 +154,8 @@ impl UcqEngine {
     /// connex target; a projecting union of several members has none, and
     /// equal answers can reach it from different members. It goes through
     /// the spine that absorbs a constant number of duplicates instead: the
-    /// Theorem 12 pipeline with nothing to materialize (the Cheater over
-    /// the members' cursors, Lemma 5 budget `members + 1`).
+    /// Theorem 12 pipeline, whose members then run back to back behind the
+    /// Cheater (Lemma 5 budget `members + 1`).
     pub fn strategy(&self) -> Strategy {
         let Verdict::FreeConnex { plan } = &self.classification.verdict else {
             return Strategy::Naive;
@@ -298,13 +300,13 @@ impl UcqEngine {
 
 /// The preprocessed state of one `(engine, instance)` pair, per strategy:
 /// what the linear phase leaves behind and every enumeration starts from.
-/// Cloning shares everything (engines, early answers and the naive table
-/// are `Arc`s).
+/// Cloning shares everything (engines and the naive table are `Arc`s).
 #[derive(Clone)]
 enum Prepared {
     /// Per-member CDY engines (Algorithm 1 restarts cursors off them).
     Algorithm1(Vec<Arc<CdyEngine>>),
-    /// The Theorem 12 prep: materializations folded into member engines.
+    /// The Theorem 12 prep: materializations folded into member engines,
+    /// which Algorithm 1 restarts cursors off just the same.
     Union(UcqPipelinePrep),
     /// The naive fallback's materialized answers, replayed from one shared
     /// buffer by every enumeration (this value is the rewound prototype).
@@ -365,34 +367,33 @@ impl Prepared {
         }
     }
 
-    /// `Decide⟨Q⟩` from the preprocessed state: for Algorithm 1 a pure
-    /// preprocessing answer (each member's CDY `decide()`), otherwise a
-    /// request for one answer.
-    fn decide(&self, ctx: &CtxView) -> bool {
+    /// The member engines of a tractable arm (the extended members, on
+    /// the Theorem 12 one).
+    fn engines(&self) -> Option<&[Arc<CdyEngine>]> {
         match self {
-            Prepared::Algorithm1(engines) => engines.iter().any(|e| e.decide()),
-            _ => self.start(ctx).has_answer(),
+            Prepared::Algorithm1(engines) => Some(engines),
+            Prepared::Union(prep) => Some(prep.engines()),
+            Prepared::Naive(_) => None,
+        }
+    }
+
+    /// `Decide⟨Q⟩` from the preprocessed state: on a tractable arm a pure
+    /// preprocessing answer (each member's CDY `decide()`; the extended
+    /// members' answers together are the union's), otherwise a request for
+    /// one answer.
+    fn decide(&self, ctx: &CtxView) -> bool {
+        match self.engines() {
+            Some(engines) => engines.iter().any(|e| e.decide()),
+            None => self.start(ctx).has_answer(),
         }
     }
 
     /// Moves this state onto `view`, a snapshot of the context it was built
-    /// through, and builds what a reader would otherwise build on its own
-    /// time: the membership sets Algorithm 1 probes (every member's but the
-    /// first's, which is only ever enumerated). An engine some other holder
-    /// shares — a live stream, the previous epoch — keeps the view it has,
-    /// which stays valid: one dictionary lineage, same ids.
+    /// through, warming the membership sets Algorithm 1 will probe (see
+    /// [`retarget_members`]).
     fn retarget(&mut self, view: &CtxView) {
         match self {
-            Prepared::Algorithm1(engines) => {
-                for eng in engines.iter().skip(1) {
-                    eng.warm_membership();
-                }
-                for eng in engines {
-                    if let Some(e) = Arc::get_mut(eng) {
-                        e.set_view(view.clone());
-                    }
-                }
-            }
+            Prepared::Algorithm1(engines) => retarget_members(engines, view),
             Prepared::Union(prep) => prep.retarget(view),
             Prepared::Naive(_) => {}
         }
@@ -591,7 +592,7 @@ impl<'e> FrozenSession<'e> {
 
     /// Starts an enumeration over the frozen state. Callable from many
     /// threads at once (`&self`); each call returns an independent stream
-    /// owning its cursors, dedup table and scratch, while all streams read
+    /// owning its cursors and scratch, while all streams read
     /// the same frozen dictionary, relations and indexes lock-free.
     pub fn enumerate(&self) -> Result<UcqAnswers, EvalError> {
         Ok(self.prepared.start(&self.ctx))
@@ -676,11 +677,8 @@ impl<'e> FrozenSession<'e> {
     }
 
     #[cfg(test)]
-    fn a1_engines(&self) -> Option<&[Arc<CdyEngine>]> {
-        match &self.prepared {
-            Prepared::Algorithm1(engines) => Some(engines),
-            _ => None,
-        }
+    fn engines(&self) -> Option<&[Arc<CdyEngine>]> {
+        self.prepared.engines()
     }
 }
 
@@ -957,8 +955,8 @@ mod tests {
         assert_eq!(collect(&frozen), naive_set(text, &i));
         // Member order follows minimized.cqs(): Q1 reads R (rebuilt), Q2
         // reads S (shared with the previous epoch).
-        let old = frozen.a1_engines().unwrap();
-        let new = next.a1_engines().unwrap();
+        let old = frozen.engines().unwrap();
+        let new = next.engines().unwrap();
         assert!(!Arc::ptr_eq(&old[0], &new[0]), "touched member rebuilt");
         assert!(Arc::ptr_eq(&old[1], &new[1]), "untouched member shared");
     }
@@ -983,7 +981,7 @@ mod tests {
         assert!(frozen.context().dict_len() > next.context().dict_len());
 
         // Q1 is reused and keeps the old view; Q2 is rebuilt on the new.
-        let engines = next.a1_engines().unwrap().to_vec();
+        let engines = next.engines().unwrap().to_vec();
         let views: Vec<usize> = engines
             .iter()
             .map(|e| match e.context() {
@@ -1002,7 +1000,7 @@ mod tests {
     }
 
     fn sets_built_on_demand(frozen: &FrozenSession<'_>) -> usize {
-        let engines = frozen.a1_engines().unwrap();
+        let engines = frozen.engines().unwrap();
         engines
             .iter()
             .map(|e| e.membership_sets_built_on_demand())
@@ -1028,6 +1026,29 @@ mod tests {
             .build_context()
             .insert_rows(&i.get_shared("C").unwrap(), &Relation::from_pairs([(2, 7)]));
         let i2 = i.with_relation_shared("C", c2);
+        let next = frozen.refreeze(&i2).unwrap();
+        assert_eq!(collect(&next), naive_set(text, &i2));
+        assert_eq!(sets_built_on_demand(&next), 0, "refreeze warmed them");
+
+        // The Theorem 12 arm probes its extended members the same way.
+        let text = "Q1(x, y, w) <- R1(x, z), R2(z, y), R3(y, w)\n\
+                    Q2(x, y, w) <- R1(x, y), R2(y, w)";
+        let eng = UcqEngine::new(parse_ucq(text).unwrap());
+        assert_eq!(eng.strategy(), Strategy::UnionExtension);
+        let i = inst(&[
+            ("R1", vec![(1, 2), (1, 5), (9, 7)]),
+            ("R2", vec![(2, 3), (5, 3), (7, 0)]),
+            ("R3", vec![(3, 4), (3, 6), (0, 2)]),
+        ]);
+        let frozen = eng.session(&i).freeze().unwrap();
+        assert_eq!(collect(&frozen), naive_set(text, &i));
+        assert_eq!(sets_built_on_demand(&frozen), 0, "freeze warmed them");
+        // Q2, the probed member, reads R2.
+        let r2 = frozen.build_context().insert_rows(
+            &i.get_shared("R2").unwrap(),
+            &Relation::from_pairs([(2, 8)]),
+        );
+        let i2 = i.with_relation_shared("R2", r2);
         let next = frozen.refreeze(&i2).unwrap();
         assert_eq!(collect(&next), naive_set(text, &i2));
         assert_eq!(sets_built_on_demand(&next), 0, "refreeze warmed them");

@@ -1,23 +1,26 @@
 //! The Theorem 12 pipeline: enumerating a free-connex UCQ in `DelayClin`.
 //!
-//! Execution follows the paper's proof: materialize every virtual relation
-//! in provenance order (Lemma 8, emitting provider answers along the way),
-//! instantiate each member's free-connex extension over the enlarged
-//! instance, enumerate them back to back with CDY, and push everything
-//! through the Cheater's Lemma compiler (Lemma 5) — the constant number of
-//! linear-delay moments (one per member plus one per virtual atom) and the
-//! constant duplication factor are exactly what the lemma absorbs.
+//! Preprocessing follows the paper's proof: materialize every virtual
+//! relation in provenance order (Lemma 8), then build each member's
+//! free-connex extension over the enlarged instance. Every extended member
+//! is free-connex there, and their answers together are exactly `Q(I)`
+//! (see [`crate::lemma8`]): the provider answers Lemma 8 emits along the
+//! way are among them, so nothing is replayed. Enumeration is therefore
+//! Algorithm 1 ([`Algorithm1Ids`]) over the extended members: constant
+//! delay with membership probes, and no lookup table that grows with the
+//! output.
 //!
-//! The whole spine is id-level and block-at-a-time: early answers are
-//! replayed as flat id rows ([`IdVecEnumerator`]), each member engine
-//! feeds output-projected id rows straight into the chain
-//! ([`OwnedCdyIter`]'s [`IdEnumerator`] adapter), and the Cheater dedups,
-//! parks and paces interned rows. Answers are decoded to value
-//! [`Tuple`]s exactly once, a block at a time, by the [`IdDecoder`] the
-//! value facade pulls the Cheater's emissions through
-//! ([`UcqPipeline::rows_decoded`] counts them; the Cheater's own `decoded`
-//! stays 0) — and not at all for duplicates or for id-aware callers
-//! ([`UcqPipeline::next_ids`]).
+//! The Cheater (Lemma 5) is left with one job: an FD rewrite answered on a
+//! projected head ([`UcqPipelinePrep::prepare_projected`] with an arity
+//! below the head's). Its members' outputs do not cover their connex
+//! targets, so they cannot be probed; they run back to back and the
+//! Cheater absorbs the answers that only differed beyond the kept
+//! positions.
+//!
+//! Either way the spine is id-level and block-at-a-time, and answers are
+//! decoded to value [`Tuple`]s exactly once, a block at a time, by the
+//! [`IdDecoder`] of the value facade ([`UcqPipeline::rows_decoded`] counts
+//! them).
 //!
 //! The preprocessing phase is reified as [`UcqPipelinePrep`]: all member
 //! engines share one context view (so the base relations are interned
@@ -26,38 +29,26 @@
 //! what [`EvalSession`](crate::engine::EvalSession) caches to serve
 //! repeated queries without redoing linear preprocessing.
 
-use crate::algorithm1::member_engines;
+use crate::algorithm1::{member_engines, retarget_members, Algorithm1Ids};
 use crate::lemma8::materialize_atom_in;
 use crate::plan::ExtensionPlan;
 use std::sync::Arc;
-use ucq_enumerate::{
-    Cheater, CheaterStats, Enumerator, IdChainEnumerator, IdDecoder, IdEnumerator, IdVecEnumerator,
-};
+use ucq_enumerate::{Cheater, CheaterStats, Enumerator, IdDecoder, IdEnumerator};
 use ucq_query::{Cq, Ucq};
-use ucq_storage::{CtxView, IdBlock, Instance, Tuple, ValueId};
-use ucq_yannakakis::{CdyEngine, EvalError, OwnedCdyIter};
+use ucq_storage::{CtxView, IdBlock, Instance, Tuple};
+use ucq_yannakakis::{CdyEngine, EvalError};
 
 /// The preprocessed (linear-phase) state of the Theorem 12 pipeline:
 /// materialized virtual relations folded into per-member CDY engines, ready
 /// to start enumerations.
 ///
-/// Cloning is cheap (the member engines and the early-answer ids are shared
-/// `Arc`s) — `FrozenSession::refreeze` clones the prep wholesale when no
-/// relation it reads was touched by a delta.
+/// Cloning is cheap (the member engines are shared `Arc`s) —
+/// `FrozenSession::refreeze` clones the prep wholesale when no relation it
+/// reads was touched by a delta.
 #[derive(Clone)]
 pub struct UcqPipelinePrep {
-    /// Provider answers emitted during materialization (Lemma 8's output
-    /// charging), as flat id rows; replayed at the head of every
-    /// enumeration from this one buffer, without copying or decoding.
-    early_ids: Arc<[ValueId]>,
-    /// Number of early answers (authoritative for Boolean unions).
-    n_early: usize,
-    /// Ids per answer (the union's head arity).
-    arity: usize,
     /// One preprocessed engine per member's free-connex extension.
     engines: Vec<Arc<CdyEngine>>,
-    /// Lemma 5 duplication budget.
-    budget: usize,
     /// Tuples materialization contributed to the instance, per planned atom
     /// (diagnostics for tests/benches).
     pub materialized_sizes: Vec<usize>,
@@ -77,10 +68,9 @@ impl UcqPipelinePrep {
     }
 
     /// As [`UcqPipelinePrep::prepare`], answering with the first `arity`
-    /// head positions only (an FD rewrite whose heads grew): early answers
-    /// are cut to them, member engines output them, and the Cheater absorbs
-    /// answers that only differed beyond them — at most one per member, so
-    /// the Lemma 5 budget stands.
+    /// head positions only (an FD rewrite whose heads grew): member engines
+    /// output them, and the Cheater absorbs answers that only differed
+    /// beyond them — at most one per member, so the Lemma 5 budget stands.
     pub(crate) fn prepare_projected(
         ucq: &Ucq,
         plan: &ExtensionPlan,
@@ -89,8 +79,6 @@ impl UcqPipelinePrep {
         ctx: &CtxView,
     ) -> Result<UcqPipelinePrep, EvalError> {
         let mut ext_instance = instance.clone();
-        let mut early_ids: Vec<ValueId> = Vec::new();
-        let mut n_early = 0usize;
         let mut materialized_sizes = Vec::with_capacity(plan.atoms.len());
 
         let name_of =
@@ -99,52 +87,34 @@ impl UcqPipelinePrep {
             let m = materialize_atom_in(ucq, atom, &name_of, &ext_instance, ctx)?;
             materialized_sizes.push(m.relation.len());
             ext_instance.insert_shared(atom.rel_name.clone(), m.relation);
-            if m.provider_width == arity {
-                early_ids.extend_from_slice(&m.provider_ids);
-            } else if arity > 0 {
-                for row in m.provider_ids.chunks_exact(m.provider_width) {
-                    early_ids.extend_from_slice(&row[..arity]);
-                }
-            }
-            n_early += m.n_provider_answers;
         }
 
         let extended: Vec<Cq> = (0..ucq.len())
             .map(|i| plan.extended_query(ucq, i))
             .collect();
         let engines = member_engines(&extended, arity, &ext_instance, ctx)?;
-
-        // Duplication bound: each answer can surface once per member and
-        // once per materialization (Lemma 5's m).
-        let budget = ucq.len() + plan.atoms.len() + 1;
         Ok(UcqPipelinePrep {
-            early_ids: early_ids.into(),
-            n_early,
-            arity,
             engines,
-            budget,
             materialized_sizes,
             ctx: ctx.clone(),
         })
     }
 
-    /// Retargets this prep (and its member engines) onto another view of
-    /// the same session — the freeze step of `EvalSession::freeze`. An
-    /// engine still pinned by a live enumerator (`Arc` shared) keeps its
-    /// build-phase view; that is still correct (the frozen snapshot shares
-    /// the same ids), it just keeps paying the build-phase lock.
+    /// The extended members' engines, in member order.
+    pub fn engines(&self) -> &[Arc<CdyEngine>] {
+        &self.engines
+    }
+
+    /// Moves this prep onto `view`, a snapshot of the context it was built
+    /// through (see [`retarget_members`]).
     pub(crate) fn retarget(&mut self, view: &CtxView) {
         self.ctx = view.clone();
-        for eng in &mut self.engines {
-            if let Some(e) = Arc::get_mut(eng) {
-                e.set_view(view.clone());
-            }
-        }
+        retarget_members(&mut self.engines, view);
     }
 
     /// Starts one enumeration over the preprocessed state. Starting is
-    /// O(1) in the data: cursors over shared engines and a shared replay
-    /// buffer; no linear pass is repeated.
+    /// O(1) in the data: cursors over shared engines; no linear pass is
+    /// repeated.
     pub fn start(&self) -> UcqPipeline {
         UcqPipeline {
             inner: IdDecoder::new(self.start_ids(), self.ctx.clone()),
@@ -152,34 +122,56 @@ impl UcqPipelinePrep {
         }
     }
 
-    /// [`UcqPipelinePrep::start`] without the value facade: the Cheater
-    /// over the early answers and the members' cursors.
-    pub(crate) fn start_ids(&self) -> Cheater<IdChainEnumerator> {
-        let mut stages: Vec<Box<dyn IdEnumerator + Send>> =
-            Vec::with_capacity(self.engines.len() + 1);
-        stages.push(Box::new(IdVecEnumerator::new(
-            self.arity,
-            Arc::clone(&self.early_ids),
-            self.n_early,
-        )));
-        for eng in &self.engines {
-            stages.push(Box::new(OwnedCdyIter::new(Arc::clone(eng))));
+    /// [`UcqPipelinePrep::start`] without the value facade.
+    pub(crate) fn start_ids(&self) -> UnionIds {
+        let ids = Algorithm1Ids::new(self.engines.clone());
+        if ids.probes() {
+            return UnionIds::Probed(ids);
         }
-        // The early answers are genuine distinct outputs, so their count
-        // is a free lower bound for the dedup table.
-        Cheater::with_capacity_hint(
-            IdChainEnumerator::new(self.arity, stages),
-            self.budget,
-            self.ctx.clone(),
-            self.n_early,
-        )
+        // Lemma 5's m: an answer surfaces at most once per member.
+        let budget = self.engines.len() + 1;
+        let cheater = Cheater::with_capacity_hint(ids, budget, self.ctx.clone(), 0);
+        UnionIds::Deduped(Box::new(cheater))
     }
 }
 
-/// A `DelayClin` enumerator for a free-connex UCQ: the id-level Cheater
-/// spine behind the block-decoding value facade ([`Enumerator`]).
+/// The id spine of a prepared union: Algorithm 1's interleave when every
+/// member can be probed, else the members back to back behind the Cheater.
+pub(crate) enum UnionIds {
+    Probed(Algorithm1Ids),
+    Deduped(Box<Cheater<Algorithm1Ids>>),
+}
+
+impl UnionIds {
+    /// The Cheater's counters; all zero when none runs.
+    fn stats(&self) -> CheaterStats {
+        match self {
+            UnionIds::Probed(_) => CheaterStats::default(),
+            UnionIds::Deduped(cheater) => cheater.stats(),
+        }
+    }
+}
+
+impl IdEnumerator for UnionIds {
+    fn arity(&self) -> usize {
+        match self {
+            UnionIds::Probed(ids) => ids.arity(),
+            UnionIds::Deduped(cheater) => cheater.arity(),
+        }
+    }
+
+    fn next_block(&mut self, block: &mut IdBlock) -> usize {
+        match self {
+            UnionIds::Probed(ids) => ids.next_block(block),
+            UnionIds::Deduped(cheater) => cheater.next_block(block),
+        }
+    }
+}
+
+/// A `DelayClin` enumerator for a free-connex UCQ: the id spine behind the
+/// block-decoding value facade ([`Enumerator`]).
 pub struct UcqPipeline {
-    inner: IdDecoder<Cheater<IdChainEnumerator>>,
+    inner: IdDecoder<UnionIds>,
     /// See [`UcqPipelinePrep::materialized_sizes`].
     pub materialized_sizes: Vec<usize>,
 }
@@ -206,12 +198,13 @@ impl UcqPipeline {
         Ok(UcqPipelinePrep::prepare(ucq, plan, instance, ctx)?.start())
     }
 
-    /// Dedup/pacing statistics of the underlying Cheater compiler.
+    /// Dedup/pacing statistics of the Cheater, which runs only on a
+    /// projected head: the default (all zero) under Algorithm 1.
     pub fn stats(&self) -> CheaterStats {
         self.inner.inner().stats()
     }
 
-    /// Rows the value facade has pulled from the Cheater.
+    /// Rows the value facade has pulled from the spine.
     pub fn rows_pulled(&self) -> usize {
         self.inner.rows_pulled()
     }
@@ -219,14 +212,6 @@ impl UcqPipeline {
     /// Rows the value facade has decoded (once per pulled row).
     pub fn rows_decoded(&self) -> usize {
         self.inner.rows_decoded()
-    }
-
-    /// The next answer as a borrowed interned id row — the escape hatch
-    /// for id-aware callers (no decode; see [`Cheater::next_ids`]). Drain
-    /// a pipeline through one surface: rows taken here are not seen by
-    /// [`Enumerator::next`] (see [`IdDecoder::inner_mut`]).
-    pub fn next_ids(&mut self) -> Option<&[ValueId]> {
-        self.inner.inner_mut().next_ids()
     }
 }
 
@@ -241,8 +226,8 @@ impl Enumerator for UcqPipeline {
 }
 
 /// The pipeline is itself an id enumerator, so id-aware callers can drain
-/// it block-at-a-time (delay measurement, chained unions, benches) — as
-/// with [`UcqPipeline::next_ids`], instead of the value facade.
+/// it block-at-a-time (delay measurement, chained unions) instead of
+/// through the value facade.
 impl IdEnumerator for UcqPipeline {
     fn arity(&self) -> usize {
         self.inner.inner().arity()
@@ -274,10 +259,13 @@ mod tests {
         let plan = plan_free_connex(&u, &SearchConfig::default()).expect("free-connex");
         let mut p = UcqPipeline::build(&u, &plan, i).unwrap();
         let got = p.collect_all();
-        let s = p.stats();
-        assert_eq!(p.rows_decoded(), s.emitted, "decode once per emission");
-        assert_eq!(p.rows_pulled(), s.emitted);
-        assert_eq!(s.decoded, 0, "the Cheater's own value facade is not used");
+        assert_eq!(p.rows_decoded(), got.len(), "decode once per answer");
+        assert_eq!(p.rows_pulled(), got.len());
+        assert_eq!(
+            p.stats(),
+            CheaterStats::default(),
+            "Algorithm 1, no Cheater"
+        );
         let want = evaluate_ucq_naive(&u, i).unwrap();
         (got, want)
     }
@@ -420,14 +408,44 @@ mod tests {
         let via_values = prep.start().collect_all();
 
         let mut p = prep.start();
-        let mut via_ids: Vec<Tuple> = Vec::new();
-        while let Some(row) = p.next_ids() {
-            let t = ctx.decode_tuple(row.iter().copied());
-            via_ids.push(t);
-        }
+        let (ids, rows) = p.collect_ids();
+        let via_ids = ctx.decode_rows(3, &ids);
         assert_eq!(via_ids, via_values, "same answers in the same order");
-        assert_eq!(p.rows_decoded(), 0, "next_ids never decodes");
-        assert_eq!(p.stats().emitted, via_values.len());
+        assert_eq!(rows, via_values.len());
+        assert_eq!(p.rows_decoded(), 0, "an id drain never decodes");
+    }
+
+    #[test]
+    fn only_a_projected_head_runs_the_cheater() {
+        // Example 2 answered on (x, y), as an FD rewrite whose heads grew
+        // by w would be: R2 and R3 are functional, so each member's
+        // projected answers are distinct, yet (1, 3) comes from both.
+        let u = parse_ucq(
+            "Q1(x, y, w) <- R1(x, z), R2(z, y), R3(y, w)\n\
+             Q2(x, y, w) <- R1(x, y), R2(y, w)",
+        )
+        .unwrap();
+        let plan = plan_free_connex(&u, &SearchConfig::default()).unwrap();
+        let i = inst(&[
+            ("R1", vec![(1, 2), (1, 3), (9, 7)]),
+            ("R2", vec![(2, 3), (3, 4), (7, 0)]),
+            ("R3", vec![(3, 4), (4, 5), (0, 2)]),
+        ]);
+        let ctx = CtxView::new();
+        let prep = UcqPipelinePrep::prepare_projected(&u, &plan, 2, &i, &ctx).unwrap();
+        assert!(prep.engines().iter().all(|e| !e.has_membership()));
+        let mut p = prep.start();
+        let got: Vec<Tuple> = p.collect_all();
+        let set: HashSet<Tuple> = got.iter().cloned().collect();
+        assert_eq!(got.len(), set.len(), "the Cheater dedups");
+        assert!(p.stats().duplicates > 0, "{:?}", p.stats());
+        assert_eq!(p.stats().emitted, got.len());
+        let want: HashSet<Tuple> = evaluate_ucq_naive(&u, &i)
+            .unwrap()
+            .into_iter()
+            .map(|t| Tuple::from(t.values()[..2].to_vec()))
+            .collect();
+        assert_eq!(set, want);
     }
 
     #[test]

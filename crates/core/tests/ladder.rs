@@ -91,10 +91,11 @@ fn every_rung_answers_like_the_oracle_and_the_first_four_in_one_order() {
     }
 }
 
-/// An all-free-connex union has two `DelayClin` strategies — Algorithm 1,
-/// with no dedup table, and the Theorem 12 pipeline with nothing to
-/// materialize, the Cheater over the members' cursors — and they return one
-/// set (the catalog's `two_free_connex`, its members overlapping).
+/// An all-free-connex union has two entry points — Algorithm 1, and the
+/// Theorem 12 pipeline with nothing to materialize, whose extended members
+/// are then the members themselves — and they return one set (the
+/// catalog's `two_free_connex`, its members overlapping). The test keeps
+/// the name it had when the pipeline ran the Cheater.
 #[test]
 fn algorithm1_and_the_cheater_pipeline_return_one_set() {
     let union = parse_ucq("Q1(x, y) <- R(x, y)\nQ2(a, b) <- S(a, z), T(z, b), U(a, z, b)").unwrap();
@@ -121,7 +122,7 @@ fn algorithm1_and_the_cheater_pipeline_return_one_set() {
         &want,
     );
     sequence(
-        "the Cheater pipeline",
+        "the Theorem 12 pipeline",
         UcqPipeline::build(&union, &plan, &inst).unwrap(),
         &want,
     );

@@ -140,8 +140,8 @@ impl<E: IdEnumerator> Cheater<E> {
     /// dedup table preallocates for `expected_answers` keys, skipping the
     /// growth rehashes an unhinted drain pays on large outputs. A lower
     /// bound is safe (the table still grows); callers with any output
-    /// estimate — the pipeline's materialized early-answer count, a
-    /// session's previous run — should pass it. Panics on a zero budget.
+    /// estimate — a session's previous run — should pass it. Panics on a
+    /// zero budget.
     pub fn with_capacity_hint(
         inner: E,
         pump_budget: usize,

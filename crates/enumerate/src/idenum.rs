@@ -72,8 +72,8 @@ impl IdEnumerator for Box<dyn IdEnumerator + Send> {
     }
 }
 
-/// Replays a pre-materialized flat id table; used for the pipeline's early
-/// answers and for materialized (naive) answer sets. The table is any
+/// Replays a pre-materialized flat id table; used for materialized
+/// (naive) answer sets. The table is any
 /// buffer of ids: an owned `Vec`, or an `Arc<[ValueId]>` that every
 /// replay of one prepared table shares without copying.
 #[derive(Clone, Debug)]

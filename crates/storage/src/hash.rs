@@ -15,16 +15,18 @@
 //! offline.
 //!
 //! [`FxHasher`] is the multiply-rotate scheme popularized by the rustc
-//! `FxHashMap`: `state = (state.rotl(5) ^ word) * K` per 8-byte word. Two
+//! `FxHashMap`: `state = (state.rotl(5) ^ word) * K` per 8-byte word, and
+//! `finish` rotates the state left by 26, as rustc-hash 2 does. Two
 //! properties matter here:
 //!
-//! * the final multiply spreads entropy into the high bits (hashbrown's
-//!   7-bit control tags), while the low bits of `id * K` (K odd) remain a
-//!   bijection of the low bits of `id` — dense dictionary ids therefore
-//!   spread perfectly across buckets;
+//! * the low bits of a product depend only on the low bits of its factors,
+//!   so without the final rotation hashbrown's bucket index (the low bits)
+//!   would see only the low half of a word — a packed two-id key
+//!   `(hi << 32) | lo` would bucket by `lo` alone, and rows such as
+//!   `(k, k mod 7)` would share a handful of probe chains. The rotation
+//!   brings the well-mixed middle bits of the product down instead;
 //! * it is deterministic (no per-map random state), which keeps index
-//!   builds and parallel shard merges reproducible across runs and across
-//!   worker threads.
+//!   builds reproducible across runs and across worker threads.
 //!
 //! [`FastMap`]/[`FastSet`] are the drop-in aliases used everywhere on the
 //! id layer.
@@ -60,7 +62,7 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        self.state.rotate_left(26)
     }
 
     #[inline]
@@ -227,17 +229,30 @@ mod tests {
         assert_eq!(map.get(&[ValueId(9)][..]), None);
     }
 
+    /// Distinct values the low 12 bits of `finish` take over `keys` — the
+    /// bucket index of a 4096-bucket hashbrown table.
+    fn low_bits_spread<T: Hash>(keys: impl Iterator<Item = T>) -> usize {
+        let mask = (1u64 << 12) - 1;
+        let buckets: FastSet<u64> = keys.map(|k| fx_hash_of(&k) & mask).collect();
+        buckets.len()
+    }
+
     #[test]
     fn dense_ids_spread_over_low_bits() {
-        // Low bits of `id * K` must stay distinct for dense ids (K is odd,
-        // so multiplication is a bijection mod 2^k) — this is what keeps
-        // dictionary-dense keys from clustering in hashbrown buckets.
-        let mask = (1u64 << 12) - 1;
-        let mut seen = FastSet::default();
-        for id in 0..1u32 << 12 {
-            seen.insert(fx_hash_of(&ValueId(id)) & mask);
-        }
-        assert!(seen.len() > (1 << 12) / 2, "low bits must not collapse");
+        // Dictionary-dense keys must not cluster in hashbrown buckets.
+        let dense = (0..1u32 << 12).map(ValueId);
+        assert!(
+            low_bits_spread(dense) > 1 << 11,
+            "low bits must not collapse"
+        );
+    }
+
+    #[test]
+    fn packed_pairs_spread_over_low_bits_when_only_the_high_id_varies() {
+        // Rows `(k, k mod 7)` packed as `IdSet` packs two ids: the low id
+        // takes 7 values, so the bucket bits must come from the high one.
+        let packed = (0..1u64 << 12).map(|k| (k << 32) | (k % 7));
+        assert!(low_bits_spread(packed) >= 1 << 11, "probe chains collapse");
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! Parametric query families for scaling studies.
+//! Parametric query families for scaling studies, and adversarial
+//! instance shapes.
 //!
 //! The catalog holds the paper's fixed examples; these generators produce
 //! the natural families around them: path joins of any length (with full or
 //! endpoint-only heads — the free-connex/hard axis of Theorem 3), star
 //! joins (the Example 31 shape), and the general Example 39 family.
+//! [`residue_pairs`] is an instance shape that once broke constant delay.
 
 use ucq_query::{parse_cq, parse_ucq, Cq, Ucq};
+use ucq_storage::Relation;
 
 /// A path join `Q(…) ← R1(x0,x1), …, Rk(x_{k-1},x_k)`.
 ///
@@ -69,6 +72,15 @@ pub fn example39(k: usize) -> Ucq {
         r2_args.join(", "),
     );
     parse_ucq(&text).expect("generated family is well-formed")
+}
+
+/// The binary relation `{(k, k mod modulus) | 0 ≤ k < rows}`: one column
+/// dense, the other taking `modulus` values. Packed two-id keys of such
+/// rows differ mostly in their high id, which a hash that buckets by the
+/// low bits of a product turns into a few long probe chains — a dedup or
+/// membership set over them then costs time superlinear in `rows`.
+pub fn residue_pairs(rows: usize, modulus: i64) -> Relation {
+    Relation::from_pairs((0..rows as i64).map(|k| (k, k % modulus)))
 }
 
 #[cfg(test)]

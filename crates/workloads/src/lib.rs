@@ -11,5 +11,5 @@ mod static_asserts;
 
 pub use catalog::{by_id, catalog, example31, CatalogEntry, PaperVerdict};
 pub use drive::{drive, Churn, LoadReport, LoadSpec};
-pub use generators::{example39, path_cq, star_cq};
+pub use generators::{example39, path_cq, residue_pairs, star_cq};
 pub use random::{random_instance, InstanceSpec};

@@ -1,13 +1,16 @@
-//! Random instance generation for queries, and random free-connex unions
-//! for the differential tests of the Theorem 4 arm.
+//! Random instance generation for queries, and random unions for the
+//! differential tests of the two tractable arms: free-connex unions for
+//! Theorem 4's, union-extension ones for Theorem 12's.
 //!
 //! Uniform tuples over a bounded domain: with `rows` tuples per relation and
 //! domain size `Θ(rows / join_factor)`, multi-way joins have plentiful but
 //! not explosive matches — the regime the delay experiments need.
 
+use crate::catalog::catalog;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use ucq_core::{Strategy, UcqEngine};
 use ucq_query::{Cq, Ucq};
 use ucq_storage::{Instance, Relation, Value};
 
@@ -89,27 +92,123 @@ pub fn random_free_connex_union(seed: u64, members: usize, head_arity: usize) ->
     let mut rng = StdRng::seed_from_u64(seed);
     let cqs = (0..members)
         .map(|m| loop {
-            let n_atoms = rng.gen_range(1usize..=3);
-            let atoms: Vec<(&str, Vec<&str>)> = (0..n_atoms)
-                .map(|_| {
-                    let (rel, arity) = POOL[rng.gen_range(0..POOL.len())];
-                    let args = (0..arity).map(|_| VARS[rng.gen_range(0..VARS.len())]);
-                    (rel, args.collect())
-                })
-                .collect();
-            let used: Vec<&str> = atoms.iter().flat_map(|(_, a)| a.iter().copied()).collect();
-            let head: Vec<&str> = (0..head_arity)
-                .map(|_| used[rng.gen_range(0..used.len())])
-                .collect();
-            let refs: Vec<(&str, &[&str])> = atoms.iter().map(|(r, a)| (*r, &a[..])).collect();
-            let cq =
-                Cq::build(&format!("Q{m}"), &head, &refs).expect("well-formed by construction");
+            let cq = random_cq(&mut rng, m, head_arity);
             if cq.is_free_connex() {
                 break cq;
             }
         })
         .collect();
     Ucq::new(cqs).expect("members share one head arity")
+}
+
+/// A random union that runs on the Theorem 12 arm: free-connex as a union,
+/// yet with a member that is not free-connex on its own, so that Lemma 8
+/// has a virtual relation to materialize. Deterministic in `seed`.
+///
+/// Such unions are too rare among [`random_free_connex_union`]'s draws to
+/// sample for, so this perturbs one of the catalog's union-extension
+/// entries instead: relations renamed (two of one arity now and then
+/// merged into a self-join), head positions permuted and sometimes one
+/// repeated, a unary filter on one member's head variable, an extra
+/// free-connex member. Draws repeat until the result is still on the arm.
+pub fn random_union_extension(seed: u64) -> Ucq {
+    let bases: Vec<Ucq> = catalog()
+        .into_iter()
+        .map(|e| e.ucq)
+        .filter(on_the_extension_arm)
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    loop {
+        let u = perturb(&bases[rng.gen_range(0..bases.len())], &mut rng);
+        if on_the_extension_arm(&u) {
+            return u;
+        }
+    }
+}
+
+fn on_the_extension_arm(u: &Ucq) -> bool {
+    !u.cqs().iter().all(Cq::is_free_connex)
+        && UcqEngine::new(u.clone()).strategy() == Strategy::UnionExtension
+}
+
+/// One draw of [`random_union_extension`]'s perturbations of `u`.
+fn perturb(u: &Ucq, rng: &mut StdRng) -> Ucq {
+    let mut renamed: HashMap<&str, String> = HashMap::new();
+    let mut per_arity: HashMap<usize, usize> = HashMap::new();
+    for atom in u.cqs().iter().flat_map(Cq::atoms) {
+        renamed.entry(atom.rel.as_str()).or_insert_with(|| {
+            let arity = atom.args.len();
+            let fresh = per_arity.entry(arity).or_default();
+            let k = if rng.gen_bool(0.2) {
+                rng.gen_range(0..=*fresh)
+            } else {
+                *fresh
+            };
+            *fresh += 1;
+            format!("N{arity}_{k}")
+        });
+    }
+    let mut positions: Vec<usize> = (0..u.head_arity()).collect();
+    for i in (1..positions.len()).rev() {
+        positions.swap(i, rng.gen_range(0..=i));
+    }
+    if !positions.is_empty() && rng.gen_bool(0.3) {
+        positions.push(positions[rng.gen_range(0..positions.len())]);
+    }
+    let filtered = rng.gen_bool(0.3).then(|| rng.gen_range(0..u.len()));
+    let mut cqs: Vec<Cq> = u
+        .cqs()
+        .iter()
+        .enumerate()
+        .map(|(m, cq)| {
+            let name = |v| cq.var_name(v);
+            let head: Vec<&str> = positions.iter().map(|&p| name(cq.head()[p])).collect();
+            let mut atoms: Vec<(&str, Vec<&str>)> = cq
+                .atoms()
+                .iter()
+                .map(|a| {
+                    (
+                        renamed[a.rel.as_str()].as_str(),
+                        a.args.iter().map(|&v| name(v)).collect(),
+                    )
+                })
+                .collect();
+            if filtered == Some(m) && !head.is_empty() {
+                atoms.push(("F", vec![head[rng.gen_range(0..head.len())]]));
+            }
+            let refs: Vec<(&str, &[&str])> = atoms.iter().map(|(r, a)| (*r, &a[..])).collect();
+            Cq::build(&format!("Q{m}"), &head, &refs).expect("renamed from a well-formed member")
+        })
+        .collect();
+    if rng.gen_bool(0.3) {
+        let m = cqs.len();
+        cqs.push(loop {
+            let cq = random_cq(rng, m, positions.len());
+            if cq.is_free_connex() {
+                break cq;
+            }
+        });
+    }
+    Ucq::new(cqs).expect("members share one head arity")
+}
+
+/// One member `Q{m}` for the generators above: one to three atoms over
+/// [`POOL`], `head_arity` head positions drawn from its variables.
+fn random_cq(rng: &mut StdRng, m: usize, head_arity: usize) -> Cq {
+    let n_atoms = rng.gen_range(1usize..=3);
+    let atoms: Vec<(&str, Vec<&str>)> = (0..n_atoms)
+        .map(|_| {
+            let (rel, arity) = POOL[rng.gen_range(0..POOL.len())];
+            let args = (0..arity).map(|_| VARS[rng.gen_range(0..VARS.len())]);
+            (rel, args.collect())
+        })
+        .collect();
+    let used: Vec<&str> = atoms.iter().flat_map(|(_, a)| a.iter().copied()).collect();
+    let head: Vec<&str> = (0..head_arity)
+        .map(|_| used[rng.gen_range(0..used.len())])
+        .collect();
+    let refs: Vec<(&str, &[&str])> = atoms.iter().map(|(r, a)| (*r, &a[..])).collect();
+    Cq::build(&format!("Q{m}"), &head, &refs).expect("well-formed by construction")
 }
 
 #[cfg(test)]
@@ -128,6 +227,23 @@ mod tests {
             assert_eq!(format!("{u:?}"), format!("{again:?}"));
             random_instance(&u, &InstanceSpec::scaled(8, seed)); // one arity per name
         }
+    }
+
+    #[test]
+    fn union_extensions_stay_on_the_arm_and_vary() {
+        let mut shapes = std::collections::HashSet::new();
+        let mut self_joins = 0;
+        for seed in 0..40 {
+            let u = random_union_extension(seed);
+            assert!(on_the_extension_arm(&u), "seed {seed}: {u:?}");
+            let again = random_union_extension(seed);
+            assert_eq!(format!("{u:?}"), format!("{again:?}"));
+            shapes.insert(u.fingerprint());
+            self_joins += usize::from(!u.is_self_join_free());
+            random_instance(&u, &InstanceSpec::scaled(8, seed)); // one arity per name
+        }
+        assert!(shapes.len() >= 30, "only {} distinct unions", shapes.len());
+        assert!(self_joins >= 4, "only {self_joins} unions with a self-join");
     }
 
     #[test]

@@ -7,9 +7,14 @@
 //! frozen, refrozen after an insert and after a delete. Same set, no
 //! duplicate, same `decide`.
 //!
-//! The second test adds the column the first has no pool for: unions under
-//! functional dependencies — an FD rewrite on the ordinary engine — served
-//! through `ucq_serve::serve`, before and after a rotation.
+//! The second test runs the Theorem 12 arm through the same rungs and on
+//! through `ucq_serve::serve`: random union-extension unions, whose
+//! extended members run Algorithm 1 once Lemma 8 has materialized their
+//! virtual relations, against the naive set.
+//!
+//! The third adds unions under functional dependencies — an FD rewrite on
+//! the ordinary engine — served through the pool, before and after a
+//! rotation.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -20,7 +25,10 @@ use ucq_enumerate::{Enumerator, VecEnumerator};
 use ucq_query::{parse_ucq, Ucq};
 use ucq_serve::{serve, Request, ServeConfig};
 use ucq_storage::{Instance, Relation, Tuple, Value};
-use ucq_workloads::random::{random_free_connex_union, random_instance, InstanceSpec};
+use ucq_workloads::random::{
+    random_free_connex_union, random_instance, random_union_extension, InstanceSpec,
+};
+use ucq_workloads::residue_pairs;
 use ucq_yannakakis::{CdyEngine, CdyIter};
 
 /// Algorithm 1 as printed, nesting unions of more than two members by
@@ -76,6 +84,16 @@ fn check_all_paths(u: &Ucq, inst: &Instance, case: &str) -> HashSet<Tuple> {
         Algorithm1::build(u, inst).unwrap(),
         &want,
     );
+    check_engine_paths(u, inst, case, want)
+}
+
+/// The engine's one-shot and session rungs against `want`.
+fn check_engine_paths(
+    u: &Ucq,
+    inst: &Instance,
+    case: &str,
+    want: HashSet<Tuple>,
+) -> HashSet<Tuple> {
     let engine = UcqEngine::new(u.clone());
     check("engine", case, engine.enumerate(inst).unwrap(), &want);
     assert_eq!(engine.decide(inst).unwrap(), !want.is_empty(), "{case}");
@@ -106,6 +124,48 @@ fn churn_target(u: &Ucq, inst: &Instance, seed: u64) -> (String, Relation, Relat
     (atom.rel.clone(), fresh, doomed)
 }
 
+/// Frozen, then refrozen after an insert and after a delete; every epoch
+/// against `evaluate`'s answers over its own instance, and the first again
+/// once the others exist. Returns the frozen and the last epoch with the
+/// last one's answers.
+fn check_epochs<'e>(
+    engine: &'e UcqEngine,
+    inst: &Instance,
+    seed: u64,
+    case: &str,
+    want: &HashSet<Tuple>,
+    evaluate: impl Fn(&Ucq, &Instance, &str) -> HashSet<Tuple>,
+) -> (FrozenSession<'e>, FrozenSession<'e>, HashSet<Tuple>) {
+    let u = engine.ucq();
+    let frozen = engine.session(inst).freeze().unwrap();
+    check("frozen", case, frozen.enumerate().unwrap(), want);
+    assert_eq!(frozen.decide().unwrap(), !want.is_empty(), "{case}");
+
+    let (rel, fresh, doomed) = churn_target(u, inst, seed);
+    let ctx = frozen.build_context();
+    let grown = ctx.insert_rows(&inst.get_shared(&rel).unwrap(), &fresh);
+    let inst_grown = inst.with_relation_shared(&rel, grown);
+    let after_insert = frozen.refreeze(&inst_grown).unwrap();
+    let want_grown = evaluate(u, &inst_grown, &format!("{case} + insert"));
+    let epoch = after_insert.enumerate().unwrap();
+    check("refrozen after insert", case, epoch, &want_grown);
+
+    let shrunk = ctx.delete_rows(&inst_grown.get_shared(&rel).unwrap(), &doomed);
+    let inst_shrunk = inst_grown.with_relation_shared(&rel, shrunk);
+    let after_delete = after_insert.refreeze(&inst_shrunk).unwrap();
+    let want_shrunk = evaluate(u, &inst_shrunk, &format!("{case} - delete"));
+    let epoch = after_delete.enumerate().unwrap();
+    check("refrozen after delete", case, epoch, &want_shrunk);
+    assert_eq!(
+        after_delete.decide().unwrap(),
+        !want_shrunk.is_empty(),
+        "{case}"
+    );
+    // Earlier epochs keep serving their own instance.
+    check("frozen, later", case, frozen.enumerate().unwrap(), want);
+    (frozen, after_delete, want_shrunk)
+}
+
 #[test]
 fn algorithm1_on_ids_matches_the_paper_and_the_naive_set() {
     let mut on_the_arm = 0;
@@ -133,36 +193,9 @@ fn algorithm1_on_ids_matches_the_paper_and_the_naive_set() {
         let want = check_all_paths(&u, &inst, &case);
         nonempty += usize::from(!want.is_empty());
 
-        // Frozen, then refrozen after an insert and after a delete; every
-        // epoch against a fresh evaluation of its own instance.
         let engine = UcqEngine::new(u.clone());
         on_the_arm += usize::from(engine.strategy() == Strategy::Algorithm1);
-        let frozen = engine.session(&inst).freeze().unwrap();
-        check("frozen", &case, frozen.enumerate().unwrap(), &want);
-        assert_eq!(frozen.decide().unwrap(), !want.is_empty(), "{case}");
-
-        let (rel, fresh, doomed) = churn_target(&u, &inst, seed);
-        let ctx = frozen.build_context();
-        let grown = ctx.insert_rows(&inst.get_shared(&rel).unwrap(), &fresh);
-        let inst_grown = inst.with_relation_shared(&rel, grown);
-        let after_insert = frozen.refreeze(&inst_grown).unwrap();
-        let want_grown = check_all_paths(&u, &inst_grown, &format!("{case} + insert"));
-        let epoch = after_insert.enumerate().unwrap();
-        check("refrozen after insert", &case, epoch, &want_grown);
-
-        let shrunk = ctx.delete_rows(&inst_grown.get_shared(&rel).unwrap(), &doomed);
-        let inst_shrunk = inst_grown.with_relation_shared(&rel, shrunk);
-        let after_delete = after_insert.refreeze(&inst_shrunk).unwrap();
-        let want_shrunk = check_all_paths(&u, &inst_shrunk, &format!("{case} - delete"));
-        let epoch = after_delete.enumerate().unwrap();
-        check("refrozen after delete", &case, epoch, &want_shrunk);
-        assert_eq!(
-            after_delete.decide().unwrap(),
-            !want_shrunk.is_empty(),
-            "{case}"
-        );
-        // Earlier epochs keep serving their own instance.
-        check("frozen, later", &case, frozen.enumerate().unwrap(), &want);
+        check_epochs(&engine, &inst, seed, &case, &want, check_all_paths);
     }
     assert!(
         on_the_arm >= 100,
@@ -199,10 +232,61 @@ fn check_served(case: &str, session: FrozenSession<'_>, want: &HashSet<Tuple>) {
     }
 }
 
+/// The Theorem 12 arm's differential: random union-extension unions, whose
+/// extended members run Algorithm 1 with membership probes, on every rung
+/// from one-shot to the pool. Release builds run them at sizes where a
+/// missing membership set or a repeated answer shows.
+#[test]
+fn union_extensions_answer_once_on_every_rung_up_to_the_pool() {
+    // Release sizes: most unions answer more than one 512-row block.
+    let (cases, rows, domain, min_past_a_block) = if cfg!(debug_assertions) {
+        (40, 14, 5, 0)
+    } else {
+        (200, 160, 12, 100)
+    };
+    let (mut nonempty, mut past_a_block) = (0, 0);
+    for seed in 0..cases {
+        let u = random_union_extension(seed);
+        let mut inst = random_instance(
+            &u,
+            &InstanceSpec {
+                rows_per_relation: rows,
+                domain,
+                seed,
+            },
+        );
+        if seed % 5 == 0 {
+            let rel = &u.cqs()[u.len() - 1].atoms()[0].rel;
+            let arity = inst.get(rel).expect("generated").arity();
+            inst.insert(rel, Relation::new(arity));
+        }
+        let case = format!("seed {seed}: {u:?}");
+        let engine = UcqEngine::new(u.clone());
+        assert_eq!(engine.strategy(), Strategy::UnionExtension, "{case}");
+        let naive = |u: &Ucq, inst: &Instance, case: &str| {
+            let want = evaluate_ucq_naive_set(u, inst).expect("evaluates");
+            check_engine_paths(u, inst, case, want)
+        };
+        let want = naive(&u, &inst, &case);
+        nonempty += usize::from(!want.is_empty());
+        past_a_block += usize::from(want.len() > 512);
+        let (frozen, last, want_last) = check_epochs(&engine, &inst, seed, &case, &want, naive);
+        check_served(&case, frozen, &want);
+        check_served(&case, last, &want_last);
+    }
+    assert!(
+        nonempty >= cases as usize / 2,
+        "only {nonempty} unions had answers"
+    );
+    assert!(
+        past_a_block >= min_past_a_block,
+        "only {past_a_block} unions answered more than a block"
+    );
+}
+
 #[test]
 fn fd_rewrites_answer_once_on_every_rung_up_to_the_pool() {
     let key = |rel: &str| Fd::new(rel, vec![0], 1);
-    let keyed = |rows: i64, modulus: i64| Relation::from_pairs((0..rows).map(|k| (k, k % modulus)));
     let cases = [
         (
             "Pi(x, y) <- A(x, z), B(z, y)",
@@ -216,14 +300,16 @@ fn fd_rewrites_answer_once_on_every_rung_up_to_the_pool() {
         (
             "Q1(x) <- A(x, z)\nQ2(x) <- B(x, w)",
             vec![key("A"), key("B")],
-            keyed(900, 5),
+            residue_pairs(900, 5),
             Relation::from_pairs([(5000, 3), (5001, 4)]),
             Strategy::UnionExtension,
         ),
     ];
     for (text, fds, b, delta, strategy) in cases {
         let u = parse_ucq(text).unwrap();
-        let inst: Instance = [("A", keyed(700, 12)), ("B", b)].into_iter().collect();
+        let inst: Instance = [("A", residue_pairs(700, 12)), ("B", b)]
+            .into_iter()
+            .collect();
         let rewrite = fd_rewrite(&u, &FdSet::new(fds)).unwrap();
         let engine = rewrite.engine();
         assert_eq!(engine.strategy(), strategy, "{text}");

@@ -431,6 +431,13 @@ impl CdyEngine {
         self.probe(self.membership_plan(), row, &mut scratch.buf)
     }
 
+    /// Whether [`CdyEngine::contains_ids`] may be called: the output covers
+    /// the connex target exactly. False only for an engine that outputs a
+    /// strict prefix of its head (an FD rewrite's projected answers).
+    pub fn has_membership(&self) -> bool {
+        self.membership.is_some()
+    }
+
     fn membership_plan(&self) -> &MembershipPlan {
         self.membership
             .as_ref()
@@ -908,7 +915,7 @@ impl ucq_enumerate::Enumerator for OwnedCdyIter {
 
 /// The id-level spine adapter: answers are appended to the caller's block
 /// as raw output-projected id rows — no decode, no per-answer allocation.
-/// This is what the Theorem 12 pipeline chains under its Cheater compiler.
+/// This is what Algorithm 1 interleaves, on both tractable strategy arms.
 impl ucq_enumerate::IdEnumerator for OwnedCdyIter {
     fn arity(&self) -> usize {
         self.eng.output_arity()
@@ -1039,6 +1046,7 @@ mod tests {
             ("S", vec![(2, 3), (2, 4), (6, 8)]),
         ]);
         let eng = CdyEngine::for_query_in(&q, &i, &ctx).unwrap();
+        assert!(eng.has_membership());
         let answers = eng.iter().collect_all();
         assert_eq!(answers.len(), 5);
         for t in &answers {
@@ -1073,6 +1081,7 @@ mod tests {
         let s: VSet = [0u32, 2].into_iter().collect();
         let i = inst(&[("R", vec![(1, 2)]), ("S", vec![(2, 3)])]);
         let eng = CdyEngine::build_in(&q, s, vec![0], &i, &CtxView::new()).unwrap();
+        assert!(!eng.has_membership());
         eng.contains(&Tuple::from(&[1i64][..]));
     }
 
