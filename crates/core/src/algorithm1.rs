@@ -304,6 +304,10 @@ impl Enumerator for Algorithm1 {
         self.inner.next()
     }
 
+    fn next_into(&mut self, out: &mut Vec<Tuple>, max: usize) -> usize {
+        self.inner.next_into(out, max)
+    }
+
     fn expect_at_most(&mut self, rows: usize) {
         self.inner.expect_at_most(rows);
     }

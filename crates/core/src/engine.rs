@@ -720,6 +720,10 @@ impl Enumerator for UcqAnswers {
         self.inner.next()
     }
 
+    fn next_into(&mut self, out: &mut Vec<Tuple>, max: usize) -> usize {
+        self.inner.next_into(out, max)
+    }
+
     fn expect_at_most(&mut self, rows: usize) {
         self.inner.expect_at_most(rows);
     }
@@ -1059,7 +1063,8 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use ucq_enumerate::{Budgeted, QueryBudget};
         use ucq_storage::IdBlock;
-        /// An endless Boolean stream recording the most rows a fill asked for.
+        /// An endless Boolean stream recording how many rows its fills
+        /// asked for in all.
         struct Probe(Arc<AtomicUsize>);
         impl IdEnumerator for Probe {
             fn arity(&self) -> usize {
@@ -1067,7 +1072,7 @@ mod tests {
             }
             fn next_block(&mut self, block: &mut IdBlock) -> usize {
                 let asked = block.remaining();
-                self.0.fetch_max(asked, Ordering::Relaxed);
+                self.0.fetch_add(asked, Ordering::Relaxed);
                 (0..asked).for_each(|_| block.push_row(&[]));
                 asked
             }
@@ -1080,6 +1085,7 @@ mod tests {
         assert!(answers().has_answer());
         assert_eq!(asked.load(Ordering::Relaxed), 1);
         // An answer cap travels the same way: n answers and the one beyond.
+        asked.store(0, Ordering::Relaxed);
         let budget = QueryBudget::unlimited().with_max_answers(40);
         let mut page = Budgeted::new(answers(), budget);
         assert_eq!(page.collect_all().len(), 40);

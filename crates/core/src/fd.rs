@@ -481,7 +481,7 @@ mod tests {
         let orig_head_len = q.head().len();
         let projected: HashSet<Tuple> = ext_answers
             .iter()
-            .map(|t| Tuple(t.values()[..orig_head_len].into()))
+            .map(|t| Tuple::from_row(&t.values()[..orig_head_len]))
             .collect();
         assert_eq!(orig, projected);
     }

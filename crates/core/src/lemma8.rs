@@ -57,11 +57,14 @@ impl Materialized {
     /// Decodes the emitted provider answers to value tuples (test/bench
     /// boundary; the pipeline replays the ids directly).
     pub fn decode_provider_answers(&self, ctx: &CtxView) -> Vec<Tuple> {
-        if self.provider_width == 0 {
-            vec![Tuple::empty(); self.n_provider_answers]
-        } else {
-            ctx.decode_rows(self.provider_width, &self.provider_ids)
-        }
+        let mut out = Vec::with_capacity(self.n_provider_answers);
+        ctx.decode_rows_into(
+            self.provider_width,
+            self.n_provider_answers,
+            &self.provider_ids,
+            &mut out,
+        );
+        out
     }
 }
 

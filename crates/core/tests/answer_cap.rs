@@ -20,12 +20,23 @@ fn check_arm<S: Enumerator>(
     total: usize,
 ) {
     assert!(total > 2 * DEFAULT_BLOCK_ROWS, "pages must cross blocks");
+    // A page drained a block per call (as the serving runtime fills its
+    // reply) must pull exactly what an answer-at-a-time drain pulls.
     let page = |n: usize| {
-        let budget = QueryBudget::unlimited().with_max_answers(n);
-        let mut budgeted = Budgeted::new(start(), budget);
-        let answers = budgeted.collect_all().len();
-        let truncated_by = budgeted.truncated_by();
-        (answers, truncated_by, counts(&budgeted.into_inner()))
+        let drain = |blockwise: bool| {
+            let budget = QueryBudget::unlimited().with_max_answers(n);
+            let mut budgeted = Budgeted::new(start(), budget);
+            let answers = if blockwise {
+                budgeted.collect_all().len()
+            } else {
+                std::iter::from_fn(|| budgeted.next()).count()
+            };
+            let truncated_by = budgeted.truncated_by();
+            (answers, truncated_by, counts(&budgeted.into_inner()))
+        };
+        let blockwise = drain(true);
+        assert_eq!(blockwise, drain(false), "page of {n}: next_into vs next");
+        blockwise
     };
     let b = DEFAULT_BLOCK_ROWS;
     for n in [0, 1, 2, b - 1, b, b + 1, 2 * b, total - 1] {

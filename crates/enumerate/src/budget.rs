@@ -127,7 +127,10 @@ impl CancelToken {
 /// `stride` answers (default [`DEFAULT_BLOCK_ROWS`], the id spine's block
 /// size), so a firing limit stops the stream within one block. The answer
 /// cap is exact: the stream reports [`Truncation::MaxAnswers`] only if at
-/// least one more answer actually existed.
+/// least one more answer actually existed. A [`Enumerator::next_into`]
+/// call takes at most the rest of the current stride, so a block-wise
+/// drain checks the budget once per call and stops exactly where an
+/// answer-at-a-time drain would.
 pub struct Budgeted<E> {
     inner: E,
     budget: QueryBudget,
@@ -194,58 +197,76 @@ impl<E: Enumerator> Budgeted<E> {
         self.inner
     }
 
-    fn truncate(&mut self, why: Truncation) -> Option<Tuple> {
-        self.truncated = Some(why);
-        self.done = true;
-        None
+    /// The one budget check behind [`Enumerator::next`] and
+    /// [`Enumerator::next_into`]: how many answers the next pull may take
+    /// (at most `max`), or `0` when the stream stops here. At a block
+    /// boundary it checks cancellation, the deadline and the block cap; a
+    /// pull never crosses the next boundary or the answer cap. At the cap
+    /// it probes one further answer, so [`Truncation::MaxAnswers`] is
+    /// reported only if one existed.
+    fn allowance(&mut self, max: usize) -> usize {
+        if self.done || max == 0 {
+            return 0;
+        }
+        let into_block = self.answers % self.stride;
+        if into_block == 0 {
+            // Block boundary (including before the very first answer).
+            let cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+            let fired = if cancelled {
+                Some(Truncation::Cancelled)
+            } else if self.budget.deadline.is_some_and(|d| Instant::now() >= d) {
+                Some(Truncation::Deadline)
+            } else if self.budget.max_blocks.is_some_and(|m| self.blocks >= m) {
+                Some(Truncation::MaxBlocks)
+            } else {
+                None
+            };
+            if fired.is_some() {
+                self.truncated = fired;
+                self.done = true;
+                return 0;
+            }
+            self.blocks += 1;
+        }
+        let mut allow = max.min(self.stride - into_block);
+        if let Some(cap) = self.budget.max_answers {
+            if self.answers >= cap {
+                if self.inner.next().is_some() {
+                    self.truncated = Some(Truncation::MaxAnswers);
+                }
+                self.done = true;
+                return 0;
+            }
+            allow = allow.min(cap - self.answers);
+        }
+        allow
+    }
+
+    /// Books `n` answers pulled under an [`Budgeted::allowance`]; `0`
+    /// means the inner stream is exhausted.
+    fn took(&mut self, n: usize) -> usize {
+        self.answers += n;
+        self.done |= n == 0;
+        n
     }
 }
 
 impl<E: Enumerator> Enumerator for Budgeted<E> {
     fn next(&mut self) -> Option<Tuple> {
-        if self.done {
+        if self.allowance(1) == 0 {
             return None;
         }
-        if self.answers.is_multiple_of(self.stride) {
-            // Block boundary (including before the very first answer).
-            if let Some(token) = &self.cancel {
-                if token.is_cancelled() {
-                    return self.truncate(Truncation::Cancelled);
-                }
-            }
-            if let Some(deadline) = self.budget.deadline {
-                if Instant::now() >= deadline {
-                    return self.truncate(Truncation::Deadline);
-                }
-            }
-            if let Some(max) = self.budget.max_blocks {
-                if self.blocks >= max {
-                    return self.truncate(Truncation::MaxBlocks);
-                }
-            }
-            self.blocks += 1;
-        }
-        if let Some(max) = self.budget.max_answers {
-            if self.answers >= max {
-                // Exact truncation semantics: only report MaxAnswers if
-                // the inner stream really had more to give.
-                return match self.inner.next() {
-                    Some(_) => self.truncate(Truncation::MaxAnswers),
-                    None => {
-                        self.done = true;
-                        None
-                    }
-                };
-            }
-        }
-        match self.inner.next() {
-            Some(t) => {
-                self.answers += 1;
-                Some(t)
-            }
-            None => {
-                self.done = true;
-                None
+        let answer = self.inner.next();
+        self.took(usize::from(answer.is_some()));
+        answer
+    }
+
+    fn next_into(&mut self, out: &mut Vec<Tuple>, max: usize) -> usize {
+        match self.allowance(max) {
+            0 => 0,
+            allow => {
+                let n = self.inner.next_into(out, allow);
+                self.took(n)
             }
         }
     }
@@ -264,48 +285,133 @@ mod tests {
         VecEnumerator::new((0..n).map(t).collect())
     }
 
+    /// What a drain saw: the answers, then `truncated_by`,
+    /// `answers_emitted` and `blocks_entered`.
+    type Drained = (Vec<Tuple>, Option<Truncation>, usize, usize);
+
+    /// Drains `b`: `first` answers, then `between` runs, then the rest.
+    /// `per_call` is `None` for one [`Enumerator::next`] per answer, or
+    /// the `max` of every [`Enumerator::next_into`] call.
+    fn drain_with(
+        mut b: Budgeted<VecEnumerator>,
+        per_call: Option<usize>,
+        first: usize,
+        between: &dyn Fn(),
+    ) -> Drained {
+        let mut got = Vec::new();
+        match per_call {
+            None => {
+                got.extend((0..first).map_while(|_| b.next()));
+                between();
+                while let Some(t) = b.next() {
+                    got.push(t);
+                }
+            }
+            Some(max) => {
+                while got.len() < first {
+                    let want = max.min(first - got.len());
+                    if b.next_into(&mut got, want) == 0 {
+                        break;
+                    }
+                }
+                between();
+                while b.next_into(&mut got, max) > 0 {}
+            }
+        }
+        (
+            got,
+            b.truncated_by(),
+            b.answers_emitted(),
+            b.blocks_entered(),
+        )
+    }
+
+    /// Drains fresh copies of one budgeted stream answer by answer and
+    /// block-wise (whole strides, and short calls that split strides);
+    /// every drain must see the same thing.
+    fn drained(make: impl Fn() -> Budgeted<VecEnumerator>) -> Drained {
+        let one_by_one = drain_with(make(), None, 0, &|| {});
+        for per_call in [usize::MAX, 3] {
+            let blockwise = drain_with(make(), Some(per_call), 0, &|| {});
+            assert_eq!(blockwise, one_by_one, "next_into({per_call}) vs next");
+        }
+        one_by_one
+    }
+
+    const STRIDE: usize = 8;
+    const TOTAL: usize = 5 * STRIDE + 3;
+
+    fn capped(cap: usize) -> Drained {
+        drained(|| {
+            Budgeted::new(
+                stream(TOTAL as i64),
+                QueryBudget::unlimited().with_max_answers(cap),
+            )
+            .with_stride(STRIDE)
+        })
+    }
+
     #[test]
     fn unlimited_budget_passes_everything_through() {
-        let mut b = Budgeted::new(stream(5), QueryBudget::unlimited());
-        assert_eq!(b.collect_all().len(), 5);
-        assert_eq!(b.truncated_by(), None);
-        assert_eq!(b.answers_emitted(), 5);
+        let (got, why, emitted, _) = drained(|| Budgeted::new(stream(5), QueryBudget::unlimited()));
+        assert_eq!(got.len(), 5);
+        assert_eq!(why, None);
+        assert_eq!(emitted, 5);
     }
 
     #[test]
     fn max_answers_cuts_exactly() {
-        let mut b = Budgeted::new(stream(10), QueryBudget::unlimited().with_max_answers(3));
-        assert_eq!(b.collect_all().len(), 3);
-        assert_eq!(b.truncated_by(), Some(Truncation::MaxAnswers));
+        let (got, why, _, _) =
+            drained(|| Budgeted::new(stream(10), QueryBudget::unlimited().with_max_answers(3)));
+        assert_eq!(got.len(), 3);
+        assert_eq!(why, Some(Truncation::MaxAnswers));
+    }
+
+    #[test]
+    fn max_answers_cuts_exactly_around_every_stride_boundary() {
+        for cap in [0, 1, STRIDE - 1, STRIDE, STRIDE + 1, TOTAL - 1] {
+            let (got, why, emitted, blocks) = capped(cap);
+            assert_eq!(got, (0..cap as i64).map(t).collect::<Vec<_>>(), "cap {cap}");
+            assert_eq!(why, Some(Truncation::MaxAnswers), "cap {cap}");
+            assert_eq!(emitted, cap);
+            // The probe past the cap enters a block of its own when the
+            // cap sits on a boundary.
+            assert_eq!(blocks, cap / STRIDE + 1, "cap {cap}");
+        }
     }
 
     #[test]
     fn max_answers_equal_to_stream_is_not_a_truncation() {
-        let mut b = Budgeted::new(stream(3), QueryBudget::unlimited().with_max_answers(3));
-        assert_eq!(b.collect_all().len(), 3);
-        assert_eq!(b.truncated_by(), None, "nothing was actually suppressed");
+        let (got, why, _, _) =
+            drained(|| Budgeted::new(stream(3), QueryBudget::unlimited().with_max_answers(3)));
+        assert_eq!(got.len(), 3);
+        assert_eq!(why, None, "nothing was actually suppressed");
+        assert_eq!(capped(TOTAL).1, None);
     }
 
     #[test]
     fn max_blocks_bounds_work_in_strides() {
-        let mut b =
-            Budgeted::new(stream(100), QueryBudget::unlimited().with_max_blocks(2)).with_stride(10);
-        assert_eq!(b.collect_all().len(), 20);
-        assert_eq!(b.truncated_by(), Some(Truncation::MaxBlocks));
-        assert_eq!(b.blocks_entered(), 2);
+        let (got, why, _, blocks) = drained(|| {
+            Budgeted::new(stream(100), QueryBudget::unlimited().with_max_blocks(2)).with_stride(10)
+        });
+        assert_eq!(got.len(), 20);
+        assert_eq!(why, Some(Truncation::MaxBlocks));
+        assert_eq!(blocks, 2);
     }
 
     #[test]
     fn expired_deadline_stops_within_one_stride() {
         let past = Instant::now() - Duration::from_millis(1);
-        let mut b =
-            Budgeted::new(stream(100), QueryBudget::unlimited().with_deadline(past)).with_stride(4);
-        let got = b.collect_all().len();
+        let (got, why, _, blocks) = drained(|| {
+            Budgeted::new(stream(100), QueryBudget::unlimited().with_deadline(past)).with_stride(4)
+        });
         assert_eq!(
-            got, 0,
+            got.len(),
+            0,
             "deadline already passed: truncate at the first boundary"
         );
-        assert_eq!(b.truncated_by(), Some(Truncation::Deadline));
+        assert_eq!(why, Some(Truncation::Deadline));
+        assert_eq!(blocks, 0);
     }
 
     #[test]
@@ -324,20 +430,22 @@ mod tests {
 
     #[test]
     fn cancel_token_truncates_at_next_boundary() {
-        let token = CancelToken::new();
-        let mut b = Budgeted::new(stream(100), QueryBudget::unlimited())
-            .with_cancel(token.clone())
-            .with_stride(5);
-        let mut got = Vec::new();
-        for _ in 0..3 {
-            got.extend(b.next());
+        // Three answers out, then the token fires.
+        let drain = |per_call| {
+            let token = CancelToken::new();
+            let b = Budgeted::new(stream(100), QueryBudget::unlimited())
+                .with_cancel(token.clone())
+                .with_stride(5);
+            drain_with(b, per_call, 3, &|| token.cancel())
+        };
+        let one_by_one = drain(None);
+        for per_call in [usize::MAX, 3] {
+            assert_eq!(drain(Some(per_call)), one_by_one, "next_into({per_call})");
         }
-        token.cancel();
-        while let Some(t) = b.next() {
-            got.push(t);
-        }
+        let (got, why, emitted, blocks) = one_by_one;
         assert_eq!(got.len(), 5, "ran to the stride boundary, then stopped");
-        assert_eq!(b.truncated_by(), Some(Truncation::Cancelled));
+        assert_eq!(why, Some(Truncation::Cancelled));
+        assert_eq!((emitted, blocks), (5, 1));
     }
 
     #[test]
@@ -359,6 +467,7 @@ mod tests {
         assert_eq!(b.next(), Some(t(0)));
         assert_eq!(b.next(), None);
         assert_eq!(b.next(), None, "stays exhausted after truncation");
+        assert_eq!(b.next_into(&mut Vec::new(), 4), 0, "block-wise too");
         assert_eq!(b.truncated_by(), Some(Truncation::MaxAnswers));
     }
 }

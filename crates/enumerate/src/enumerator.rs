@@ -21,15 +21,29 @@ pub trait Enumerator {
     /// read-ahead. Producers with nothing to save ignore it.
     fn expect_at_most(&mut self, _rows: usize) {}
 
+    /// Appends up to `max` answers to `out` and returns how many. A return
+    /// of `0` for `max > 0` means exhausted; a shorter positive return
+    /// does not, so drain by calling until `0`. The default pulls
+    /// [`Enumerator::next`] one answer at a time; a producer that decodes
+    /// whole blocks writes a block straight into `out` instead.
+    fn next_into(&mut self, out: &mut Vec<Tuple>, max: usize) -> usize {
+        let start = out.len();
+        while out.len() - start < max {
+            match self.next() {
+                Some(t) => out.push(t),
+                None => break,
+            }
+        }
+        out.len() - start
+    }
+
     /// Drains everything into a vector (test/bench helper).
     fn collect_all(&mut self) -> Vec<Tuple>
     where
         Self: Sized,
     {
         let mut out = Vec::new();
-        while let Some(t) = self.next() {
-            out.push(t);
-        }
+        while self.next_into(&mut out, usize::MAX) > 0 {}
         out
     }
 }
@@ -70,5 +84,16 @@ mod tests {
         assert_eq!(e.next(), Some(t(2)));
         assert_eq!(e.next(), None);
         assert_eq!(e.next(), None, "stays exhausted");
+    }
+
+    #[test]
+    fn default_next_into_appends_at_most_max() {
+        let mut e = VecEnumerator::new((1..=5).map(t).collect());
+        let mut out = vec![t(0)];
+        assert_eq!(e.next_into(&mut out, 0), 0, "max 0 pulls nothing");
+        assert_eq!(e.next_into(&mut out, 3), 3);
+        assert_eq!(e.next_into(&mut out, 3), 2);
+        assert_eq!(e.next_into(&mut out, 3), 0, "exhausted");
+        assert_eq!(out, (0..=5).map(t).collect::<Vec<_>>());
     }
 }

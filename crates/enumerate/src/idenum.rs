@@ -176,20 +176,24 @@ impl IdEnumerator for IdChainEnumerator {
 }
 
 /// The value-level facade over an id enumerator: pulls blocks and decodes
-/// each block through the session dictionary in one `decode_rows` call —
-/// a build-phase context is locked once per *block*, not once per row
-/// (a frozen context reads lock-free either way). This is what keeps
+/// each block through the session dictionary in one `decode_rows_into`
+/// call — a build-phase context is locked once per *block*, not once per
+/// row (a frozen context reads lock-free either way). This is what keeps
 /// `Tuple`-yielding public APIs unchanged above the id spine.
 ///
-/// The gap between two answers is therefore a move out of a buffer,
-/// except once per block, where it is one fill plus one `decode_rows` of
-/// at most [`DEFAULT_BLOCK_ROWS`] rows: a constant, independent of the
-/// instance.
+/// [`Enumerator::next_into`] decodes a fresh block straight into the
+/// caller's vector, so a block drain moves no answer twice;
+/// [`Enumerator::next`] decodes into a buffer this facade reuses and hands
+/// the answers out of it. Either way the gap between two answers is
+/// constant: once per block it is one fill plus one decode of at most
+/// [`DEFAULT_BLOCK_ROWS`] rows, independent of the instance.
 pub struct IdDecoder<E: IdEnumerator> {
     inner: E,
     ctx: CtxView,
     block: IdBlock,
-    decoded: std::vec::IntoIter<Tuple>,
+    /// Answers a `next` call decoded ahead, last-owed first, so that each
+    /// is handed out by a `pop`.
+    ahead: Vec<Tuple>,
     done: bool,
     pulled: usize,
     rows_decoded: usize,
@@ -206,7 +210,7 @@ impl<E: IdEnumerator> IdDecoder<E> {
             inner,
             ctx,
             block,
-            decoded: Vec::new().into_iter(),
+            ahead: Vec::new(),
             done: false,
             pulled: 0,
             rows_decoded: 0,
@@ -243,48 +247,58 @@ impl<E: IdEnumerator> IdDecoder<E> {
         self.rows_decoded
     }
 
-    /// Pulls and decodes the next block; `false` when exhausted.
-    fn refill(&mut self) -> bool {
+    /// Pulls the next block of at most `max` (≥ 1) rows and decodes it onto
+    /// the end of `out`; returns the rows decoded (`0` = exhausted).
+    fn fill(&mut self, out: &mut Vec<Tuple>, max: usize) -> usize {
         if self.done {
-            return false;
+            return 0;
         }
         // Never below one row: the expectation is a hint, and a caller
         // that pulls past it is still owed every answer.
         let still_expected = self.expected_end.saturating_sub(self.pulled).max(1);
         self.block.clear();
         self.block
-            .set_max_rows(still_expected.min(DEFAULT_BLOCK_ROWS));
+            .set_max_rows(still_expected.min(max).min(DEFAULT_BLOCK_ROWS));
         let n = self.inner.next_block(&mut self.block);
         if n == 0 {
             self.done = true;
-            return false;
+            return 0;
         }
         self.pulled += n;
-        let tuples = if self.block.arity() == 0 {
-            // Nullary rows are a count, not ids (Boolean answers).
-            vec![Tuple::empty(); n]
-        } else {
-            self.ctx.decode_rows(self.block.arity(), self.block.ids())
-        };
-        self.rows_decoded += tuples.len();
-        self.decoded = tuples.into_iter();
-        true
+        self.ctx
+            .decode_rows_into(self.block.arity(), n, self.block.ids(), out);
+        self.rows_decoded += n;
+        n
     }
 }
 
 impl<E: IdEnumerator> Enumerator for IdDecoder<E> {
     fn next(&mut self) -> Option<Tuple> {
-        if let Some(t) = self.decoded.next() {
-            return Some(t);
+        if self.ahead.is_empty() {
+            let mut ahead = std::mem::take(&mut self.ahead);
+            self.fill(&mut ahead, DEFAULT_BLOCK_ROWS);
+            ahead.reverse();
+            self.ahead = ahead;
         }
-        if !self.refill() {
-            return None;
+        self.ahead.pop()
+    }
+
+    fn next_into(&mut self, out: &mut Vec<Tuple>, max: usize) -> usize {
+        let ahead = self.ahead.len();
+        if ahead > 0 {
+            // Answers a `next` call decoded ahead go out first, in order.
+            let start = ahead.saturating_sub(max);
+            out.extend(self.ahead.drain(start..).rev());
+            return ahead - start;
         }
-        self.decoded.next()
+        if max == 0 {
+            return 0;
+        }
+        self.fill(out, max)
     }
 
     fn expect_at_most(&mut self, rows: usize) {
-        let handed_out = self.pulled - self.decoded.len();
+        let handed_out = self.pulled - self.ahead.len();
         self.expected_end = handed_out.saturating_add(rows);
     }
 }
@@ -407,6 +421,34 @@ mod tests {
             DEFAULT_BLOCK_ROWS,
             "still inside the first block"
         );
+    }
+
+    #[test]
+    fn next_into_serves_what_next_buffered_then_decodes_fresh_blocks() {
+        let total = 2 * DEFAULT_BLOCK_ROWS + 3;
+        let mut d = counting_decoder(total as u32);
+        let mut out = vec![d.next().expect("first answer")];
+        assert_eq!(d.rows_pulled(), DEFAULT_BLOCK_ROWS, "next buffers a block");
+        assert_eq!(d.next_into(&mut out, 10), 10);
+        assert_eq!(d.next_into(&mut out, usize::MAX), DEFAULT_BLOCK_ROWS - 11);
+        assert_eq!(d.rows_pulled(), DEFAULT_BLOCK_ROWS, "all from the buffer");
+        assert_eq!(d.next_into(&mut out, 0), 0, "max 0 is not exhaustion");
+        assert_eq!(d.next_into(&mut out, 5), 5, "a fresh block of five");
+        assert_eq!(d.rows_pulled(), DEFAULT_BLOCK_ROWS + 5);
+        out.extend(d.next());
+        let rest = total - DEFAULT_BLOCK_ROWS - 6;
+        assert_eq!(d.next_into(&mut out, usize::MAX), rest, "next's buffer");
+        assert_eq!(d.next_into(&mut out, usize::MAX), 0);
+        assert_eq!(d.next(), None);
+        let want: Vec<Tuple> = (0..total as i64).map(|i| Tuple::from(&[i][..])).collect();
+        assert_eq!(out, want, "every answer once, in order");
+        assert_eq!((d.rows_pulled(), d.rows_decoded()), (total, total));
+    }
+
+    #[test]
+    fn nullary_rows_decode_to_empty_tuples() {
+        let mut d = IdDecoder::new(IdVecEnumerator::new(0, Vec::new(), 3), CtxView::new());
+        assert_eq!(d.collect_all(), vec![Tuple::empty(); 3]);
     }
 
     #[test]

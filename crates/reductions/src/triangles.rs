@@ -86,7 +86,7 @@ mod tests {
         let g = Graph::new(8).with_clique(&[2, 5, 7]);
         let answers = example18_answers(&g);
         assert!(!answers.is_empty());
-        let expected = Tuple(vec![Value::tagged(TAG_X, 2), Value::tagged(TAG_Y, 5)].into());
+        let expected = Tuple::from_row(&[Value::tagged(TAG_X, 2), Value::tagged(TAG_Y, 5)]);
         assert!(
             answers.contains(&expected),
             "expected {expected} among {answers:?}"

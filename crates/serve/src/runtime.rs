@@ -390,15 +390,16 @@ fn run_request(request: Request<'_>) -> RequestOutcome {
         if let Some(token) = cancel {
             budgeted = budgeted.with_cancel(token);
         }
-        // The reply is freed by the client's thread. Starting it at a block
-        // keeps its buffer out of the allocator's per-thread cache of small
-        // chunks, which can hand this worker a chunk of the client's arena
-        // for the buffer to grow in; the release of a large reply then tidies
-        // the wrong arena and the next request on this worker pays for it.
+        // Each call decodes one block straight into the reply, and answers
+        // of arity ≤ 4 live inline in it: the client frees one buffer per
+        // reply, not one box per answer. Starting the buffer at one block
+        // lets the first block, and any page that fits in one, land without
+        // regrowing. It also keeps the first allocation above the
+        // allocator's per-thread cache of small chunks, which can hold a
+        // chunk of the client's arena; a reply grown from there would be
+        // released into the wrong arena.
         let mut answers = Vec::with_capacity(DEFAULT_BLOCK_ROWS);
-        while let Some(answer) = budgeted.next() {
-            answers.push(answer);
-        }
+        while budgeted.next_into(&mut answers, DEFAULT_BLOCK_ROWS) > 0 {}
         Ok(match budgeted.truncated_by() {
             None => Served::Complete { answers },
             Some(truncated_by) => Served::Partial {

@@ -38,7 +38,7 @@ use crate::key::InlineKey;
 use crate::relation::Relation;
 use crate::stats::RelStats;
 use crate::sync::{lock_unpoisoned, Mutex, MutexGuard};
-use crate::tuple::Tuple;
+use crate::tuple::{decode_exact, extend_decoded, Tuple};
 use crate::value::Value;
 use std::any::Any;
 use std::fmt;
@@ -458,23 +458,28 @@ impl EvalContext {
     /// Decodes a sequence of ids into an answer [`Tuple`] under a single
     /// dictionary lock.
     #[inline]
-    pub fn decode_tuple<I: IntoIterator<Item = ValueId>>(&self, ids: I) -> Tuple {
+    pub fn decode_tuple<I>(&self, ids: I) -> Tuple
+    where
+        I: IntoIterator<Item = ValueId>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let inner = self.lock();
-        Tuple(ids.into_iter().map(|id| inner.dict.value(id)).collect())
+        decode_exact(ids, |id| inner.dict.value(id))
     }
 
-    /// Decodes a flat run of id rows (`width` ids per row) into answer
-    /// [`Tuple`]s under a **single** dictionary lock — the bulk analogue
-    /// of [`EvalContext::decode_tuple`] for materialized answer tables.
-    pub fn decode_rows(&self, width: usize, ids: &[ValueId]) -> Vec<Tuple> {
+    /// Appends `rows` id rows (`width` ids each, row-major in `ids`) to
+    /// `out` as answer [`Tuple`]s under a **single** dictionary lock — the
+    /// bulk analogue of [`EvalContext::decode_tuple`]. Nullary rows carry
+    /// no ids; they decode to `rows` empty tuples.
+    pub fn decode_rows_into(
+        &self,
+        width: usize,
+        rows: usize,
+        ids: &[ValueId],
+        out: &mut Vec<Tuple>,
+    ) {
         let inner = self.lock();
-        if width == 0 {
-            return vec![Tuple::empty(); ids.len()];
-        }
-        debug_assert_eq!(ids.len() % width, 0, "partial row in flat table");
-        ids.chunks_exact(width)
-            .map(|row| Tuple(row.iter().map(|&id| inner.dict.value(id)).collect()))
-            .collect()
+        extend_decoded(out, width, rows, ids, |id| inner.dict.value(id));
     }
 
     /// Decodes an interned relation back to a row-major [`Relation`] under
@@ -1196,7 +1201,7 @@ mod tests {
         let ctx = EvalContext::new();
         let ids = [ctx.intern(Value::Int(5)), ctx.intern(Value::Bottom)];
         let t = ctx.decode_tuple(ids.iter().copied());
-        assert_eq!(t, Tuple(vec![Value::Int(5), Value::Bottom].into()));
+        assert_eq!(t, Tuple::from_row(&[Value::Int(5), Value::Bottom]));
     }
 
     #[test]

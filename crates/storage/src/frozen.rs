@@ -36,7 +36,7 @@ use crate::stats::RelStats;
 use crate::sync::{
     lock_unpoisoned, AtomicBool, AtomicU64, AtomicUsize, Mutex, MutexGuard, Ordering,
 };
-use crate::tuple::Tuple;
+use crate::tuple::{decode_exact, extend_decoded, Tuple};
 use crate::value::Value;
 use std::any::Any;
 use std::sync::Arc;
@@ -225,22 +225,28 @@ impl FrozenContext {
     /// emission path, lock-free for frozen ids. Chaos hook: one
     /// `faults::on_decode` visit per emitted answer.
     #[inline]
-    pub fn decode_tuple<I: IntoIterator<Item = ValueId>>(&self, ids: I) -> Tuple {
+    pub fn decode_tuple<I>(&self, ids: I) -> Tuple
+    where
+        I: IntoIterator<Item = ValueId>,
+        I::IntoIter: ExactSizeIterator,
+    {
         crate::faults::on_decode();
-        Tuple(ids.into_iter().map(|id| self.decode_fast(id)).collect())
+        decode_exact(ids, |id| self.decode_fast(id))
     }
 
-    /// Decodes a flat run of id rows (`width` ids per row), lock-free for
-    /// frozen ids. Chaos hook: one `faults::on_decode` visit per block.
-    pub fn decode_rows(&self, width: usize, ids: &[ValueId]) -> Vec<Tuple> {
+    /// Appends `rows` id rows (`width` ids each, row-major in `ids`) to
+    /// `out` as answer [`Tuple`]s, lock-free for frozen ids. Nullary rows
+    /// carry no ids; they decode to `rows` empty tuples. Chaos hook: one
+    /// `faults::on_decode` visit per block.
+    pub fn decode_rows_into(
+        &self,
+        width: usize,
+        rows: usize,
+        ids: &[ValueId],
+        out: &mut Vec<Tuple>,
+    ) {
         crate::faults::on_decode();
-        if width == 0 {
-            return vec![Tuple::empty(); ids.len()];
-        }
-        debug_assert_eq!(ids.len() % width, 0, "partial row in flat table");
-        ids.chunks_exact(width)
-            .map(|row| Tuple(row.iter().map(|&id| self.decode_fast(id)).collect()))
-            .collect()
+        extend_decoded(out, width, rows, ids, |id| self.decode_fast(id));
     }
 
     /// Decodes an interned relation back to a row-major [`Relation`].
@@ -553,19 +559,40 @@ impl CtxView {
 
     /// Decodes a sequence of ids into an answer [`Tuple`].
     #[inline]
-    pub fn decode_tuple<I: IntoIterator<Item = ValueId>>(&self, ids: I) -> Tuple {
+    pub fn decode_tuple<I>(&self, ids: I) -> Tuple
+    where
+        I: IntoIterator<Item = ValueId>,
+        I::IntoIter: ExactSizeIterator,
+    {
         match self {
             CtxView::Build(c) => c.decode_tuple(ids),
             CtxView::Frozen(f) => f.decode_tuple(ids),
         }
     }
 
-    /// Decodes a flat run of id rows (`width` ids per row).
-    pub fn decode_rows(&self, width: usize, ids: &[ValueId]) -> Vec<Tuple> {
+    /// Appends `rows` id rows (`width` ids each) to `out` as answer
+    /// [`Tuple`]s; nullary rows decode to `rows` empty tuples.
+    pub fn decode_rows_into(
+        &self,
+        width: usize,
+        rows: usize,
+        ids: &[ValueId],
+        out: &mut Vec<Tuple>,
+    ) {
         match self {
-            CtxView::Build(c) => c.decode_rows(width, ids),
-            CtxView::Frozen(f) => f.decode_rows(width, ids),
+            CtxView::Build(c) => c.decode_rows_into(width, rows, ids, out),
+            CtxView::Frozen(f) => f.decode_rows_into(width, rows, ids, out),
         }
+    }
+
+    /// Decodes a flat run of positive-width id rows (`width` ids per row)
+    /// into a fresh vector. A nullary table has no ids to count its rows
+    /// by; decode it with [`CtxView::decode_rows_into`].
+    pub fn decode_rows(&self, width: usize, ids: &[ValueId]) -> Vec<Tuple> {
+        let rows = ids.len().checked_div(width).unwrap_or(0);
+        let mut out = Vec::with_capacity(rows);
+        self.decode_rows_into(width, rows, ids, &mut out);
+        out
     }
 
     /// Decodes an interned relation back to a row-major [`Relation`].
@@ -836,11 +863,23 @@ mod tests {
         assert!(frozen.is_frozen() && !view.is_frozen());
         assert!(Arc::ptr_eq(&frozen.interned_rel(&rel), &id_rel));
         let tup = frozen.decode_tuple([id_rel.at(0, 0), id_rel.at(0, 1)]);
-        assert_eq!(tup, Tuple(vec![Value::Int(7), Value::Int(8)].into()));
+        assert_eq!(tup, Tuple::from_row(&[Value::Int(7), Value::Int(8)]));
         // Freezing a frozen view shares the same snapshot.
         match (&frozen, &frozen.freeze()) {
             (CtxView::Frozen(a), CtxView::Frozen(b)) => assert!(Arc::ptr_eq(a, b)),
             _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn nullary_rows_decode_to_one_empty_tuple_each_on_both_views() {
+        let build = CtxView::new();
+        let frozen = build.freeze();
+        for view in [&build, &frozen] {
+            let mut out = vec![Tuple::from(&[1i64][..])];
+            view.decode_rows_into(0, 3, &[], &mut out);
+            assert_eq!(out[1..], [Tuple::empty(), Tuple::empty(), Tuple::empty()]);
+            assert_eq!(out.len(), 4, "appended after what was there");
         }
     }
 

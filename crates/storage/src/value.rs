@@ -83,6 +83,13 @@ mod tests {
     }
 
     #[test]
+    fn tuple_size_is_inline_bounded() {
+        // Four inline values and a length: a reply buffer holds its
+        // answers in place, not pointers to them.
+        assert!(std::mem::size_of::<crate::Tuple>() <= 72);
+    }
+
+    #[test]
     fn ordering_and_equality() {
         assert_eq!(Value::Int(3), Value::from(3));
         assert_ne!(Value::Int(3), Value::tagged(0, 3));

@@ -54,10 +54,9 @@ impl IdTable {
     /// Decodes every row through `ctx`'s dictionary (nullary rows are a
     /// count: that many empty tuples).
     pub fn decode(&self, ctx: &CtxView) -> Vec<Tuple> {
-        if self.width == 0 {
-            return vec![Tuple::empty(); self.n_rows];
-        }
-        ctx.decode_rows(self.width, &self.data)
+        let mut out = Vec::with_capacity(self.n_rows);
+        ctx.decode_rows_into(self.width, self.n_rows, &self.data, &mut out);
+        out
     }
 }
 

@@ -108,7 +108,7 @@ proptest! {
             let mut vals = t.values().to_vec();
             if !vals.is_empty() {
                 vals[0] = Value::Int(99);
-                let probe = Tuple(vals.into());
+                let probe = Tuple::from(vals);
                 prop_assert_eq!(eng.contains(&probe), naive.contains(&probe));
             }
         }
