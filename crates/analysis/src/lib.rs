@@ -1,8 +1,8 @@
 //! `ucq-analysis`: the workspace invariant linter behind `ucq lint`.
 //!
 //! A dependency-free static-analysis pass purpose-built for this
-//! codebase: a hand-rolled Rust [lexer](lexer) feeds seven invariant
-//! [lints](lints) (L1–L7) that mechanically enforce the hot-path
+//! codebase: a hand-rolled Rust [lexer] feeds seven invariant
+//! [lints] (L1–L7) that mechanically enforce the hot-path
 //! disciplines the enumeration engine's delay guarantees rest on, with an
 //! explicit committed [allowlist](allow) (`analysis/allow.toml`) for the
 //! few reviewed exceptions. See the README's "Static analysis & model

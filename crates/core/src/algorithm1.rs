@@ -164,30 +164,14 @@ impl IdEnumerator for Algorithm1Ids {
 }
 
 /// The Algorithm 1 enumerator: [`Algorithm1Ids`] behind the block-decoding
-/// value facade.
+/// value facade. A request reaches the interleave through
+/// [`UcqEngine`](crate::UcqEngine); this facade starts one over engines the
+/// caller prepared.
 pub struct Algorithm1 {
     inner: IdDecoder<Algorithm1Ids>,
 }
 
 impl Algorithm1 {
-    /// Preprocesses every member with CDY under a private context. Prefer
-    /// [`Algorithm1::build_in`] (or the engine's session API) to share the
-    /// context across members and calls.
-    pub fn build(ucq: &Ucq, instance: &Instance) -> Result<Algorithm1, EvalError> {
-        Algorithm1::build_in(ucq, instance, &CtxView::new())
-    }
-
-    /// Preprocesses every member with CDY (all must be free-connex) through
-    /// the shared `ctx` and wires up the recursive interleaving.
-    pub fn build_in(
-        ucq: &Ucq,
-        instance: &Instance,
-        ctx: &CtxView,
-    ) -> Result<Algorithm1, EvalError> {
-        let engines = Algorithm1::member_engines(ucq, instance, ctx)?;
-        Ok(Algorithm1::from_engines_in(engines, ctx.clone()))
-    }
-
     /// Builds the per-member CDY engines (the preprocessing phase), shared
     /// so sessions can reuse them across repeated enumerations.
     pub fn member_engines(
@@ -199,19 +183,13 @@ impl Algorithm1 {
     }
 
     /// Wires preprocessed member engines into the interleaving enumerator,
-    /// decoding through a view picked from the engines' own. The engines
-    /// must come from [`Algorithm1::member_engines`] (every member
-    /// free-connex, outputs = heads). A caller that holds the session's
-    /// view passes it instead ([`Algorithm1::from_engines_in`]).
+    /// decoding through the engines' own view that knows every member's
+    /// ids (after a refreeze, the newest). The engines must come from
+    /// [`Algorithm1::member_engines`] (every member free-connex, outputs =
+    /// heads) or be the extended members of a prepared Theorem 12 union
+    /// ([`UcqPipelinePrep::engines`](crate::UcqPipelinePrep::engines)).
     pub fn from_engines(engines: Vec<Arc<CdyEngine>>) -> Algorithm1 {
         let ctx = covering_view(&engines);
-        Algorithm1::from_engines_in(engines, ctx)
-    }
-
-    /// As [`Algorithm1::from_engines`], decoding through `ctx`, which must
-    /// know every id of every member: the view the members were built
-    /// through, or any later snapshot of the same dictionary lineage.
-    pub fn from_engines_in(engines: Vec<Arc<CdyEngine>>, ctx: CtxView) -> Algorithm1 {
         Algorithm1 {
             inner: IdDecoder::new(Algorithm1Ids::new(engines), ctx),
         }
@@ -329,7 +307,8 @@ mod tests {
 
     fn check(text: &str, i: &Instance) {
         let u = parse_ucq(text).unwrap();
-        let mut alg = Algorithm1::build(&u, i).unwrap();
+        let engines = Algorithm1::member_engines(&u, i, &CtxView::new()).unwrap();
+        let mut alg = Algorithm1::from_engines(engines);
         let got = alg.collect_all();
         let set: HashSet<Tuple> = got.iter().cloned().collect();
         assert_eq!(got.len(), set.len(), "Algorithm 1 must be duplicate-free");
@@ -388,7 +367,7 @@ mod tests {
     #[test]
     fn non_free_connex_member_rejected() {
         let u = parse_ucq("Q1(x, y) <- A(x, z), B(z, y)").unwrap();
-        assert!(Algorithm1::build(&u, &Instance::new()).is_err());
+        assert!(Algorithm1::member_engines(&u, &Instance::new(), &CtxView::new()).is_err());
     }
 
     #[test]

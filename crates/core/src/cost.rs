@@ -407,8 +407,9 @@ mod tests {
 
     #[test]
     fn costed_picks_the_selective_provider_on_skewed_stats() {
+        use crate::algorithm1::Algorithm1;
         use crate::naive_ucq::evaluate_ucq_naive_set;
-        use crate::pipeline::UcqPipeline;
+        use crate::pipeline::UcqPipelinePrep;
         use std::collections::HashSet;
         use ucq_enumerate::Enumerator;
         use ucq_storage::Tuple;
@@ -442,7 +443,8 @@ mod tests {
         let want = evaluate_ucq_naive_set(&u, &inst).unwrap();
         assert!(!want.is_empty());
         for plan in [&first, &costed.plan] {
-            let got = UcqPipeline::build(&u, plan, &inst).unwrap().collect_all();
+            let prep = UcqPipelinePrep::prepare(&u, plan, &inst, &CtxView::new()).unwrap();
+            let got = Algorithm1::from_engines(prep.engines().to_vec()).collect_all();
             assert_eq!(got.len(), want.len(), "no repeats");
             assert_eq!(got.into_iter().collect::<HashSet<Tuple>>(), want);
         }

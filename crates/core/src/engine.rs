@@ -2,7 +2,7 @@
 //! best applicable strategy.
 //!
 //! Whatever the strategy, the linear phase ends in one value — a
-//! [`Prepared`]: Algorithm 1's per-member CDY engines, the Theorem 12
+//! `Prepared`: Algorithm 1's per-member CDY engines, the Theorem 12
 //! pipeline's prep, or the naive fallback's answer table — and every way of
 //! asking is that value plus what its rung of the ladder adds:
 //!

@@ -2,7 +2,7 @@
 //!
 //! The paper notes that its machinery composes with the authors' earlier
 //! dichotomy for CQs under functional dependencies (Carmeli & Kröll,
-//! ICDT 2018 — reference [6]): *"Given a UCQ over a schema with functional
+//! ICDT 2018 — reference \[6\]): *"Given a UCQ over a schema with functional
 //! dependencies, we can first take the FD-extensions of all CQs in the
 //! union, and then take the union extensions of those and evaluate the
 //! union."*

@@ -6,14 +6,14 @@
 //!
 //! Quick tour:
 //!
-//! * [`classify`] — three-way verdict (free-connex / intractable-with-
+//! * [`classify()`] — three-way verdict (free-connex / intractable-with-
 //!   witness / unknown) for any UCQ, implementing Theorems 3, 4, 12, 17,
 //!   19, 29, 33, 35 plus Lemmas 14/15/16/25/26;
 //! * [`UcqEngine`] — classify once, evaluate many instances: Algorithm 1
 //!   for unions of free-connex CQs, the Theorem 12 union-extension
 //!   pipeline otherwise, naive fallback outside `DelayClin`;
-//! * [`plan_free_connex`] / [`UcqPipeline`] — the executable free-connex
-//!   certificates;
+//! * [`plan_free_connex`] / [`UcqPipelinePrep`] — the executable free-connex
+//!   certificates and the Theorem 12 preprocessing they drive;
 //! * [`provides`] / [`search`] — Definition 7's provided variable sets and
 //!   the fixpoint over union extensions (Definition 10/11);
 //! * [`guards`] — Definitions 23/32/34 (free-path/bypass guards, union
@@ -49,7 +49,7 @@ pub use fd::{extend_instance, fd_extend_cq, fd_rewrite, Fd, FdExtension, FdRewri
 pub use naive_ucq::{
     evaluate_ucq_naive, evaluate_ucq_naive_ids_in, evaluate_ucq_naive_in, evaluate_ucq_naive_set,
 };
-pub use pipeline::{UcqPipeline, UcqPipelinePrep};
+pub use pipeline::UcqPipelinePrep;
 pub use plan::{plan_free_connex, ExtensionPlan, PlannedAtom};
 pub use provides::{compute_availability, compute_availability_all, Availability, Provenance};
 pub use request::{RequestError, Served};

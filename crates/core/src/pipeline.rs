@@ -11,31 +11,30 @@
 //! output.
 //!
 //! The Cheater (Lemma 5) is left with one job: an FD rewrite answered on a
-//! projected head ([`UcqPipelinePrep::prepare_projected`] with an arity
-//! below the head's). Its members' outputs do not cover their connex
-//! targets, so they cannot be probed; they run back to back and the
-//! Cheater absorbs the answers that only differed beyond the kept
-//! positions.
+//! projected head (a prep whose answer arity is below the head's). Its
+//! members' outputs do not cover their connex targets, so they cannot be
+//! probed; they run back to back and the Cheater absorbs the answers that
+//! only differed beyond the kept positions.
 //!
-//! Either way the spine is id-level and block-at-a-time, and answers are
-//! decoded to value [`Tuple`]s exactly once, a block at a time, by the
-//! [`IdDecoder`] of the value facade ([`UcqPipeline::rows_decoded`] counts
-//! them).
+//! Either way the spine is id-level and block-at-a-time; the request path
+//! ([`UcqEngine`](crate::UcqEngine)) decodes each answer exactly once, a
+//! block at a time, in the one [`IdDecoder`](ucq_enumerate::IdDecoder)
+//! every strategy arm ends in.
 //!
 //! The preprocessing phase is reified as [`UcqPipelinePrep`]: all member
 //! engines share one context view (so the base relations are interned
-//! and normalized once for the whole union), and a prep can
-//! [`start`](UcqPipelinePrep::start) any number of enumerations — this is
-//! what [`EvalSession`](crate::engine::EvalSession) caches to serve
-//! repeated queries without redoing linear preprocessing.
+//! and normalized once for the whole union), and a prep starts any number
+//! of enumerations off them — this is what
+//! [`EvalSession`](crate::engine::EvalSession) caches to serve repeated
+//! queries without redoing linear preprocessing.
 
 use crate::algorithm1::{member_engines, retarget_members, Algorithm1Ids};
 use crate::lemma8::materialize_atom_in;
 use crate::plan::ExtensionPlan;
 use std::sync::Arc;
-use ucq_enumerate::{Cheater, CheaterStats, Enumerator, IdDecoder, IdEnumerator};
+use ucq_enumerate::{Cheater, IdEnumerator};
 use ucq_query::{Cq, Ucq};
-use ucq_storage::{CtxView, IdBlock, Instance, Tuple};
+use ucq_storage::{CtxView, IdBlock, Instance};
 use ucq_yannakakis::{CdyEngine, EvalError};
 
 /// The preprocessed (linear-phase) state of the Theorem 12 pipeline:
@@ -112,17 +111,9 @@ impl UcqPipelinePrep {
         retarget_members(&mut self.engines, view);
     }
 
-    /// Starts one enumeration over the preprocessed state. Starting is
-    /// O(1) in the data: cursors over shared engines; no linear pass is
-    /// repeated.
-    pub fn start(&self) -> UcqPipeline {
-        UcqPipeline {
-            inner: IdDecoder::new(self.start_ids(), self.ctx.clone()),
-            materialized_sizes: self.materialized_sizes.clone(),
-        }
-    }
-
-    /// [`UcqPipelinePrep::start`] without the value facade.
+    /// Starts one enumeration over the preprocessed state, on the id
+    /// spine. Starting is O(1) in the data: cursors over shared engines; no
+    /// linear pass is repeated.
     pub(crate) fn start_ids(&self) -> UnionIds {
         let ids = Algorithm1Ids::new(self.engines.clone());
         if ids.probes() {
@@ -142,16 +133,6 @@ pub(crate) enum UnionIds {
     Deduped(Box<Cheater<Algorithm1Ids>>),
 }
 
-impl UnionIds {
-    /// The Cheater's counters; all zero when none runs.
-    fn stats(&self) -> CheaterStats {
-        match self {
-            UnionIds::Probed(_) => CheaterStats::default(),
-            UnionIds::Deduped(cheater) => cheater.stats(),
-        }
-    }
-}
-
 impl IdEnumerator for UnionIds {
     fn arity(&self) -> usize {
         match self {
@@ -168,80 +149,6 @@ impl IdEnumerator for UnionIds {
     }
 }
 
-/// A `DelayClin` enumerator for a free-connex UCQ: the id spine behind the
-/// block-decoding value facade ([`Enumerator`]).
-pub struct UcqPipeline {
-    inner: IdDecoder<UnionIds>,
-    /// See [`UcqPipelinePrep::materialized_sizes`].
-    pub materialized_sizes: Vec<usize>,
-}
-
-impl UcqPipeline {
-    /// Preprocesses and starts a single enumeration with a private context.
-    /// Prefer [`UcqPipelinePrep`] (or the engine's session API) when
-    /// enumerating repeatedly.
-    pub fn build(
-        ucq: &Ucq,
-        plan: &ExtensionPlan,
-        instance: &Instance,
-    ) -> Result<UcqPipeline, EvalError> {
-        UcqPipeline::build_in(ucq, plan, instance, &CtxView::new())
-    }
-
-    /// As [`UcqPipeline::build`], sharing the caches of `ctx`.
-    pub fn build_in(
-        ucq: &Ucq,
-        plan: &ExtensionPlan,
-        instance: &Instance,
-        ctx: &CtxView,
-    ) -> Result<UcqPipeline, EvalError> {
-        Ok(UcqPipelinePrep::prepare(ucq, plan, instance, ctx)?.start())
-    }
-
-    /// Dedup/pacing statistics of the Cheater, which runs only on a
-    /// projected head: the default (all zero) under Algorithm 1.
-    pub fn stats(&self) -> CheaterStats {
-        self.inner.inner().stats()
-    }
-
-    /// Rows the value facade has pulled from the spine.
-    pub fn rows_pulled(&self) -> usize {
-        self.inner.rows_pulled()
-    }
-
-    /// Rows the value facade has decoded (once per pulled row).
-    pub fn rows_decoded(&self) -> usize {
-        self.inner.rows_decoded()
-    }
-}
-
-impl Enumerator for UcqPipeline {
-    fn next(&mut self) -> Option<Tuple> {
-        self.inner.next()
-    }
-
-    fn next_into(&mut self, out: &mut Vec<Tuple>, max: usize) -> usize {
-        self.inner.next_into(out, max)
-    }
-
-    fn expect_at_most(&mut self, rows: usize) {
-        self.inner.expect_at_most(rows);
-    }
-}
-
-/// The pipeline is itself an id enumerator, so id-aware callers can drain
-/// it block-at-a-time (delay measurement, chained unions) instead of
-/// through the value facade.
-impl IdEnumerator for UcqPipeline {
-    fn arity(&self) -> usize {
-        self.inner.inner().arity()
-    }
-
-    fn next_block(&mut self, block: &mut IdBlock) -> usize {
-        self.inner.inner_mut().next_block(block)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,8 +156,15 @@ mod tests {
     use crate::plan::plan_free_connex;
     use crate::search::SearchConfig;
     use std::collections::HashSet;
+    use ucq_enumerate::{Enumerator, IdDecoder};
     use ucq_query::parse_ucq;
-    use ucq_storage::Relation;
+    use ucq_storage::{Relation, Tuple};
+
+    /// One enumeration of `prep` behind the block decoder, as a request
+    /// runs it.
+    fn start(prep: &UcqPipelinePrep, ctx: &CtxView) -> IdDecoder<UnionIds> {
+        IdDecoder::new(prep.start_ids(), ctx.clone())
+    }
 
     fn inst(rels: &[(&str, Vec<(i64, i64)>)]) -> Instance {
         rels.iter()
@@ -261,13 +175,14 @@ mod tests {
     fn run_pipeline(text: &str, i: &Instance) -> (Vec<Tuple>, Vec<Tuple>) {
         let u = parse_ucq(text).unwrap();
         let plan = plan_free_connex(&u, &SearchConfig::default()).expect("free-connex");
-        let mut p = UcqPipeline::build(&u, &plan, i).unwrap();
+        let ctx = CtxView::new();
+        let prep = UcqPipelinePrep::prepare(&u, &plan, i, &ctx).unwrap();
+        let mut p = start(&prep, &ctx);
         let got = p.collect_all();
         assert_eq!(p.rows_decoded(), got.len(), "decode once per answer");
         assert_eq!(p.rows_pulled(), got.len());
-        assert_eq!(
-            p.stats(),
-            CheaterStats::default(),
+        assert!(
+            matches!(p.inner(), UnionIds::Probed(_)),
             "Algorithm 1, no Cheater"
         );
         let want = evaluate_ucq_naive(&u, i).unwrap();
@@ -386,8 +301,8 @@ mod tests {
         ]);
         let ctx = CtxView::new();
         let prep = UcqPipelinePrep::prepare(&u, &plan, &i, &ctx).unwrap();
-        let a: HashSet<Tuple> = prep.start().collect_all().into_iter().collect();
-        let b: HashSet<Tuple> = prep.start().collect_all().into_iter().collect();
+        let a: HashSet<Tuple> = start(&prep, &ctx).collect_all().into_iter().collect();
+        let b: HashSet<Tuple> = start(&prep, &ctx).collect_all().into_iter().collect();
         assert_eq!(a, b, "restarted enumerations agree");
         let want: HashSet<Tuple> = evaluate_ucq_naive(&u, &i).unwrap().into_iter().collect();
         assert_eq!(a, want);
@@ -409,14 +324,12 @@ mod tests {
         let ctx = CtxView::new();
         let prep = UcqPipelinePrep::prepare(&u, &plan, &i, &ctx).unwrap();
 
-        let via_values = prep.start().collect_all();
+        let via_values = start(&prep, &ctx).collect_all();
 
-        let mut p = prep.start();
-        let (ids, rows) = p.collect_ids();
+        let (ids, rows) = prep.start_ids().collect_ids();
         let via_ids = ctx.decode_rows(3, &ids);
         assert_eq!(via_ids, via_values, "same answers in the same order");
         assert_eq!(rows, via_values.len());
-        assert_eq!(p.rows_decoded(), 0, "an id drain never decodes");
     }
 
     #[test]
@@ -438,12 +351,16 @@ mod tests {
         let ctx = CtxView::new();
         let prep = UcqPipelinePrep::prepare_projected(&u, &plan, 2, &i, &ctx).unwrap();
         assert!(prep.engines().iter().all(|e| !e.has_membership()));
-        let mut p = prep.start();
+        let mut p = start(&prep, &ctx);
         let got: Vec<Tuple> = p.collect_all();
         let set: HashSet<Tuple> = got.iter().cloned().collect();
         assert_eq!(got.len(), set.len(), "the Cheater dedups");
-        assert!(p.stats().duplicates > 0, "{:?}", p.stats());
-        assert_eq!(p.stats().emitted, got.len());
+        let UnionIds::Deduped(cheater) = p.inner() else {
+            panic!("a projected head runs the Cheater");
+        };
+        let stats = cheater.stats();
+        assert!(stats.duplicates > 0, "{stats:?}");
+        assert_eq!(stats.emitted, got.len());
         let want: HashSet<Tuple> = evaluate_ucq_naive(&u, &i)
             .unwrap()
             .into_iter()
@@ -482,6 +399,5 @@ mod tests {
         }
         assert!(!want_sizes.is_empty(), "example 2 materializes atoms");
         assert_eq!(prep.materialized_sizes, want_sizes);
-        assert_eq!(prep.start().materialized_sizes, want_sizes);
     }
 }

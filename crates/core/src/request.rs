@@ -1,6 +1,6 @@
 //! Typed request-level outcomes for the resilient serving runtime.
 //!
-//! [`EvalError`](ucq_yannakakis::EvalError) describes why an *engine*
+//! [`EvalError`] describes why an *engine*
 //! cannot evaluate a query (not `S`-connex, schema mismatch); a serving
 //! runtime has failure modes above that layer — overload shedding, panic
 //! isolation, shutdown — and success modes below "the full answer set"

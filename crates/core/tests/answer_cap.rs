@@ -5,9 +5,7 @@
 //! rewrite: it is an ordinary engine stream, and its projection happens
 //! below the decoder, so there is no wrapper that could drop the hint.
 
-use ucq_core::{
-    fd_rewrite, plan_free_connex, Algorithm1, Fd, FdSet, SearchConfig, Strategy, UcqPipelinePrep,
-};
+use ucq_core::{fd_rewrite, Algorithm1, Fd, FdSet, Strategy, UcqEngine};
 use ucq_enumerate::{Budgeted, Enumerator, QueryBudget, Truncation, DEFAULT_BLOCK_ROWS};
 use ucq_query::{parse_ucq, Ucq};
 use ucq_storage::{CtxView, Instance, Relation};
@@ -94,11 +92,12 @@ fn a_page_over_the_pipeline_pulls_and_decodes_its_answers_and_one_more() {
     ]
     .into_iter()
     .collect();
-    let plan = plan_free_connex(&u, &SearchConfig::default()).expect("free-connex");
-    let prep = UcqPipelinePrep::prepare(&u, &plan, &i, &CtxView::new()).unwrap();
-    let total = prep.start().collect_all().len();
+    let engine = UcqEngine::new(u);
+    assert_eq!(engine.strategy(), Strategy::UnionExtension);
+    let session = engine.session(&i);
+    let total = session.enumerate().unwrap().collect_all().len();
     check_arm(
-        || prep.start(),
+        || session.enumerate().unwrap(),
         |p| (p.rows_pulled(), p.rows_decoded()),
         total,
     );

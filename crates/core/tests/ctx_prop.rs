@@ -6,10 +6,10 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use ucq_core::{plan_free_connex, SearchConfig, UcqEngine, UcqPipeline};
-use ucq_enumerate::{CheaterStats, Enumerator};
+use ucq_core::{plan_free_connex, Algorithm1, SearchConfig, UcqEngine, UcqPipelinePrep};
+use ucq_enumerate::Enumerator;
 use ucq_query::{Cq, Ucq};
-use ucq_storage::{Instance, Relation, Tuple, Value};
+use ucq_storage::{CtxView, Instance, Relation, Tuple, Value};
 
 const VARS: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
 
@@ -239,18 +239,19 @@ proptest! {
                 break;
             }
         }
-        let built = UcqPipeline::build(&u, &plan, &inst);
+        let built = UcqPipelinePrep::prepare(&u, &plan, &inst, &CtxView::new());
         if !schema_ok {
             prop_assert!(built.is_err(), "arity clash must error on the id spine");
             return Ok(());
         }
-        let mut p = built.unwrap();
+        let engines = built.unwrap().engines().to_vec();
+        prop_assert!(engines.iter().all(|e| e.has_membership()), "Algorithm 1, no Cheater");
+        let mut p = Algorithm1::from_engines(engines);
         let got = p.collect_all();
         let got_set: HashSet<Tuple> = got.iter().cloned().collect();
         prop_assert_eq!(got.len(), got_set.len(), "pipeline stream is duplicate-free");
         prop_assert_eq!(&got_set, &want, "id pipeline vs value-level oracle");
         prop_assert_eq!(p.rows_decoded(), got.len(), "decode exactly once per answer");
-        prop_assert_eq!(p.stats(), CheaterStats::default(), "Algorithm 1, no Cheater");
     }
 
     /// A frozen session equals the value-level nested-loop oracle: the
@@ -306,7 +307,6 @@ proptest! {
     #[test]
     fn costed_plan_matches_first_found_and_oracle((u, inst) in ucq_and_instance()) {
         use ucq_core::plan_free_connex_costed;
-        use ucq_storage::CtxView;
 
         let cfg = SearchConfig::default();
         let first = plan_free_connex(&u, &cfg);
@@ -327,15 +327,16 @@ proptest! {
                 break;
             }
         }
-        let via_first = UcqPipeline::build_in(&u, &first, &inst, &ctx);
-        let via_costed = UcqPipeline::build_in(&u, &costed.plan, &inst, &ctx);
+        let via_first = UcqPipelinePrep::prepare(&u, &first, &inst, &ctx);
+        let via_costed = UcqPipelinePrep::prepare(&u, &costed.plan, &inst, &ctx);
         if !schema_ok {
             prop_assert!(via_first.is_err() && via_costed.is_err(), "arity clash errors on both");
             return Ok(());
         }
+        let run = |prep: UcqPipelinePrep| Algorithm1::from_engines(prep.engines().to_vec());
         let first_set: HashSet<Tuple> =
-            via_first.unwrap().collect_all().into_iter().collect();
-        let costed_answers = via_costed.unwrap().collect_all();
+            run(via_first.unwrap()).collect_all().into_iter().collect();
+        let costed_answers = run(via_costed.unwrap()).collect_all();
         let costed_set: HashSet<Tuple> = costed_answers.iter().cloned().collect();
         prop_assert_eq!(costed_answers.len(), costed_set.len(), "costed stream duplicate-free");
         prop_assert_eq!(&costed_set, &want, "costed plan vs value-level oracle");

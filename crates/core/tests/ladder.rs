@@ -7,11 +7,11 @@
 use std::collections::HashSet;
 use ucq_core::{
     evaluate_ucq_naive_set, plan_free_connex, Algorithm1, SearchConfig, Strategy, UcqEngine,
-    UcqPipeline,
+    UcqPipelinePrep,
 };
 use ucq_enumerate::Enumerator;
 use ucq_query::parse_ucq;
-use ucq_storage::{Instance, Relation, Tuple, Value};
+use ucq_storage::{CtxView, Instance, Relation, Tuple, Value};
 
 /// Drains `answers` (a repeat fails) and checks the set against `want`.
 fn sequence(what: &str, mut answers: impl Enumerator, want: &HashSet<Tuple>) -> Vec<Tuple> {
@@ -116,14 +116,12 @@ fn algorithm1_and_the_cheater_pipeline_return_one_set() {
     assert!(want.len() > 30, "Q2 adds answers to Q1's");
     let plan = plan_free_connex(&union, &SearchConfig::default()).unwrap();
     assert!(!plan.needs_extension());
-    sequence(
-        "Algorithm 1",
-        Algorithm1::build(&union, &inst).unwrap(),
-        &want,
-    );
+    let members = Algorithm1::member_engines(&union, &inst, &CtxView::new()).unwrap();
+    sequence("Algorithm 1", Algorithm1::from_engines(members), &want);
+    let prep = UcqPipelinePrep::prepare(&union, &plan, &inst, &CtxView::new()).unwrap();
     sequence(
         "the Theorem 12 pipeline",
-        UcqPipeline::build(&union, &plan, &inst).unwrap(),
+        Algorithm1::from_engines(prep.engines().to_vec()),
         &want,
     );
 }

@@ -22,8 +22,8 @@ use std::sync::Arc;
 use ucq_core::UcqEngine;
 use ucq_enumerate::Enumerator;
 use ucq_query::{parse_cq, parse_ucq};
-use ucq_storage::{CtxView, Instance, Relation, Tuple, Value};
-use ucq_yannakakis::CdyEngine;
+use ucq_storage::{CtxView, Instance, Relation, Tuple, Value, ValueId};
+use ucq_yannakakis::{CdyEngine, ContainsScratch};
 
 fn capped() -> shuttle::Config {
     shuttle::Config {
@@ -97,7 +97,7 @@ fn plan_cache_insert_race_serves_exact_answers() {
 }
 
 /// `CdyEngine`'s per-node row-sets are built lazily via `OnceLock`
-/// inside `contains`; two threads probing concurrently must agree with
+/// inside `contains_ids`; two threads probing concurrently must agree with
 /// the sequential truth on every explored schedule.
 #[test]
 fn row_set_once_lock_init_race_keeps_membership_exact() {
@@ -118,10 +118,17 @@ fn row_set_once_lock_init_race_keeps_membership_exact() {
             .map(|_| {
                 let eng = Arc::clone(&eng);
                 shuttle::thread::spawn(move || {
-                    let hit = Tuple::from_row(&[Value::Int(1), Value::Int(2)]);
-                    let miss = Tuple::from_row(&[Value::Int(7), Value::Int(8)]);
-                    assert!(eng.contains(&hit), "answer lost during row-set init race");
-                    assert!(!eng.contains(&miss), "phantom answer during init race");
+                    // Both rows' values are interned; only the first is an
+                    // answer.
+                    let contains = |row: [i64; 2]| {
+                        let ids: Vec<ValueId> = row
+                            .iter()
+                            .map(|&v| eng.context().lookup(Value::Int(v)).expect("interned"))
+                            .collect();
+                        eng.contains_ids(&ids, &mut ContainsScratch::default())
+                    };
+                    assert!(contains([1, 2]), "answer lost during row-set init race");
+                    assert!(!contains([7, 8]), "phantom answer during init race");
                 })
             })
             .collect();

@@ -2,8 +2,8 @@
 //!
 //! A CQ is `S`-connex when its hypergraph has an ext-S-connex tree: a join
 //! tree of an inclusive extension with a connected subtree covering exactly
-//! `S` (paper §2, Figure 1). Equivalently — Bagan et al. [2],
-//! Brault-Baron [5] — `H` and `(V, E ∪ {S})` are both acyclic. With
+//! `S` (paper §2, Figure 1). Equivalently — Bagan et al. \[2\],
+//! Brault-Baron \[5\] — `H` and `(V, E ∪ {S})` are both acyclic. With
 //! `S = free(Q)` this is free-connexity.
 //!
 //! The constructive algorithm here runs GYO *restricted to eliminating only

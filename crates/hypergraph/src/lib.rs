@@ -6,8 +6,8 @@
 //!
 //! * [`VSet`] — 64-bit vertex bitsets;
 //! * [`Hypergraph`] — query hypergraphs with Gaifman adjacency;
-//! * [`gyo`] — the GYO reduction and α-acyclicity;
-//! * [`join_tree`] — join trees, running-intersection validation, and
+//! * [`gyo`](mod@gyo) — the GYO reduction and α-acyclicity;
+//! * [`join_tree`](mod@join_tree) — join trees, running-intersection validation, and
 //!   [`ConnexTree`], the ext-S-connex trees of Figure 1;
 //! * [`connex`] — S-connexity tests and the constructive ext-S-connex tree
 //!   algorithm;

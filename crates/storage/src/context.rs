@@ -34,7 +34,6 @@ use crate::frozen::FrozenContext;
 use crate::hash::FastMap;
 use crate::idrel::{normalize_ranked, normalize_ranked_append, IdRel, IdSet};
 use crate::index::{HashIndex, RowSet};
-use crate::key::InlineKey;
 use crate::relation::Relation;
 use crate::stats::RelStats;
 use crate::sync::{lock_unpoisoned, Mutex, MutexGuard};
@@ -488,39 +487,6 @@ impl EvalContext {
         rel.decode(&self.lock().dict)
     }
 
-    /// Looks up every value of `row` into `out` (cleared first) without
-    /// interning; returns `false` if any value is unknown to the session —
-    /// in which case it cannot occur in any cached relation.
-    pub fn lookup_row(&self, row: &[Value], out: &mut Vec<ValueId>) -> bool {
-        let inner = self.lock();
-        out.clear();
-        for &v in row {
-            match inner.dict.lookup(v) {
-                Some(id) => out.push(id),
-                None => return false,
-            }
-        }
-        true
-    }
-
-    /// Interns a decoded row into an [`InlineKey`] (used for answer-side
-    /// dedup without boxing small tuples).
-    pub fn intern_key(&self, row: &[Value]) -> InlineKey {
-        let mut inner = self.lock();
-        let mut buf = [ValueId::BOTTOM; InlineKey::INLINE];
-        if row.len() <= InlineKey::INLINE {
-            for (slot, &v) in buf.iter_mut().zip(row) {
-                *slot = inner.dict.intern(v);
-            }
-            InlineKey::Inline {
-                len: row.len() as u8,
-                ids: buf,
-            }
-        } else {
-            InlineKey::Spilled(row.iter().map(|&v| inner.dict.intern(v)).collect())
-        }
-    }
-
     /// The interned columnar mirror of `rel`, built on first request.
     pub fn interned_rel(&self, rel: &Arc<Relation>) -> Arc<IdRel> {
         let key = Arc::as_ptr(rel) as usize;
@@ -947,17 +913,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_row_rejects_unknown_values() {
-        let ctx = EvalContext::new();
-        let rel = shared_pairs(&[(1, 2)]);
-        ctx.interned_rel(&rel);
-        let mut buf = Vec::new();
-        assert!(ctx.lookup_row(&[Value::Int(1), Value::Int(2)], &mut buf));
-        assert_eq!(buf.len(), 2);
-        assert!(!ctx.lookup_row(&[Value::Int(99)], &mut buf));
-    }
-
-    #[test]
     fn rel_stats_cached_and_harvested() {
         let ctx = EvalContext::new();
         let rel = shared_pairs(&[(1, 10), (1, 20), (2, 10)]);
@@ -1202,18 +1157,5 @@ mod tests {
         let ids = [ctx.intern(Value::Int(5)), ctx.intern(Value::Bottom)];
         let t = ctx.decode_tuple(ids.iter().copied());
         assert_eq!(t, Tuple::from_row(&[Value::Int(5), Value::Bottom]));
-    }
-
-    #[test]
-    fn intern_key_matches_lookup() {
-        let ctx = EvalContext::new();
-        let k1 = ctx.intern_key(&[Value::Int(1), Value::Int(2)]);
-        let k2 = ctx.intern_key(&[Value::Int(1), Value::Int(2)]);
-        assert_eq!(k1, k2);
-        let k3 = ctx.intern_key(&[Value::Int(2), Value::Int(1)]);
-        assert_ne!(k1, k3);
-        // Long keys spill but still compare correctly.
-        let long: Vec<Value> = (0..6).map(Value::Int).collect();
-        assert_eq!(ctx.intern_key(&long), ctx.intern_key(&long));
     }
 }

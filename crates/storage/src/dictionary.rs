@@ -57,13 +57,12 @@ impl Dictionary {
     /// The id for `v`, allocating one if `v` is new.
     #[inline]
     pub fn intern(&mut self, v: Value) -> ValueId {
-        if let Some(&id) = self.map.get(&v) {
-            return id;
-        }
-        let id = ValueId(u32::try_from(self.values.len()).expect("dictionary overflow"));
-        self.values.push(v);
-        self.map.insert(v, id);
-        id
+        let values = &mut self.values;
+        *self.map.entry(v).or_insert_with(|| {
+            let id = ValueId(u32::try_from(values.len()).expect("dictionary overflow"));
+            values.push(v);
+            id
+        })
     }
 
     /// The id for `v` if it has been interned, without allocating. The

@@ -30,7 +30,6 @@ use crate::dictionary::{Dictionary, ValueId};
 use crate::hash::FastMap;
 use crate::idrel::IdRel;
 use crate::index::HashIndex;
-use crate::key::InlineKey;
 use crate::relation::Relation;
 use crate::stats::RelStats;
 use crate::sync::{
@@ -266,36 +265,6 @@ impl FrozenContext {
             out.push_row(&vals);
         }
         out
-    }
-
-    /// Looks up every value of `row` into `out` (cleared first) without
-    /// interning; `false` if any value is unknown. Lock-free unless the
-    /// overlay is non-empty *and* a value misses the frozen dictionary.
-    pub fn lookup_row(&self, row: &[Value], out: &mut Vec<ValueId>) -> bool {
-        out.clear();
-        for &v in row {
-            match self.lookup(v) {
-                Some(id) => out.push(id),
-                None => return false,
-            }
-        }
-        true
-    }
-
-    /// Interns a decoded row into an [`InlineKey`] (answer-side dedup).
-    pub fn intern_key(&self, row: &[Value]) -> InlineKey {
-        let mut buf = [ValueId::BOTTOM; InlineKey::INLINE];
-        if row.len() <= InlineKey::INLINE {
-            for (slot, &v) in buf.iter_mut().zip(row) {
-                *slot = self.intern(v);
-            }
-            InlineKey::Inline {
-                len: row.len() as u8,
-                ids: buf,
-            }
-        } else {
-            InlineKey::Spilled(row.iter().map(|&v| self.intern(v)).collect())
-        }
     }
 
     /// Interns a whole relation through the overlay, holding the lock for
@@ -600,22 +569,6 @@ impl CtxView {
         match self {
             CtxView::Build(c) => c.decode_rel(rel),
             CtxView::Frozen(f) => f.decode_rel(rel),
-        }
-    }
-
-    /// Looks up every value of `row` into `out` without interning.
-    pub fn lookup_row(&self, row: &[Value], out: &mut Vec<ValueId>) -> bool {
-        match self {
-            CtxView::Build(c) => c.lookup_row(row, out),
-            CtxView::Frozen(f) => f.lookup_row(row, out),
-        }
-    }
-
-    /// Interns a decoded row into an [`InlineKey`].
-    pub fn intern_key(&self, row: &[Value]) -> InlineKey {
-        match self {
-            CtxView::Build(c) => c.intern_key(row),
-            CtxView::Frozen(f) => f.intern_key(row),
         }
     }
 

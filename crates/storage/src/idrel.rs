@@ -393,7 +393,7 @@ enum IdSetRepr {
 /// A hash set of projected id rows: the id-side analogue of
 /// [`RowSet`](crate::RowSet), probed with borrowed `&[ValueId]` keys
 /// (allocation-free for any width; no hashing of spilled boxes for keys up
-/// to 4 ids — see [`IdSetRepr`]).
+/// to 4 ids, which are stored inline).
 #[derive(Clone, Debug)]
 pub struct IdSet {
     repr: IdSetRepr,

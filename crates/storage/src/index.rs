@@ -92,58 +92,10 @@ fn key_capacity_hint(rows: usize) -> usize {
 }
 
 impl HashIndex {
-    /// Builds an index over `rel` keyed on `key_cols` (positions):
-    /// [`HashIndex::build_seq`], or its tombstone-aware twin when `rel` has
-    /// dead rows.
+    /// Builds an index over `rel` keyed on `key_cols` (positions): the
+    /// one build, [`HashIndex::build_seq`].
     pub fn build(rel: &IdRel, key_cols: &[usize]) -> HashIndex {
-        if rel.has_tombstones() {
-            HashIndex::build_seq_live(rel, key_cols)
-        } else {
-            HashIndex::build_seq(rel, key_cols)
-        }
-    }
-
-    /// The tombstone-aware build: [`HashIndex::build_seq`] over only the
-    /// live rows of `rel` (dead rows never enter the arena, so probes pay
-    /// no per-row liveness check). Cold: churned base mirrors normally
-    /// reach the cache through [`HashIndex::merge_appended`]; this is the
-    /// from-scratch fallback.
-    #[cold]
-    pub fn build_seq_live(rel: &IdRel, key_cols: &[usize]) -> HashIndex {
-        let cols: Vec<&[ValueId]> = key_cols.iter().map(|&c| rel.col(c)).collect();
-        let live: Vec<u32> = (0..rel.len())
-            .filter(|&r| rel.is_live(r))
-            .map(|r| r as u32)
-            .collect();
-        let mut map: FastMap<InlineKey, u32> =
-            fast_map_with_capacity(key_capacity_hint(live.len()));
-        let mut row_gids: Vec<u32> = Vec::with_capacity(live.len());
-        let mut counts: Vec<u32> = Vec::new();
-        let mut buf: Vec<ValueId> = Vec::with_capacity(key_cols.len());
-        for &i in &live {
-            buf.clear();
-            buf.extend(cols.iter().map(|c| c[i as usize]));
-            let gid = match map.get(buf.as_slice()) {
-                Some(&g) => g,
-                None => {
-                    let g = counts.len() as u32;
-                    map.insert(InlineKey::from_slice(&buf), g);
-                    counts.push(0);
-                    g
-                }
-            };
-            counts[gid as usize] += 1;
-            row_gids.push(gid);
-        }
-        let (offsets, local_ids) = scatter_csr(&mut counts, &row_gids, 0);
-        // Local positions → physical row ids.
-        let row_ids = local_ids.iter().map(|&p| live[p as usize]).collect();
-        HashIndex {
-            key_cols: key_cols.to_vec(),
-            map: Arc::new(map),
-            offsets,
-            row_ids,
-        }
+        HashIndex::build_seq(rel, key_cols)
     }
 
     /// Merges the delta segment of `rel` (physical rows `old_rows..`) into
@@ -245,21 +197,32 @@ impl HashIndex {
         }
     }
 
-    /// The sequential count-then-fill CSR build: scan 1 resolves each row's
-    /// group id (one hash per row) and counts group sizes; scan 2 scatters
-    /// row ids into the flat arena through running-offset cursors.
+    /// The sequential count-then-fill CSR build: scan 1 resolves each live
+    /// row's group id (one hash per row) and counts group sizes; scan 2
+    /// scatters row ids into the flat arena through running-offset cursors.
+    /// Tombstoned rows are skipped in scan 1 and never enter the arena, so
+    /// probes pay no per-row liveness check. Churned base mirrors normally
+    /// reach the index cache through [`HashIndex::merge_appended`]; a build
+    /// over dead rows is the from-scratch fallback.
     pub fn build_seq(rel: &IdRel, key_cols: &[usize]) -> HashIndex {
         let n = rel.len();
         let cols: Vec<&[ValueId]> = key_cols.iter().map(|&c| rel.col(c)).collect();
-        let mut map: FastMap<InlineKey, u32> = fast_map_with_capacity(key_capacity_hint(n));
+        let mut map: FastMap<InlineKey, u32> =
+            fast_map_with_capacity(key_capacity_hint(rel.live_len()));
         let mut row_gids: Vec<u32> = Vec::with_capacity(n);
         let mut counts: Vec<u32> = Vec::new();
         let mut buf: Vec<ValueId> = Vec::with_capacity(key_cols.len());
         for i in 0..n {
+            if !rel.is_live(i) {
+                row_gids.push(DEAD);
+                continue;
+            }
             buf.clear();
             buf.extend(cols.iter().map(|c| c[i]));
             // Probe borrowed first: the key is only materialized (inline, no
-            // heap for ≤ 4 columns) for the first row of each group.
+            // heap for ≤ 4 columns) for the first row of each group. An
+            // `entry` call would build and hash an owned key for every row,
+            // which measured up to 2.5x slower on keys that repeat.
             let gid = match map.get(buf.as_slice()) {
                 Some(&g) => g,
                 None => {
@@ -272,7 +235,7 @@ impl HashIndex {
             counts[gid as usize] += 1;
             row_gids.push(gid);
         }
-        let (offsets, row_ids) = scatter_csr(&mut counts, &row_gids, 0);
+        let (offsets, row_ids) = scatter_csr(&mut counts, &row_gids);
         HashIndex {
             key_cols: key_cols.to_vec(),
             map: Arc::new(map),
@@ -390,10 +353,14 @@ impl HashIndex {
     }
 }
 
+/// The group id [`HashIndex::build_seq`] records for a tombstoned row.
+const DEAD: u32 = u32::MAX;
+
 /// Turns per-group `counts` and per-row group ids into `(offsets, row_ids)`
 /// by prefix-summing the counts (reused as scatter cursors) and scattering
-/// `base + i` for each row `i`. Row ids stay ascending within each group.
-fn scatter_csr(counts: &mut [u32], row_gids: &[u32], base: u32) -> (Vec<u32>, Vec<u32>) {
+/// row `i` into its group; [`DEAD`] rows are left out. Row ids stay
+/// ascending within each group.
+fn scatter_csr(counts: &mut [u32], row_gids: &[u32]) -> (Vec<u32>, Vec<u32>) {
     let mut offsets: Vec<u32> = Vec::with_capacity(counts.len() + 1);
     offsets.push(0);
     let mut acc = 0u32;
@@ -403,10 +370,13 @@ fn scatter_csr(counts: &mut [u32], row_gids: &[u32], base: u32) -> (Vec<u32>, Ve
         *c = start;
         offsets.push(acc);
     }
-    let mut row_ids = vec![0u32; row_gids.len()];
+    let mut row_ids = vec![0u32; acc as usize];
     for (i, &g) in row_gids.iter().enumerate() {
+        if g == DEAD {
+            continue;
+        }
         let cursor = &mut counts[g as usize];
-        row_ids[*cursor as usize] = base + i as u32;
+        row_ids[*cursor as usize] = i as u32;
         *cursor += 1;
     }
     (offsets, row_ids)
@@ -691,7 +661,7 @@ mod tests {
             for key_cols in [&[0usize][..], &[1], &[0, 1]] {
                 let idx = HashIndex::build_seq(&base, key_cols);
                 let merged = idx.merge_appended(&rel, old_rows);
-                let fresh = HashIndex::build_seq_live(&rel, key_cols);
+                let fresh = HashIndex::build_seq(&rel, key_cols);
                 assert_same_live_groups(&merged, &fresh);
                 for (_, rows) in merged.iter() {
                     assert!(rows.windows(2).all(|w| w[0] < w[1]), "ascending groups");

@@ -1,7 +1,7 @@
 //! Differential test of the Theorem 4 arm: the id-level, block-pumped
 //! Algorithm 1 against a value-level reference that is the paper's five
-//! lines and nothing else (member cursors and `contains`, one private
-//! context per member — no shared ids, no blocks, no decoder), and against
+//! lines and nothing else (member cursors and a membership probe, one
+//! private context per member — no shared ids, no blocks, no decoder), and against
 //! the naive evaluator, on random free-connex unions: 2–4 members, repeated
 //! head variables, an emptied member, Boolean unions; one-shot, session,
 //! frozen, refrozen after an insert and after a delete. Same set, no
@@ -24,12 +24,20 @@ use ucq_core::{
 use ucq_enumerate::{Enumerator, VecEnumerator};
 use ucq_query::{parse_ucq, Ucq};
 use ucq_serve::{serve, Request, ServeConfig};
-use ucq_storage::{Instance, Relation, Tuple, Value};
+use ucq_storage::{CtxView, Instance, Relation, Tuple, Value, ValueId};
 use ucq_workloads::random::{
     random_free_connex_union, random_instance, random_union_extension, InstanceSpec,
 };
 use ucq_workloads::residue_pairs;
-use ucq_yannakakis::{CdyEngine, CdyIter};
+use ucq_yannakakis::{CdyEngine, CdyIter, ContainsScratch};
+
+/// Line 4's `a ∈ Q2(I)`, asked of one member in its own context: the
+/// answer's values looked up in that member's dictionary (a value it never
+/// interned is in none of its relations), then probed.
+fn contains(e: &CdyEngine, a: &Tuple) -> bool {
+    let ids: Option<Vec<ValueId>> = a.values().iter().map(|&v| e.context().lookup(v)).collect();
+    ids.is_some_and(|ids| e.contains_ids(&ids, &mut ContainsScratch::default()))
+}
 
 /// Algorithm 1 as printed, nesting unions of more than two members by
 /// treating the tail as one query: `cursors[0]` is `Q1`, the rest `Q2`.
@@ -40,7 +48,7 @@ fn reference_next(cursors: &mut [CdyIter<'_>], engines: &[CdyEngine]) -> Option<
     }
     let rest_engines = &engines[1..];
     if let Some(a) = first.next() {
-        if !rest_engines.iter().any(|e| e.contains(&a)) {
+        if !rest_engines.iter().any(|e| contains(e, &a)) {
             return Some(a);
         }
         let b = reference_next(rest, rest_engines);
@@ -81,7 +89,7 @@ fn check_all_paths(u: &Ucq, inst: &Instance, case: &str) -> HashSet<Tuple> {
     check(
         "one-shot Algorithm1",
         case,
-        Algorithm1::build(u, inst).unwrap(),
+        Algorithm1::from_engines(Algorithm1::member_engines(u, inst, &CtxView::new()).unwrap()),
         &want,
     );
     check_engine_paths(u, inst, case, want)

@@ -63,16 +63,8 @@ impl IdTable {
 /// Evaluates `Q(I)` naively with a private context, returning the
 /// deduplicated answers in unspecified order.
 pub fn evaluate_cq_naive(cq: &Cq, instance: &Instance) -> Result<Vec<Tuple>, EvalError> {
-    evaluate_cq_naive_in(cq, instance, &CtxView::new())
-}
-
-/// As [`evaluate_cq_naive`], sharing the caches of `ctx`.
-pub fn evaluate_cq_naive_in(
-    cq: &Cq,
-    instance: &Instance,
-    ctx: &CtxView,
-) -> Result<Vec<Tuple>, EvalError> {
-    Ok(evaluate_cq_naive_ids_in(cq, instance, ctx)?.decode(ctx))
+    let ctx = CtxView::new();
+    Ok(evaluate_cq_naive_ids_in(cq, instance, &ctx)?.decode(&ctx))
 }
 
 /// Evaluates `Q(I)` naively on the id layer, returning the deduplicated
@@ -387,9 +379,9 @@ mod tests {
         let ctx = CtxView::new();
         let q = parse_cq("Q(x, y) <- R(x, z), S(z, y)").unwrap();
         let i = inst(&[("R", vec![(1, 2)]), ("S", vec![(2, 3)])]);
-        let a = evaluate_cq_naive_in(&q, &i, &ctx).unwrap();
+        let a = evaluate_cq_naive_ids_in(&q, &i, &ctx).unwrap().decode(&ctx);
         let builds = ctx.stats().index_builds;
-        let b = evaluate_cq_naive_in(&q, &i, &ctx).unwrap();
+        let b = evaluate_cq_naive_ids_in(&q, &i, &ctx).unwrap().decode(&ctx);
         assert_eq!(a, b);
         assert_eq!(
             ctx.stats().index_builds,

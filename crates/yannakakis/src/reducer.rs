@@ -3,7 +3,7 @@
 //! Two sweeps over a join tree — leaves-to-root, then root-to-leaves —
 //! remove every *dangling* tuple: afterwards each remaining tuple of each
 //! node participates in at least one result of the full join (Yannakakis
-//! 1981 [20]). This is the linear preprocessing phase of the CDY algorithm.
+//! 1981 \[20\]). This is the linear preprocessing phase of the CDY algorithm.
 //!
 //! Node relations are never mutated. Each non-root node brings **one**
 //! [`HashIndex`] on its separator with its parent — hashed once, by whoever

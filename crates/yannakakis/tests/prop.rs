@@ -5,8 +5,19 @@
 use proptest::prelude::*;
 use std::collections::HashSet;
 use ucq_query::Cq;
-use ucq_storage::{Instance, Relation, Tuple, Value};
-use ucq_yannakakis::{evaluate_cq_naive, CdyEngine};
+use ucq_storage::{CtxView, Instance, Relation, Tuple, Value, ValueId};
+use ucq_yannakakis::{evaluate_cq_naive, CdyEngine, ContainsScratch};
+
+/// Membership of a value tuple: its values looked up in the engine's
+/// context, then [`CdyEngine::contains_ids`].
+fn contains(eng: &CdyEngine, t: &Tuple) -> bool {
+    let ids: Option<Vec<ValueId>> = t
+        .values()
+        .iter()
+        .map(|&v| eng.context().lookup(v))
+        .collect();
+    ids.is_some_and(|ids| eng.contains_ids(&ids, &mut ContainsScratch::default()))
+}
 
 /// A random CQ description: atoms over variables `v0..v5` plus a head.
 #[derive(Debug, Clone)]
@@ -101,7 +112,7 @@ proptest! {
             evaluate_cq_naive(&rq.cq, &inst).unwrap().into_iter().collect();
         let eng = CdyEngine::for_query(&rq.cq, &inst).unwrap();
         for t in &naive {
-            prop_assert!(eng.contains(t), "answer {} must test positive", t);
+            prop_assert!(contains(&eng, t), "answer {} must test positive", t);
         }
         // Some near-miss tuples.
         for t in naive.iter().take(4) {
@@ -109,7 +120,7 @@ proptest! {
             if !vals.is_empty() {
                 vals[0] = Value::Int(99);
                 let probe = Tuple::from(vals);
-                prop_assert_eq!(eng.contains(&probe), naive.contains(&probe));
+                prop_assert_eq!(contains(&eng, &probe), naive.contains(&probe));
             }
         }
     }
@@ -124,7 +135,7 @@ proptest! {
         let reheaded = rq.cq.with_head(full_head).unwrap();
         let naive: HashSet<Tuple> =
             evaluate_cq_naive(&reheaded, &inst).unwrap().into_iter().collect();
-        let eng = CdyEngine::for_projection(&rq.cq, s, &inst).unwrap();
+        let eng = CdyEngine::for_projection_in(&rq.cq, s, &inst, &CtxView::new()).unwrap();
         let set: HashSet<Tuple> = eng.iter().collect_all().into_iter().collect();
         prop_assert_eq!(set, naive);
     }
@@ -133,20 +144,36 @@ proptest! {
     fn full_binding_extensions_are_homomorphisms((rq, inst) in query_and_instance()) {
         prop_assume!(rq.cq.is_free_connex());
         let eng = CdyEngine::for_query(&rq.cq, &inst).unwrap();
-        let mut it = eng.iter();
-        let mut count = 0;
-        while let Some((_t, binding)) = it.next_with_full_binding() {
-            count += 1;
-            if count > 64 { break; }
-            // The binding must satisfy every atom.
-            for atom in rq.cq.atoms() {
-                let row: Vec<Value> =
-                    atom.args.iter().map(|&v| binding[v as usize]).collect();
-                let stored = inst.get(&atom.rel).cloned().unwrap_or_else(|| Relation::new(atom.args.len()));
-                prop_assert!(
-                    stored.contains_row(&row),
-                    "witness row {:?} missing from {}", row, atom.rel
-                );
+        let w = eng.n_vars() as usize;
+        let decode = |id: ValueId| eng.context().decode(id);
+        let mut bindings = eng.iter();
+        let mut answers = eng.iter();
+        let mut block: Vec<ValueId> = Vec::new();
+        // Up to four blocks of 16 bindings, each extended in one call, as
+        // Lemma 8's materialization does.
+        for _ in 0..4 {
+            block.clear();
+            let mut pulled = 0;
+            while pulled < 16 && bindings.next_binding_into(&mut block) {
+                pulled += 1;
+            }
+            eng.extend_full_block(&mut block);
+            for binding in block.chunks_exact(w) {
+                // Extension keeps the answer the binding was enumerated for …
+                let answer = answers.next().expect("one answer per binding");
+                let head: Vec<Value> =
+                    rq.cq.head().iter().map(|&v| decode(binding[v as usize])).collect();
+                prop_assert_eq!(head.as_slice(), answer.values());
+                // … and satisfies every atom.
+                for atom in rq.cq.atoms() {
+                    let row: Vec<Value> =
+                        atom.args.iter().map(|&v| decode(binding[v as usize])).collect();
+                    let stored = inst.get(&atom.rel).cloned().unwrap_or_else(|| Relation::new(atom.args.len()));
+                    prop_assert!(
+                        stored.contains_row(&row),
+                        "witness row {:?} missing from {}", row, atom.rel
+                    );
+                }
             }
         }
     }
