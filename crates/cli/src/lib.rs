@@ -23,7 +23,7 @@
 #![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
-use ucq_core::{classify, plan_free_connex_costed, SearchConfig, Strategy, UcqEngine, Verdict};
+use ucq_core::{classify, Strategy, UcqEngine, Verdict};
 use ucq_enumerate::{Budgeted, Enumerator, QueryBudget, VecEnumerator};
 use ucq_query::{parse_ucq, Ucq};
 use ucq_storage::{parse_instance, CtxView, Instance};
@@ -335,7 +335,7 @@ fn explain_plan(ucq: &Ucq, inst: &Instance) -> String {
         ingest.deletes,
         ingest.epoch_bumps
     );
-    let costed = plan_free_connex_costed(&c.minimized, &SearchConfig::default(), inst, &ctx);
+    let costed = engine.search().map(|search| search.plan(inst, &ctx));
     let _ = writeln!(
         out,
         "  plan cache key: fingerprint {:016x} @ stats epoch {}",

@@ -16,9 +16,12 @@
 //! miss can only produce a pessimistic `Unknown`, never a wrong verdict.
 
 use crate::body_iso::{align_body_isomorphic, AlignedUnion};
+use crate::cost::CostedSearch;
 use crate::guards::{is_bypass_guarded, is_free_path_guarded, is_isolated, is_union_guarded};
-use crate::plan::{plan_free_connex, ExtensionPlan};
-use crate::search::SearchConfig;
+use crate::plan::ExtensionPlan;
+use crate::search::{
+    SearchConfig, HOM_CAP, MAX_EXACT_SUBSET, MAX_GREEDY_STEPS, MAX_ROUNDS, POOL_CAP,
+};
 use ucq_hypergraph::free_paths;
 use ucq_query::{exists_body_hom, lemma16_representative, minimize_union, Cq, Ucq, VarId};
 
@@ -178,36 +181,36 @@ impl Classification {
     }
 }
 
-/// Classifies with default search bounds.
+/// Classifies `ucq`.
 pub fn classify(ucq: &Ucq) -> Classification {
-    classify_with(ucq, &SearchConfig::default())
+    classify_searched(ucq).0
 }
 
-/// Classifies with explicit search bounds.
-pub fn classify_with(ucq: &Ucq, cfg: &SearchConfig) -> Classification {
+/// Classifies `ucq`, and hands back the union-extension search behind a
+/// `FreeConnex` verdict so that an engine can re-price it per instance
+/// instead of searching again.
+pub(crate) fn classify_searched(ucq: &Ucq) -> (Classification, Option<CostedSearch>) {
     let (minimized, kept) = minimize_union(ucq);
     let statuses: Vec<CqStatus> = minimized.cqs().iter().map(cq_status).collect();
 
     // Upper bound: free-connex union extension (Theorems 4 and 12).
-    if let Some(plan) = plan_free_connex(&minimized, cfg) {
-        return Classification {
-            kept,
-            minimized,
-            statuses,
-            verdict: Verdict::FreeConnex { plan },
-        };
-    }
-
-    let verdict = lower_bounds(&minimized, &statuses, cfg);
-    Classification {
+    let search = CostedSearch::prepare(&minimized, &SearchConfig::default());
+    let verdict = match &search {
+        Some(search) => Verdict::FreeConnex {
+            plan: search.certificate(),
+        },
+        None => lower_bounds(&minimized, &statuses),
+    };
+    let classification = Classification {
         kept,
         minimized,
         statuses,
         verdict,
-    }
+    };
+    (classification, search)
 }
 
-fn lower_bounds(ucq: &Ucq, statuses: &[CqStatus], cfg: &SearchConfig) -> Verdict {
+fn lower_bounds(ucq: &Ucq, statuses: &[CqStatus]) -> Verdict {
     let mut notes: Vec<String> = Vec::new();
     let n = ucq.len();
 
@@ -286,8 +289,9 @@ fn lower_bounds(ucq: &Ucq, statuses: &[CqStatus], cfg: &SearchConfig) -> Verdict
     }
 
     notes.push(format!(
-        "no proven lower bound applies; extension search bounds: exact ≤ {}, greedy ≤ {}",
-        cfg.max_exact_subset, cfg.max_greedy_steps
+        "no proven lower bound applies; extension search bounds: exact ≤ {MAX_EXACT_SUBSET} \
+         atoms, greedy ≤ {MAX_GREEDY_STEPS} steps, ≤ {HOM_CAP} homomorphisms per member pair, \
+         ≤ {MAX_ROUNDS} fixpoint rounds, candidate pool ≤ {POOL_CAP} per member"
     ));
     Verdict::Unknown { notes }
 }

@@ -1,16 +1,15 @@
-//! Cardinality estimation and cost-based plan selection.
+//! The one union-extension search, and cost-based plan selection.
 //!
-//! [`plan_free_connex`](crate::plan_free_connex) takes the *first* union
-//! extension the search finds and the earliest-stage provider for every
-//! virtual atom — correct, and the right certificate for instance-free
-//! classification, but oblivious to how large each Lemma 8
-//! materialization will be. [`plan_free_connex_costed`] keeps the same
-//! search but scores the alternatives: up to
-//! [`SearchConfig::max_plan_candidates`] extension sets per member, and
-//! every resolvable provider per planned atom
-//! ([`Availability::resolve_all`]), each priced by [`CostModel`] — a
-//! textbook join-cardinality model over the per-relation statistics the
-//! storage layer harvests from its CSR indexes ([`RelStats`]).
+//! [`CostedSearch::prepare`] runs the availability fixpoint and keeps up
+//! to four candidate extension sets per member — the search the classifier
+//! and the engine share. [`CostedSearch::certificate`] reads the
+//! classifier's certificate off it: each member's first candidate, every
+//! virtual atom from its earliest-stage provider. [`CostedSearch::plan`]
+//! scores the alternatives instead — every candidate set, and every
+//! resolvable provider per planned atom ([`Availability::resolve_all`]) —
+//! by [`CostModel`], a textbook join-cardinality model over the
+//! per-relation statistics the storage layer harvests from its CSR
+//! indexes ([`RelStats`]).
 //!
 //! The estimate for the materialized content of a planned atom (the
 //! projection `π_S` of the provider's extended query, Lemma 8) is
@@ -23,13 +22,13 @@
 //! with virtual atoms in the provider's own extension priced recursively
 //! (memoized; provenance stages strictly decrease, so the recursion is
 //! well-founded). On uniform statistics every alternative ties and the
-//! costed plan degenerates to the first-found plan, so classification and
-//! costed execution never disagree on *whether* a plan exists — only on
-//! which one runs.
+//! costed plan is the certificate. Both come from one search, so
+//! classification and costed execution never disagree on *whether* a plan
+//! exists — only on which one runs.
 
 use crate::plan::{sanitize_overrides, schedule_plan, ExtensionPlan};
-use crate::provides::{compute_availability_all, Availability, Provenance};
-use crate::search::{ConnexOracle, SearchConfig};
+use crate::provides::{compute_availability, Availability, Provenance};
+use crate::search::{ConnexOracle, SearchConfig, MAX_PLAN_CANDIDATES};
 use std::collections::HashMap;
 use std::sync::Arc;
 use ucq_hypergraph::VSet;
@@ -179,7 +178,7 @@ fn join_projection_estimate(facts: &[(f64, HashMap<u32, f64>)], proj: VSet) -> f
 /// A cost-annotated free-connex certificate.
 #[derive(Clone, Debug)]
 pub struct CostedPlan {
-    /// The executable plan (same shape `plan_free_connex` produces).
+    /// The executable plan (same shape as [`CostedSearch::certificate`]).
     pub plan: ExtensionPlan,
     /// Estimated materialized rows per `plan.atoms` entry, same order —
     /// surfaced for `EXPLAIN`-style plan dumps.
@@ -191,7 +190,7 @@ pub struct CostedPlan {
 /// The cheapest provider for planned atom `(target, vars)`: estimate,
 /// index into [`Availability::resolve_all`] order (0 = what `resolve`
 /// picks), and the provenance itself. Strict `<` keeps the earliest entry
-/// on ties, so uniform statistics reproduce the first-found plan.
+/// on ties, so uniform statistics reproduce the certificate.
 fn cheapest_provider(
     model: &mut CostModel<'_>,
     avail: &Availability,
@@ -208,11 +207,11 @@ fn cheapest_provider(
     best
 }
 
-/// The instance-independent half of the costed planner: the availability
-/// fixpoint and the candidate extension sets per member. Both depend only
-/// on the query, so an engine prepares this once and re-prices it per
-/// instance — a plan-cache miss costs one round of costing, not a fresh
-/// connexity search.
+/// The union-extension search: the availability fixpoint and the candidate
+/// extension sets per member. Both depend only on the query, so the
+/// classifier runs it once, reads its certificate off it, and the engine
+/// keeps it to re-price per instance — a plan-cache miss costs one round
+/// of costing, not a fresh connexity search.
 pub struct CostedSearch {
     ucq: Ucq,
     avail: Availability,
@@ -222,10 +221,11 @@ pub struct CostedSearch {
 }
 
 impl CostedSearch {
-    /// Runs the search space of [`plan_free_connex`](crate::plan_free_connex)
-    /// once, keeping every candidate. Returns `None` exactly when the
-    /// first-found planner does (same candidates enumerated).
-    pub fn prepare(ucq: &Ucq, cfg: &SearchConfig) -> Option<CostedSearch> {
+    /// Runs the search on `ucq`, keeping up to four candidates per member.
+    /// `None` means *no certificate found* within the search bounds — for
+    /// the classes with proven dichotomies this coincides with "not
+    /// free-connex". The bounds are fixed, so `_bounds` carries nothing.
+    pub fn prepare(ucq: &Ucq, _bounds: &SearchConfig) -> Option<CostedSearch> {
         if ucq.cqs().iter().all(Cq::is_free_connex) {
             return Some(CostedSearch {
                 ucq: ucq.clone(),
@@ -234,12 +234,12 @@ impl CostedSearch {
             });
         }
         let mut oracle = ConnexOracle::default();
-        let avail = compute_availability_all(ucq, &mut oracle, cfg);
+        let avail = compute_availability(ucq, &mut oracle);
         let mut candidates = Vec::with_capacity(ucq.len());
         for (i, cq) in ucq.cqs().iter().enumerate() {
             let h = cq.hypergraph();
-            let pool = avail.pool_for(i, &h, cfg.pool_cap);
-            let cands = oracle.find_extensions(&h, cq.free(), &pool, cfg, cfg.max_plan_candidates);
+            let pool = avail.pool_for(i, &h);
+            let cands = oracle.find_extensions(&h, cq.free(), &pool, MAX_PLAN_CANDIDATES);
             if cands.is_empty() {
                 return None;
             }
@@ -252,19 +252,33 @@ impl CostedSearch {
         })
     }
 
+    /// The instance-free certificate: each member's first candidate, every
+    /// virtual atom filled by its earliest-stage provider
+    /// ([`Availability::resolve`]). The classifier's verdict carries it.
+    pub fn certificate(&self) -> ExtensionPlan {
+        let chosen = self.candidates.iter().map(|c| c[0].clone()).collect();
+        self.schedule(chosen, &HashMap::new())
+    }
+
+    /// Schedules `chosen` (one extension set per member; none when every
+    /// member is free-connex on its own).
+    fn schedule(
+        &self,
+        chosen: Vec<Vec<VSet>>,
+        overrides: &HashMap<(usize, VSet), Provenance>,
+    ) -> ExtensionPlan {
+        if self.candidates.is_empty() {
+            return ExtensionPlan {
+                atoms: Vec::new(),
+                chosen: vec![Vec::new(); self.ucq.len()],
+            };
+        }
+        schedule_plan(&self.avail, chosen, overrides)
+    }
+
     /// Prices the prepared candidates against `instance`'s statistics and
     /// schedules the cheapest combination.
     pub fn plan(&self, instance: &Instance, ctx: &CtxView) -> CostedPlan {
-        if self.candidates.is_empty() {
-            return CostedPlan {
-                plan: ExtensionPlan {
-                    atoms: Vec::new(),
-                    chosen: vec![Vec::new(); self.ucq.len()],
-                },
-                estimates: Vec::new(),
-                candidates_costed: 0,
-            };
-        }
         let avail = &self.avail;
         let mut model = CostModel::new(&self.ucq, avail, instance, ctx);
         let mut chosen: Vec<Vec<VSet>> = Vec::with_capacity(self.ucq.len());
@@ -299,7 +313,7 @@ impl CostedSearch {
         }
 
         sanitize_overrides(avail, &mut overrides);
-        let plan = schedule_plan(avail, chosen, &overrides);
+        let plan = self.schedule(chosen, &overrides);
         let estimates: Vec<f64> = plan
             .atoms
             .iter()
@@ -316,25 +330,9 @@ impl CostedSearch {
     }
 }
 
-/// Cost-based variant of [`plan_free_connex`](crate::plan_free_connex):
-/// same search space, but candidate extension sets and alternative
-/// providers are priced against `instance`'s statistics and the cheapest
-/// combination wins. Returns `None` exactly when the first-found planner
-/// does (the searches enumerate the same candidates). One-shot facade
-/// over [`CostedSearch`]; engines keep the `CostedSearch` around instead.
-pub fn plan_free_connex_costed(
-    ucq: &Ucq,
-    cfg: &SearchConfig,
-    instance: &Instance,
-    ctx: &CtxView,
-) -> Option<CostedPlan> {
-    Some(CostedSearch::prepare(ucq, cfg)?.plan(instance, ctx))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::plan_free_connex;
     use ucq_query::parse_ucq;
     use ucq_storage::{Relation, Value};
 
@@ -394,10 +392,9 @@ mod tests {
         inst.insert("R1", pairs(&[(1, 2), (3, 4)]));
         inst.insert("R2", pairs(&[(2, 5), (4, 6)]));
         inst.insert("R3", pairs(&[(5, 7), (6, 8)]));
-        let ctx = CtxView::new();
-        let cfg = SearchConfig::default();
-        let first = plan_free_connex(&u, &cfg).unwrap();
-        let costed = plan_free_connex_costed(&u, &cfg, &inst, &ctx).unwrap();
+        let search = CostedSearch::prepare(&u, &SearchConfig::default()).unwrap();
+        let first = search.certificate();
+        let costed = search.plan(&inst, &CtxView::new());
         assert_eq!(costed.plan.chosen, first.chosen);
         assert_eq!(costed.plan.atoms.len(), first.atoms.len());
         assert_eq!(costed.estimates.len(), costed.plan.atoms.len());
@@ -430,9 +427,9 @@ mod tests {
         inst.insert("R1", rel(n, 0));
         inst.insert("R2", rel(n / 8, n));
         inst.insert("R3", rel(n, 2 * n));
-        let cfg = SearchConfig::default();
-        let first = plan_free_connex(&u, &cfg).unwrap();
-        let costed = plan_free_connex_costed(&u, &cfg, &inst, &CtxView::new()).unwrap();
+        let search = CostedSearch::prepare(&u, &SearchConfig::default()).unwrap();
+        let first = search.certificate();
+        let costed = search.plan(&inst, &CtxView::new());
         assert_eq!((first.atoms.len(), costed.plan.atoms.len()), (1, 1));
         assert_ne!(
             first.atoms[0].provenance.provider, costed.plan.atoms[0].provenance.provider,
@@ -457,11 +454,7 @@ mod tests {
              Q2(x, y, v) <- R1(w, v), R2(v, y), R3(y, z), R4(z, x)",
         )
         .unwrap();
-        let inst = Instance::new();
-        let ctx = CtxView::new();
-        let cfg = SearchConfig::default();
-        assert!(plan_free_connex(&u, &cfg).is_none());
-        assert!(plan_free_connex_costed(&u, &cfg, &inst, &ctx).is_none());
+        assert!(CostedSearch::prepare(&u, &SearchConfig::default()).is_none());
     }
 
     #[test]
@@ -472,8 +465,8 @@ mod tests {
         )
         .unwrap();
         let inst = Instance::new(); // no relations at all
-        let ctx = CtxView::new();
-        let costed = plan_free_connex_costed(&u, &SearchConfig::default(), &inst, &ctx).unwrap();
+        let search = CostedSearch::prepare(&u, &SearchConfig::default()).unwrap();
+        let costed = search.plan(&inst, &CtxView::new());
         assert!(costed.estimates.iter().all(|&e| e == 0.0));
     }
 }

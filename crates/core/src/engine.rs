@@ -29,12 +29,11 @@
 //! are a prefix of its head ([`crate::fd::FdRewrite::engine`]).
 
 use crate::algorithm1::{member_engine, member_engines, retarget_members, Algorithm1Ids};
-use crate::classify::{classify_with, Classification, CqStatus, Verdict};
+use crate::classify::{classify_searched, Classification, CqStatus, Verdict};
 use crate::cost::CostedSearch;
 use crate::naive_ucq::evaluate_ucq_naive_ids_in;
 use crate::pipeline::UcqPipelinePrep;
 use crate::plan::ExtensionPlan;
-use crate::search::SearchConfig;
 use std::sync::Arc;
 use ucq_enumerate::{Enumerator, IdDecoder, IdEnumerator, IdVecEnumerator};
 use ucq_query::Ucq;
@@ -60,9 +59,10 @@ pub enum Strategy {
 /// [`ucq_storage::ContextStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlannerStats {
-    /// Full cost-based plan searches run (one per plan-cache miss).
+    /// Pricing passes over the engine's search (one per plan-cache miss).
+    /// The search itself runs once, when the engine classifies.
     pub plans_searched: usize,
-    /// Candidate extension sets priced across all searches.
+    /// Candidate extension sets priced across all pricing passes.
     pub candidates_costed: usize,
     /// Plan-cache hits: `(query fingerprint, stats epoch)` matched a plan
     /// stored by an earlier session over the same context.
@@ -91,28 +91,22 @@ impl PlannerCounters {
 /// A classified UCQ ready to evaluate instances.
 pub struct UcqEngine {
     ucq: Ucq,
-    cfg: SearchConfig,
     classification: Classification,
     /// Head positions an answer consists of: the whole head, or the prefix
     /// an FD rewrite started from (see [`UcqEngine::projecting`]).
     answer_arity: usize,
-    /// The instance-independent half of the costed planner (availability
-    /// fixpoint + candidate extension sets), prepared lazily on the first
-    /// plan-cache miss and shared by every later miss: fresh contexts
-    /// re-*price* the candidates, they never re-*search*.
-    costed: OnceLock<Option<CostedSearch>>,
+    /// The union-extension search classification ran (availability
+    /// fixpoint + candidate extension sets), `Some` exactly for a
+    /// `FreeConnex` verdict. Every plan-cache miss re-*prices* it; nothing
+    /// re-*searches*.
+    search: Option<CostedSearch>,
 }
 
 impl UcqEngine {
-    /// Classifies `ucq` with default search bounds.
+    /// Classifies `ucq`.
     pub fn new(ucq: Ucq) -> UcqEngine {
-        UcqEngine::with_config(ucq, &SearchConfig::default())
-    }
-
-    /// Classifies `ucq` with explicit search bounds.
-    pub fn with_config(ucq: Ucq, cfg: &SearchConfig) -> UcqEngine {
         let arity = ucq.head_arity();
-        UcqEngine::projecting(ucq, arity, cfg)
+        UcqEngine::projecting(ucq, arity)
     }
 
     /// Classifies `ucq` and answers with the first `answer_arity` positions
@@ -123,18 +117,17 @@ impl UcqEngine {
     /// the kept ones; across members they need not be (each may have grown
     /// by a different determined variable), so a projecting union of
     /// several members never runs Algorithm 1 (see [`UcqEngine::strategy`]).
-    pub(crate) fn projecting(ucq: Ucq, answer_arity: usize, cfg: &SearchConfig) -> UcqEngine {
+    pub(crate) fn projecting(ucq: Ucq, answer_arity: usize) -> UcqEngine {
         assert!(
             answer_arity <= ucq.head_arity(),
             "answers are a head prefix"
         );
-        let classification = classify_with(&ucq, cfg);
+        let (classification, search) = classify_searched(&ucq);
         UcqEngine {
             ucq,
-            cfg: cfg.clone(),
             classification,
             answer_arity,
-            costed: OnceLock::new(),
+            search,
         }
     }
 
@@ -146,6 +139,12 @@ impl UcqEngine {
     /// The classification (verdict, statuses, minimized union).
     pub fn classification(&self) -> &Classification {
         &self.classification
+    }
+
+    /// The union-extension search behind a `FreeConnex` verdict: what
+    /// every plan-cache miss re-prices ([`CostedSearch::plan`]).
+    pub fn search(&self) -> Option<&CostedSearch> {
+        self.search.as_ref()
     }
 
     /// The strategy [`UcqEngine::enumerate`] will pick.
@@ -202,11 +201,9 @@ impl UcqEngine {
 
     /// The plan the union-extension strategy should execute over
     /// `instance`: the cached plan when `(query fingerprint, stats epoch)`
-    /// matches, otherwise a fresh costing pass over the engine's prepared
-    /// [`CostedSearch`], stored so the next session over this context skips
-    /// the pricing too. Falls back to the classification's first-found
-    /// certificate if the costed search comes up empty (it enumerates the
-    /// same candidates, so this is belt-and-braces).
+    /// matches, otherwise a fresh costing pass over the search
+    /// classification ran, stored so the next session over this context
+    /// skips the pricing too.
     fn executable_plan(
         &self,
         ctx: &CtxView,
@@ -236,23 +233,14 @@ impl UcqEngine {
             c.plans_searched.fetch_add(1, Relaxed);
         }
         let search = self
-            .costed
-            .get_or_init(|| CostedSearch::prepare(minimized, &self.cfg));
-        let plan = match search.as_ref().map(|s| s.plan(instance, ctx)) {
-            Some(costed) => {
-                if let Some(c) = counters {
-                    c.candidates_costed
-                        .fetch_add(costed.candidates_costed, Relaxed);
-                }
-                Arc::new(costed.plan)
-            }
-            None => {
-                let Verdict::FreeConnex { plan } = &self.classification.verdict else {
-                    unreachable!("union-extension strategy implies a free-connex verdict");
-                };
-                Arc::new(plan.clone())
-            }
-        };
+            .search()
+            .expect("a free-connex verdict keeps its search");
+        let costed = search.plan(instance, ctx);
+        if let Some(c) = counters {
+            c.candidates_costed
+                .fetch_add(costed.candidates_costed, Relaxed);
+        }
+        let plan = Arc::new(costed.plan);
         ctx.store_plan(fingerprint, epoch, plan.clone());
         plan
     }
@@ -849,7 +837,7 @@ mod tests {
             .into_iter()
             .collect();
         let p1 = first.planner_stats();
-        assert_eq!(p1.plans_searched, 1, "first session runs the search");
+        assert_eq!(p1.plans_searched, 1, "first session prices the search");
         assert_eq!(p1.plan_cache_hits, 0);
         assert!(p1.candidates_costed >= 1, "at least one candidate priced");
         // Re-enumerating within one session prepares nothing new.
@@ -865,14 +853,13 @@ mod tests {
             .collect();
         assert_eq!(again, baseline);
         let p2 = second.planner_stats();
-        assert_eq!(p2.plans_searched, 0, "second session skips the search");
+        assert_eq!(p2.plans_searched, 0, "second session skips the pricing");
         assert_eq!(p2.plan_cache_hits, 1, "cached plan reused");
         assert_eq!(p2.candidates_costed, 0);
     }
 
     #[test]
     fn churned_skew_flips_the_cheapest_provider() {
-        use crate::cost::plan_free_connex_costed;
         // Q1's extension {x, z, y} has two providers: Q2 prices it off
         // R1 ⋈ R2, Q3 off R1 ⋈ R4. Which is cheapest depends on the data.
         let text = "Q1(x, y, w) <- R1(x, z), R2(z, y), R4(z, y), R3(y, w)\n\
@@ -891,7 +878,8 @@ mod tests {
         let first = eng.session_in(&ctx, &base);
         first.enumerate().unwrap();
         assert_eq!(first.planner_stats().plans_searched, 1);
-        let uniform = plan_free_connex_costed(&u, &SearchConfig::default(), &base, &ctx).unwrap();
+        let search = eng.search().expect("a free-connex union keeps its search");
+        let uniform = search.plan(&base, &ctx);
         let before = uniform.plan.atoms[0].provenance.provider;
 
         // Skew R2: a delta far past the 25% churn threshold bumps the
@@ -902,17 +890,16 @@ mod tests {
         let skewed = base.with_relation_shared("R2", r2);
         assert!(ctx.stats_epoch() > e0, "heavy churn bumps the stats epoch");
 
-        // … the next session re-searches instead of hitting the cache …
+        // … the next session re-prices instead of hitting the cache …
         let second = eng.session_in(&ctx, &skewed);
         second.enumerate().unwrap();
         let p2 = second.planner_stats();
         assert_eq!(p2.plan_cache_hits, 0, "stale plan must not be reused");
-        assert_eq!(p2.plans_searched, 1, "churned stats force a re-search");
+        assert_eq!(p2.plans_searched, 1, "churned stats force a re-pricing");
 
         // … and the re-costed plan routes the extension through the other
         // provider (R2's blow-up makes Q3's R1 ⋈ R4 the cheap one).
-        let recosted =
-            plan_free_connex_costed(&u, &SearchConfig::default(), &skewed, &ctx).unwrap();
+        let recosted = search.plan(&skewed, &ctx);
         let after = recosted.plan.atoms[0].provenance.provider;
         assert_ne!(before, after, "skew flips the cheapest provider");
 

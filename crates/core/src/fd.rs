@@ -64,7 +64,6 @@
 //! `Π(x,y) ← A(x,z), B(z,y)` with `A : x → z` — is fully supported.
 
 use crate::engine::UcqEngine;
-use crate::search::SearchConfig;
 use std::collections::HashMap;
 use ucq_query::{Atom, Cq, QueryError, Ucq, VarId};
 use ucq_storage::{HashIndex, Instance, Relation, Value};
@@ -271,11 +270,7 @@ impl FdRewrite {
     /// The ordinary engine over the rewritten union, answering with the
     /// original head positions. Its classification is the Remark 2 verdict.
     pub fn engine(&self) -> UcqEngine {
-        UcqEngine::projecting(
-            self.ucq.clone(),
-            self.answer_arity,
-            &SearchConfig::default(),
-        )
+        UcqEngine::projecting(self.ucq.clone(), self.answer_arity)
     }
 
     /// The instance translation `I ↦ I⁺`: checks the FDs (a violation is

@@ -183,8 +183,7 @@ pub fn materialize_atom_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::plan_free_connex;
-    use crate::search::SearchConfig;
+    use crate::{CostedSearch, SearchConfig};
     use std::collections::HashSet;
     use ucq_query::parse_ucq;
     use ucq_storage::Instance;
@@ -203,7 +202,9 @@ mod tests {
              Q2(x, y, w) <- R1(x, y), R2(y, w)",
         )
         .unwrap();
-        let plan = plan_free_connex(&u, &SearchConfig::default()).unwrap();
+        let plan = CostedSearch::prepare(&u, &SearchConfig::default())
+            .map(|s| s.certificate())
+            .unwrap();
         let i = inst(&[
             ("R1", vec![(1, 2), (1, 5), (9, 9)]),
             ("R2", vec![(2, 3), (5, 3), (9, 8)]),
@@ -252,7 +253,9 @@ mod tests {
              Q2(x, y, w) <- R1(x, y), R2(y, w)",
         )
         .unwrap();
-        let plan = plan_free_connex(&u, &SearchConfig::default()).unwrap();
+        let plan = CostedSearch::prepare(&u, &SearchConfig::default())
+            .map(|s| s.certificate())
+            .unwrap();
         let i = inst(&[("R1", vec![]), ("R2", vec![]), ("R3", vec![])]);
         let name_of = |t: usize, v: ucq_hypergraph::VSet| plan.atom_for(t, v).rel_name.clone();
         let ctx = CtxView::new();

@@ -12,8 +12,9 @@
 //! * [`UcqEngine`] — classify once, evaluate many instances: Algorithm 1
 //!   for unions of free-connex CQs, the Theorem 12 union-extension
 //!   pipeline otherwise, naive fallback outside `DelayClin`;
-//! * [`plan_free_connex`] / [`UcqPipelinePrep`] — the executable free-connex
-//!   certificates and the Theorem 12 preprocessing they drive;
+//! * [`CostedSearch`] / [`UcqPipelinePrep`] — the one union-extension
+//!   search, whose certificate the classifier reports and whose cheapest
+//!   plan the engine runs, and the Theorem 12 preprocessing it drives;
 //! * [`provides`] / [`search`] — Definition 7's provided variable sets and
 //!   the fixpoint over union extensions (Definition 10/11);
 //! * [`guards`] — Definitions 23/32/34 (free-path/bypass guards, union
@@ -40,18 +41,17 @@ mod static_asserts;
 pub use algorithm1::{Algorithm1, Algorithm1Ids};
 pub use body_iso::{align_body_isomorphic, AlignedUnion};
 pub use classify::{
-    classify, classify_with, cq_status, Classification, CqStatus, HardnessWitness, Hypothesis,
-    Verdict,
+    classify, cq_status, Classification, CqStatus, HardnessWitness, Hypothesis, Verdict,
 };
-pub use cost::{plan_free_connex_costed, CostModel, CostedPlan, CostedSearch};
+pub use cost::{CostModel, CostedPlan, CostedSearch};
 pub use engine::{EvalSession, FrozenSession, PlannerStats, Strategy, UcqAnswers, UcqEngine};
 pub use fd::{extend_instance, fd_extend_cq, fd_rewrite, Fd, FdExtension, FdRewrite, FdSet};
 pub use naive_ucq::{
     evaluate_ucq_naive, evaluate_ucq_naive_ids_in, evaluate_ucq_naive_in, evaluate_ucq_naive_set,
 };
 pub use pipeline::UcqPipelinePrep;
-pub use plan::{plan_free_connex, ExtensionPlan, PlannedAtom};
-pub use provides::{compute_availability, compute_availability_all, Availability, Provenance};
+pub use plan::{ExtensionPlan, PlannedAtom};
+pub use provides::{compute_availability, Availability, Provenance};
 pub use request::{RequestError, Served};
 pub use search::{ConnexOracle, SearchConfig};
 // The error type every engine/session entry point returns; re-exported so

@@ -153,8 +153,7 @@ impl IdEnumerator for UnionIds {
 mod tests {
     use super::*;
     use crate::naive_ucq::evaluate_ucq_naive;
-    use crate::plan::plan_free_connex;
-    use crate::search::SearchConfig;
+    use crate::{CostedSearch, SearchConfig};
     use std::collections::HashSet;
     use ucq_enumerate::{Enumerator, IdDecoder};
     use ucq_query::parse_ucq;
@@ -174,7 +173,9 @@ mod tests {
 
     fn run_pipeline(text: &str, i: &Instance) -> (Vec<Tuple>, Vec<Tuple>) {
         let u = parse_ucq(text).unwrap();
-        let plan = plan_free_connex(&u, &SearchConfig::default()).expect("free-connex");
+        let plan = CostedSearch::prepare(&u, &SearchConfig::default())
+            .map(|s| s.certificate())
+            .expect("free-connex");
         let ctx = CtxView::new();
         let prep = UcqPipelinePrep::prepare(&u, &plan, i, &ctx).unwrap();
         let mut p = start(&prep, &ctx);
@@ -293,7 +294,9 @@ mod tests {
              Q2(x, y, w) <- R1(x, y), R2(y, w)",
         )
         .unwrap();
-        let plan = plan_free_connex(&u, &SearchConfig::default()).unwrap();
+        let plan = CostedSearch::prepare(&u, &SearchConfig::default())
+            .map(|s| s.certificate())
+            .unwrap();
         let i = inst(&[
             ("R1", vec![(1, 2), (1, 5)]),
             ("R2", vec![(2, 3), (5, 3)]),
@@ -315,7 +318,9 @@ mod tests {
              Q2(x, y, w) <- R1(x, y), R2(y, w)",
         )
         .unwrap();
-        let plan = plan_free_connex(&u, &SearchConfig::default()).unwrap();
+        let plan = CostedSearch::prepare(&u, &SearchConfig::default())
+            .map(|s| s.certificate())
+            .unwrap();
         let i = inst(&[
             ("R1", vec![(1, 2), (1, 5), (9, 7)]),
             ("R2", vec![(2, 3), (5, 3), (7, 0)]),
@@ -342,7 +347,9 @@ mod tests {
              Q2(x, y, w) <- R1(x, y), R2(y, w)",
         )
         .unwrap();
-        let plan = plan_free_connex(&u, &SearchConfig::default()).unwrap();
+        let plan = CostedSearch::prepare(&u, &SearchConfig::default())
+            .map(|s| s.certificate())
+            .unwrap();
         let i = inst(&[
             ("R1", vec![(1, 2), (1, 3), (9, 7)]),
             ("R2", vec![(2, 3), (3, 4), (7, 0)]),
@@ -379,7 +386,9 @@ mod tests {
              Q2(x, y, w) <- R1(x, y), R2(y, w)",
         )
         .unwrap();
-        let plan = plan_free_connex(&u, &SearchConfig::default()).unwrap();
+        let plan = CostedSearch::prepare(&u, &SearchConfig::default())
+            .map(|s| s.certificate())
+            .unwrap();
         let i = inst(&[
             ("R1", vec![(1, 2), (1, 5), (9, 9)]),
             ("R2", vec![(2, 3), (5, 3), (9, 8)]),

@@ -1,13 +1,14 @@
 //! Free-connex union-extension plans (Definitions 10 and 11).
 //!
 //! A UCQ is *free-connex* when every member has a free-connex union
-//! extension. [`plan_free_connex`] decides this (within the search bounds)
-//! and, on success, produces an executable certificate: the set of virtual
-//! atoms each member's evaluation uses, plus a well-founded materialization
-//! schedule with one [`Provenance`] per atom.
+//! extension. [`CostedSearch`](crate::CostedSearch) decides this (within
+//! the search bounds) and, on success, yields an [`ExtensionPlan`]: an
+//! executable certificate naming the virtual atoms each member's
+//! evaluation uses, plus a well-founded materialization schedule with one
+//! [`Provenance`] per atom. The classifier's certificate and the engine's
+//! costed plans are both scheduled here, by `schedule_plan`.
 
-use crate::provides::{compute_availability, Availability, Provenance};
-use crate::search::{ConnexOracle, SearchConfig};
+use crate::provides::{Availability, Provenance};
 use std::collections::HashMap;
 use ucq_hypergraph::VSet;
 use ucq_query::{Atom, Cq, Ucq};
@@ -86,34 +87,6 @@ impl ExtensionPlan {
 fn planned_rel_name(target: usize, vars: VSet, prov: &Provenance) -> String {
     let sig = fx_hash_of(&(prov.provider, &prov.hom, prov.s, &prov.uses));
     format!("@prov_{target}_{:x}_{sig:016x}", vars.0)
-}
-
-/// Decides free-connexity of the union (within `cfg`'s search bounds) and
-/// builds the plan. `None` means *no certificate found* — for the classes
-/// with proven dichotomies this coincides with "not free-connex".
-pub fn plan_free_connex(ucq: &Ucq, cfg: &SearchConfig) -> Option<ExtensionPlan> {
-    let mut oracle = ConnexOracle::default();
-
-    // Fast path: every member free-connex by itself.
-    if ucq.cqs().iter().all(Cq::is_free_connex) {
-        return Some(ExtensionPlan {
-            atoms: Vec::new(),
-            chosen: vec![Vec::new(); ucq.len()],
-        });
-    }
-
-    let avail = compute_availability(ucq, &mut oracle, cfg);
-    let hypergraphs: Vec<_> = ucq.cqs().iter().map(|q| q.hypergraph()).collect();
-
-    // Choose a free-connex extension per member.
-    let mut chosen: Vec<Vec<VSet>> = Vec::with_capacity(ucq.len());
-    for (i, h) in hypergraphs.iter().enumerate() {
-        let pool = avail.pool_for(i, h, cfg.pool_cap);
-        let atoms = oracle.find_extension(h, ucq.cqs()[i].free(), &pool, cfg)?;
-        chosen.push(atoms);
-    }
-
-    Some(schedule_plan(&avail, chosen, &HashMap::new()))
 }
 
 /// Builds the executable plan from per-member chosen atom sets: schedules
@@ -228,7 +201,12 @@ pub(crate) fn sanitize_overrides(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CostedSearch, SearchConfig};
     use ucq_query::parse_ucq;
+
+    fn certificate(u: &Ucq) -> Option<ExtensionPlan> {
+        CostedSearch::prepare(u, &SearchConfig::default()).map(|s| s.certificate())
+    }
 
     #[test]
     fn all_free_connex_needs_no_atoms() {
@@ -237,7 +215,7 @@ mod tests {
              Q2(x, y) <- S(x, z), T(z, y), U(x, z, y)",
         )
         .unwrap();
-        let plan = plan_free_connex(&u, &SearchConfig::default()).unwrap();
+        let plan = certificate(&u).unwrap();
         assert!(!plan.needs_extension());
     }
 
@@ -248,7 +226,7 @@ mod tests {
              Q2(x, y, w) <- R1(x, y), R2(y, w)",
         )
         .unwrap();
-        let plan = plan_free_connex(&u, &SearchConfig::default()).unwrap();
+        let plan = certificate(&u).unwrap();
         assert!(plan.needs_extension());
         assert_eq!(plan.chosen[1], vec![], "Q2 is already free-connex");
         assert_eq!(plan.chosen[0].len(), 1, "Q1 needs one virtual atom");
@@ -265,8 +243,7 @@ mod tests {
              Q3(x, y, v, u) <- R1(x, z1), R2(z1, y), R3(y, v), R4(v, u), R5(u, t1, t2)",
         )
         .unwrap();
-        let plan = plan_free_connex(&u, &SearchConfig::default())
-            .expect("Example 13 is a free-connex UCQ");
+        let plan = certificate(&u).expect("Example 13 is a free-connex UCQ");
         for i in 0..3 {
             let ext = plan.extended_query(&u, i);
             assert!(
@@ -296,7 +273,7 @@ mod tests {
              Q2(x, y, v) <- R1(w, v), R2(v, y), R3(y, z), R4(z, x)",
         )
         .unwrap();
-        assert!(plan_free_connex(&u, &SearchConfig::default()).is_none());
+        assert!(certificate(&u).is_none());
     }
 
     #[test]
@@ -308,8 +285,7 @@ mod tests {
              Q2(x, y, w, v) <- R1(w, v), R2(v, y), R3(y, z), R4(z, x)",
         )
         .unwrap();
-        let plan =
-            plan_free_connex(&u, &SearchConfig::default()).expect("Example 21 is free-connex");
+        let plan = certificate(&u).expect("Example 21 is free-connex");
         assert!(plan.needs_extension());
         for i in 0..2 {
             assert!(plan.extended_query(&u, i).is_free_connex());
@@ -319,6 +295,6 @@ mod tests {
     #[test]
     fn single_hard_cq_has_no_plan() {
         let u = parse_ucq("Q(x, y) <- A(x, z), B(z, y)").unwrap();
-        assert!(plan_free_connex(&u, &SearchConfig::default()).is_none());
+        assert!(certificate(&u).is_none());
     }
 }

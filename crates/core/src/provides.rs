@@ -5,7 +5,10 @@
 //! (3) `Q2` is `S`-connex for some `V2 ⊆ S ⊆ free(Q2)`. Folding (2) into
 //! (3): **the sets `Q2` can provide along `h` are exactly the subsets of
 //! `h(S)` over the `S ⊆ free(Q2)` for which `Q2` is `S`-connex** — so we
-//! track maximal provided sets and take subsets for free.
+//! track maximal provided sets and take subsets for free. Maximal *per
+//! provider choice*: every provider of a set is kept, because the one
+//! table serves both the classifier (which needs some provider, and takes
+//! the earliest) and the cost-based planner (which prices them all).
 //!
 //! Union extensions make this recursive (Definition 10): a provider may
 //! itself be extended by already-available virtual atoms, which can unlock
@@ -19,7 +22,7 @@
 //! * provenance stages are strictly increasing (the fixpoint snapshots the
 //!   availability at each round), so materialization order is well-founded.
 
-use crate::search::{prune_pool, ConnexOracle, SearchConfig};
+use crate::search::{prune_pool, ConnexOracle, HOM_CAP, MAX_ROUNDS};
 use ucq_hypergraph::{subsets_of, VSet};
 use ucq_query::{body_homomorphisms, Ucq, VarMap};
 
@@ -46,20 +49,20 @@ pub struct Provenance {
 /// the same provenance.
 #[derive(Clone, Debug, Default)]
 pub struct Availability {
-    /// `max_sets[i]` = provided sets for CQ `i`, no entry covering another
-    /// at a later stage.
+    /// `max_sets[i]` = provided sets for CQ `i`, in derivation order; no
+    /// entry is covered by an earlier one from the same provider choice.
     pub max_sets: Vec<Vec<(VSet, Provenance)>>,
 }
 
 impl Availability {
     /// The candidate virtual-atom pool for CQ `i`: all subsets (size ≥ 2)
     /// of its maximal provided sets, pruned against the query's own edges.
-    pub fn pool_for(&self, i: usize, base: &ucq_hypergraph::Hypergraph, cap: usize) -> Vec<VSet> {
+    pub fn pool_for(&self, i: usize, base: &ucq_hypergraph::Hypergraph) -> Vec<VSet> {
         let mut pool: Vec<VSet> = Vec::new();
         for (max, _) in &self.max_sets[i] {
             pool.extend(subsets_of(*max).filter(|s| s.len() >= 2));
         }
-        prune_pool(base, &pool, cap)
+        prune_pool(base, &pool)
     }
 
     /// Finds the provenance justifying atom `vars` for CQ `i`: the
@@ -87,43 +90,18 @@ impl Availability {
     }
 }
 
-/// Computes the availability fixpoint for a union, keeping only maximal
-/// provided sets — the right shape for classification and first-found
-/// planning, where any one provenance per set suffices.
-pub fn compute_availability(
-    ucq: &Ucq,
-    oracle: &mut ConnexOracle,
-    cfg: &SearchConfig,
-) -> Availability {
-    compute_availability_with(ucq, oracle, cfg, false)
-}
-
-/// As [`compute_availability`], but alternative providers of the same set
-/// survive as separate entries so [`Availability::resolve_all`] has
-/// something to price. Strictly more entries per round means a costlier
-/// fixpoint — only the cost-based planner ([`crate::CostedSearch`]) pays
-/// for it, and only once per engine.
-pub fn compute_availability_all(
-    ucq: &Ucq,
-    oracle: &mut ConnexOracle,
-    cfg: &SearchConfig,
-) -> Availability {
-    compute_availability_with(ucq, oracle, cfg, true)
-}
-
-fn compute_availability_with(
-    ucq: &Ucq,
-    oracle: &mut ConnexOracle,
-    cfg: &SearchConfig,
-    keep_alternatives: bool,
-) -> Availability {
+/// Computes the availability fixpoint for a union. Alternative providers
+/// of the same set survive as separate entries, so
+/// [`Availability::resolve_all`] has something to price; the earliest
+/// entry covering a set is the one [`Availability::resolve`] picks.
+pub fn compute_availability(ucq: &Ucq, oracle: &mut ConnexOracle) -> Availability {
     let n = ucq.len();
     let hypergraphs: Vec<_> = ucq.cqs().iter().map(|q| q.hypergraph()).collect();
     // Body-homomorphisms are between original queries only; compute once.
     let homs: Vec<Vec<Vec<VarMap>>> = (0..n)
         .map(|j| {
             (0..n)
-                .map(|i| body_homomorphisms(&ucq.cqs()[j], &ucq.cqs()[i], cfg.hom_cap))
+                .map(|i| body_homomorphisms(&ucq.cqs()[j], &ucq.cqs()[i], HOM_CAP))
                 .collect()
         })
         .collect();
@@ -131,19 +109,19 @@ fn compute_availability_with(
     let mut avail = Availability {
         max_sets: vec![Vec::new(); n],
     };
-    for stage in 0..cfg.max_rounds {
+    for stage in 0..MAX_ROUNDS {
         // Snapshot: all derivations this round use last round's availability,
         // keeping provenance stages strictly well-founded.
         let snapshot = avail.clone();
         let mut changed = false;
         for j in 0..n {
             let free_j = ucq.cqs()[j].free();
-            let pool_j = snapshot.pool_for(j, &hypergraphs[j], cfg.pool_cap);
+            let pool_j = snapshot.pool_for(j, &hypergraphs[j]);
             for s in subsets_of(free_j) {
                 if s.len() < 2 {
                     continue; // provided sets below two variables are useless
                 }
-                let Some(uses) = oracle.find_extension(&hypergraphs[j], s, &pool_j, cfg) else {
+                let Some(uses) = oracle.find_extension(&hypergraphs[j], s, &pool_j) else {
                     continue;
                 };
                 for (i, homs_ji) in homs[j].iter().enumerate() {
@@ -162,7 +140,6 @@ fn compute_availability_with(
                                 uses: uses.clone(),
                                 stage,
                             },
-                            keep_alternatives,
                         ) {
                             changed = true;
                         }
@@ -177,26 +154,22 @@ fn compute_availability_with(
     avail
 }
 
-/// Inserts `set` unless a covering entry already exists. Without
-/// `keep_alternatives`, *any* covering entry suppresses the insert (the
-/// classic maximal-only dedup). With it, only an entry from the **same
-/// provider choice** (provider, connex target `S`) does — alternative
-/// providers of the same set survive as separate entries so the
-/// cost-based planner can choose among them
-/// ([`Availability::resolve_all`]). Covered (subset) entries are *kept*
-/// either way: they carry earlier-stage provenances that later
-/// derivations' `uses` may depend on for well-founded materialization
-/// order. Returns whether anything changed; the key space
-/// `(set, provider, S)` is finite, so the fixpoint still terminates.
-fn add_provider(
-    entries: &mut Vec<(VSet, Provenance)>,
-    set: VSet,
-    prov: Provenance,
-    keep_alternatives: bool,
-) -> bool {
-    if entries.iter().any(|(e, p)| {
-        set.is_subset(*e) && (!keep_alternatives || (p.provider == prov.provider && p.s == prov.s))
-    }) {
+/// Inserts `set` unless an entry from the **same provider choice**
+/// (provider, connex target `S`) already covers it — alternative providers
+/// of the same set survive as separate entries so the cost-based planner
+/// can choose among them ([`Availability::resolve_all`]). A set an earlier
+/// entry covers never displaces that entry as [`Availability::resolve`]'s
+/// pick: entries are appended in stage order, and `resolve` keeps the
+/// first of the earliest stage. Covered (subset) entries are *kept*: they
+/// carry earlier-stage provenances that later derivations' `uses` may
+/// depend on for well-founded materialization order. Returns whether
+/// anything changed; the key space `(set, provider, S)` is finite, so the
+/// fixpoint terminates.
+fn add_provider(entries: &mut Vec<(VSet, Provenance)>, set: VSet, prov: Provenance) -> bool {
+    if entries
+        .iter()
+        .any(|(e, p)| set.is_subset(*e) && p.provider == prov.provider && p.s == prov.s)
+    {
         return false;
     }
     entries.push((set, prov));
@@ -220,7 +193,7 @@ mod tests {
         )
         .unwrap();
         let mut oracle = ConnexOracle::default();
-        let avail = compute_availability(&u, &mut oracle, &SearchConfig::default());
+        let avail = compute_availability(&u, &mut oracle);
         // Q2 provides {x, z, y} (q1 space: x=0, y=1, w=2, z=3) to Q1.
         let target = vs(&[0, 3, 1]);
         let entry = avail.resolve(0, target).expect("Q2 provides {x,z,y}");
@@ -239,7 +212,7 @@ mod tests {
         )
         .unwrap();
         let mut oracle = ConnexOracle::default();
-        let avail = compute_availability(&u, &mut oracle, &SearchConfig::default());
+        let avail = compute_availability(&u, &mut oracle);
         assert!(avail.resolve(0, vs(&[0, 3, 1])).is_none());
     }
 
@@ -254,7 +227,7 @@ mod tests {
         )
         .unwrap();
         let mut oracle = ConnexOracle::default();
-        let avail = compute_availability(&u, &mut oracle, &SearchConfig::default());
+        let avail = compute_availability(&u, &mut oracle);
         // Q1 space: x=0,y=1,v=2,u=3,z1=4,z2=5,z3=6.
         // The paper derives {x,z1,z2,y} and {x,z2,z3,y} for Q1.
         let a1 = avail.resolve(0, vs(&[0, 4, 5, 1]));
@@ -287,30 +260,21 @@ mod tests {
         };
         let s0 = vs(&[0, 1]);
         let mut entries = Vec::new();
-        assert!(add_provider(
-            &mut entries,
-            vs(&[0, 1]),
-            prov(0, s0, 0),
-            true
-        ));
+        assert!(add_provider(&mut entries, vs(&[0, 1]), prov(0, s0, 0)));
         assert!(
-            !add_provider(&mut entries, vs(&[0, 1]), prov(0, s0, 1), true),
+            !add_provider(&mut entries, vs(&[0, 1]), prov(0, s0, 1)),
             "same provider choice, same set: duplicate"
         );
         assert!(
-            !add_provider(&mut entries, vs(&[0]), prov(0, s0, 1), true),
+            !add_provider(&mut entries, vs(&[0]), prov(0, s0, 1)),
             "same provider choice, subset: covered"
         );
         assert!(
-            add_provider(&mut entries, vs(&[0, 1]), prov(1, s0, 0), true),
+            add_provider(&mut entries, vs(&[0, 1]), prov(1, s0, 0)),
             "alternative provider for the same set is kept"
         );
         assert!(
-            !add_provider(&mut entries, vs(&[0, 1]), prov(2, s0, 0), false),
-            "without keep_alternatives, any covering entry suppresses"
-        );
-        assert!(
-            add_provider(&mut entries, vs(&[0, 1, 2]), prov(0, s0, 1), true),
+            add_provider(&mut entries, vs(&[0, 1, 2]), prov(0, s0, 1)),
             "superset"
         );
         // The covered earlier entry survives so its (earlier) stage remains
@@ -327,7 +291,7 @@ mod tests {
         )
         .unwrap();
         let mut oracle = ConnexOracle::default();
-        let avail = compute_availability_all(&u, &mut oracle, &SearchConfig::default());
+        let avail = compute_availability(&u, &mut oracle);
         let target = vs(&[0, 3, 1]);
         let all = avail.resolve_all(0, target);
         assert!(!all.is_empty());

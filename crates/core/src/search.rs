@@ -7,48 +7,40 @@
 //! condition 3); the final free-connex test uses it with `S = free(Q_i)`
 //! (Definition 11).
 //!
-//! The search is exact for `|A| ≤ max_exact_subset` and falls back to a
-//! Lemma-28-style greedy pass that repeatedly adds the candidate that most
-//! reduces the number of remaining free-paths (preferring acyclicity).
-//! Queries are constant-sized, so this is query-complexity work; the caps
-//! exist because no complete decision procedure for Definition 11 is known
-//! (the full dichotomy is open — paper §5), and they are reported in any
-//! `Unknown` verdict.
+//! The search is exact for `|A| ≤ 2` and falls back to a Lemma-28-style
+//! greedy pass that repeatedly adds the candidate that most reduces the
+//! number of remaining free-paths (preferring acyclicity). Queries are
+//! constant-sized, so this is query-complexity work. Its bounds are fixed
+//! constants, not options; they exist because no complete decision
+//! procedure for Definition 11 is known (the full dichotomy is open —
+//! paper §5), and every `Unknown` verdict names them.
 
 use std::collections::HashMap;
 use ucq_hypergraph::{free_paths, is_acyclic, is_s_connex, Hypergraph, VSet};
 use ucq_storage::fx_hash_of;
 
-/// Tunables for the union-extension search.
-#[derive(Clone, Debug)]
-pub struct SearchConfig {
-    /// Exact subset search up to this many virtual atoms (default 2).
-    pub max_exact_subset: usize,
-    /// Greedy free-path-elimination steps after exact search (default 8).
-    pub max_greedy_steps: usize,
-    /// Cap on enumerated body-homomorphisms per query pair (default 128).
-    pub hom_cap: usize,
-    /// Cap on fixpoint rounds of the availability computation (default 6).
-    pub max_rounds: usize,
-    /// Cap on the candidate-atom pool per query (default 160).
-    pub pool_cap: usize,
-    /// Cap on candidate extension sets enumerated per member by the
-    /// cost-based planner (default 4; `find_extension` uses 1).
-    pub max_plan_candidates: usize,
-}
+// The search bounds. Each one can make the search miss a certificate, so a
+// `Verdict::Unknown`'s notes name all five (see `classify.rs`); the
+// sixth only caps how many alternatives the cost-based planner prices.
 
-impl Default for SearchConfig {
-    fn default() -> SearchConfig {
-        SearchConfig {
-            max_exact_subset: 2,
-            max_greedy_steps: 8,
-            hom_cap: 128,
-            max_rounds: 6,
-            pool_cap: 160,
-            max_plan_candidates: 4,
-        }
-    }
-}
+/// Exact subset search covers extensions of one and two virtual atoms.
+pub(crate) const MAX_EXACT_SUBSET: usize = 2;
+/// Greedy free-path-elimination steps after the exact search.
+pub(crate) const MAX_GREEDY_STEPS: usize = 8;
+/// Body-homomorphisms enumerated per ordered member pair.
+pub(crate) const HOM_CAP: usize = 128;
+/// Rounds of the availability fixpoint.
+pub(crate) const MAX_ROUNDS: usize = 6;
+/// Candidate virtual atoms kept per member after pruning.
+pub(crate) const POOL_CAP: usize = 160;
+/// Candidate extension sets kept per member for the cost-based planner.
+pub(crate) const MAX_PLAN_CANDIDATES: usize = 4;
+
+/// The search's bounds, as a type. Every bound is a fixed constant; the
+/// type stays only because [`CostedSearch::prepare`](crate::CostedSearch::prepare)
+/// takes one. It has no settable field.
+#[derive(Clone, Debug, Default)]
+pub struct SearchConfig(());
 
 /// Memoized `S`-connexity oracle over extended hypergraphs.
 ///
@@ -97,16 +89,15 @@ impl ConnexOracle {
     }
 
     /// Finds `A ⊆ pool` with `base + A` `s`-connex, or `None` within the
-    /// configured search bounds. An empty `A` is returned when `base` is
-    /// already `s`-connex.
+    /// search bounds. An empty `A` is returned when `base` is already
+    /// `s`-connex.
     pub fn find_extension(
         &mut self,
         base: &Hypergraph,
         s: VSet,
         pool: &[VSet],
-        cfg: &SearchConfig,
     ) -> Option<Vec<VSet>> {
-        self.find_extensions(base, s, pool, cfg, 1).pop()
+        self.find_extensions(base, s, pool, 1).pop()
     }
 
     /// Finds up to `k` distinct sets `A ⊆ pool` with `base + A` `s`-connex,
@@ -121,7 +112,6 @@ impl ConnexOracle {
         base: &Hypergraph,
         s: VSet,
         pool: &[VSet],
-        cfg: &SearchConfig,
         k: usize,
     ) -> Vec<Vec<VSet>> {
         if k == 0 {
@@ -132,27 +122,22 @@ impl ConnexOracle {
             return vec![Vec::new()];
         }
         let mut found: Vec<Vec<VSet>> = Vec::new();
-        let pool = prune_pool(base, pool, cfg.pool_cap);
-        // Exact search, size 1.
-        if cfg.max_exact_subset >= 1 {
-            for &c in &pool {
-                if self.is_s_connex(base, &[c], s) {
-                    found.push(vec![c]);
-                    if found.len() == k {
-                        return found;
-                    }
+        let pool = prune_pool(base, pool);
+        // Exact search up to `MAX_EXACT_SUBSET` atoms: size 1, then size 2.
+        for &c in &pool {
+            if self.is_s_connex(base, &[c], s) {
+                found.push(vec![c]);
+                if found.len() == k {
+                    return found;
                 }
             }
         }
-        // Exact search, size 2.
-        if cfg.max_exact_subset >= 2 {
-            for i in 0..pool.len() {
-                for j in i + 1..pool.len() {
-                    if self.is_s_connex(base, &[pool[i], pool[j]], s) {
-                        found.push(vec![pool[i], pool[j]]);
-                        if found.len() == k {
-                            return found;
-                        }
+        for i in 0..pool.len() {
+            for j in i + 1..pool.len() {
+                if self.is_s_connex(base, &[pool[i], pool[j]], s) {
+                    found.push(vec![pool[i], pool[j]]);
+                    if found.len() == k {
+                        return found;
                     }
                 }
             }
@@ -166,7 +151,7 @@ impl ConnexOracle {
         // (acyclicity, remaining free-paths) score, require strict progress.
         let mut chosen: Vec<VSet> = Vec::new();
         let mut score = score_of(base, &chosen, s);
-        for _ in 0..cfg.max_greedy_steps {
+        for _ in 0..MAX_GREEDY_STEPS {
             let mut best: Option<(VSet, (bool, usize))> = None;
             for &c in &pool {
                 if chosen.contains(&c) {
@@ -213,8 +198,9 @@ fn better(a: (bool, usize), b: (bool, usize)) -> bool {
 
 /// Cleans a candidate pool: drops singletons (absorbed immediately by GYO),
 /// atoms contained in a base edge (no structural effect), and duplicates;
-/// sorts large-to-small for deterministic search; truncates to `cap`.
-pub fn prune_pool(base: &Hypergraph, pool: &[VSet], cap: usize) -> Vec<VSet> {
+/// sorts large-to-small for deterministic search; truncates to
+/// [`POOL_CAP`].
+pub(crate) fn prune_pool(base: &Hypergraph, pool: &[VSet]) -> Vec<VSet> {
     let mut out: Vec<VSet> = pool
         .iter()
         .copied()
@@ -222,7 +208,7 @@ pub fn prune_pool(base: &Hypergraph, pool: &[VSet], cap: usize) -> Vec<VSet> {
         .collect();
     out.sort_unstable_by(|a, b| b.len().cmp(&a.len()).then(a.cmp(b)));
     out.dedup();
-    out.truncate(cap);
+    out.truncate(POOL_CAP);
     out
 }
 
@@ -245,9 +231,7 @@ mod tests {
     fn already_connex_needs_nothing() {
         let h = hg(3, &[&[0, 2], &[2, 1]]);
         let mut o = ConnexOracle::default();
-        let a = o
-            .find_extension(&h, vs(&[0, 1, 2]), &[], &SearchConfig::default())
-            .unwrap();
+        let a = o.find_extension(&h, vs(&[0, 1, 2]), &[]).unwrap();
         assert!(a.is_empty());
     }
 
@@ -259,9 +243,7 @@ mod tests {
         let free = vs(&[0, 1, 2]);
         let pool = [vs(&[0, 3, 1])];
         let mut o = ConnexOracle::default();
-        let a = o
-            .find_extension(&h, free, &pool, &SearchConfig::default())
-            .unwrap();
+        let a = o.find_extension(&h, free, &pool).unwrap();
         assert_eq!(a, vec![vs(&[0, 3, 1])]);
     }
 
@@ -272,9 +254,7 @@ mod tests {
         // Only an atom inside an existing edge: pruned away.
         let pool = [vs(&[0, 3])];
         let mut o = ConnexOracle::default();
-        assert!(o
-            .find_extension(&h, free, &pool, &SearchConfig::default())
-            .is_none());
+        assert!(o.find_extension(&h, free, &pool).is_none());
     }
 
     #[test]
@@ -287,7 +267,7 @@ mod tests {
         let pool = [vs(&[0, 4, 5, 1]), vs(&[0, 5, 6, 1])];
         let mut o = ConnexOracle::default();
         let a = o
-            .find_extension(&h, free, &pool, &SearchConfig::default())
+            .find_extension(&h, free, &pool)
             .expect("Example 13's Q1 has a free-connex union extension");
         assert_eq!(a.len(), 2);
     }
@@ -302,7 +282,7 @@ mod tests {
         let pool = [vs(&[4, 1, 2, 3])];
         let mut o = ConnexOracle::default();
         let a = o
-            .find_extension(&h, free, &pool, &SearchConfig::default())
+            .find_extension(&h, free, &pool)
             .expect("Example 36 becomes free-connex");
         assert_eq!(a, vec![vs(&[4, 1, 2, 3])]);
     }
@@ -316,9 +296,7 @@ mod tests {
         let free = vs(&[1, 2, 3]);
         let pool = [vs(&[0, 1, 2])];
         let mut o = ConnexOracle::default();
-        assert!(o
-            .find_extension(&h, free, &pool, &SearchConfig::default())
-            .is_none());
+        assert!(o.find_extension(&h, free, &pool).is_none());
     }
 
     #[test]
@@ -330,28 +308,18 @@ mod tests {
         let free = vs(&[0, 1, 2, 3]);
         let pool = [vs(&[0, 4, 5, 1]), vs(&[0, 5, 6, 1])];
         let mut o = ConnexOracle::default();
-        let first = o
-            .find_extension(&h, free, &pool, &SearchConfig::default())
-            .unwrap();
-        let many = o.find_extensions(&h, free, &pool, &SearchConfig::default(), 4);
+        let first = o.find_extension(&h, free, &pool).unwrap();
+        let many = o.find_extensions(&h, free, &pool, 4);
         assert!(!many.is_empty());
         assert_eq!(many[0], first, "candidate 0 is the first-found set");
-        assert!(o
-            .find_extensions(&h, free, &pool, &SearchConfig::default(), 0)
-            .is_empty());
+        assert!(o.find_extensions(&h, free, &pool, 0).is_empty());
     }
 
     #[test]
     fn find_extensions_on_connex_base_is_just_empty_set() {
         let h = hg(3, &[&[0, 2], &[2, 1]]);
         let mut o = ConnexOracle::default();
-        let many = o.find_extensions(
-            &h,
-            vs(&[0, 1, 2]),
-            &[vs(&[0, 1])],
-            &SearchConfig::default(),
-            4,
-        );
+        let many = o.find_extensions(&h, vs(&[0, 1, 2]), &[vs(&[0, 1])], 4);
         assert_eq!(many, vec![Vec::<VSet>::new()]);
     }
 
@@ -387,7 +355,7 @@ mod tests {
             vs(&[0, 1, 2]), // duplicate: dropped
             vs(&[2, 3]),    // kept
         ];
-        let pruned = prune_pool(&h, &pool, 10);
+        let pruned = prune_pool(&h, &pool);
         assert_eq!(pruned, vec![vs(&[0, 1, 2]), vs(&[2, 3])]);
     }
 }

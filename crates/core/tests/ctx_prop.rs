@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use ucq_core::{plan_free_connex, Algorithm1, SearchConfig, UcqEngine, UcqPipelinePrep};
+use ucq_core::{Algorithm1, CostedSearch, SearchConfig, UcqEngine, UcqPipelinePrep};
 use ucq_enumerate::Enumerator;
 use ucq_query::{Cq, Ucq};
 use ucq_storage::{CtxView, Instance, Relation, Tuple, Value};
@@ -228,7 +228,7 @@ proptest! {
     /// with no Cheater on the way: the extended members run Algorithm 1.
     #[test]
     fn id_pipeline_matches_value_level_oracle((u, inst) in ucq_and_instance()) {
-        let Some(plan) = plan_free_connex(&u, &SearchConfig::default()) else {
+        let Some(plan) = CostedSearch::prepare(&u, &SearchConfig::default()).map(|s| s.certificate()) else {
             return Ok(()); // not free-connex: the pipeline does not apply
         };
         let mut want: HashSet<Tuple> = HashSet::new();
@@ -299,24 +299,18 @@ proptest! {
         prop_assert_eq!(frozen.decide().unwrap(), !want.is_empty());
     }
 
-    /// The cost-based plan answers exactly like the first-found plan and
-    /// the value-level nested-loop oracle: cost-based planning may change
-    /// *which* providers materialize and in what order, never the answer
-    /// set. Also pins search agreement — the costed planner finds a plan
-    /// iff the first-found planner does.
+    /// The cost-based plan answers exactly like the certificate (the
+    /// first-found plan) and the value-level nested-loop oracle: cost-based
+    /// planning may change *which* providers materialize and in what
+    /// order, never the answer set.
     #[test]
     fn costed_plan_matches_first_found_and_oracle((u, inst) in ucq_and_instance()) {
-        use ucq_core::plan_free_connex_costed;
-
-        let cfg = SearchConfig::default();
-        let first = plan_free_connex(&u, &cfg);
+        let Some(search) = CostedSearch::prepare(&u, &SearchConfig::default()) else {
+            return Ok(()); // not free-connex: neither plan exists
+        };
+        let first = search.certificate();
         let ctx = CtxView::new();
-        let costed = plan_free_connex_costed(&u, &cfg, &inst, &ctx);
-        prop_assert_eq!(
-            first.is_some(), costed.is_some(),
-            "costed and first-found searches must agree on plan existence"
-        );
-        let (Some(first), Some(costed)) = (first, costed) else { return Ok(()); };
+        let costed = search.plan(&inst, &ctx);
         prop_assert_eq!(costed.estimates.len(), costed.plan.atoms.len());
 
         let mut want: HashSet<Tuple> = HashSet::new();

@@ -6,7 +6,7 @@
 
 use std::collections::HashSet;
 use ucq_core::{
-    evaluate_ucq_naive_set, plan_free_connex, Algorithm1, SearchConfig, Strategy, UcqEngine,
+    evaluate_ucq_naive_set, Algorithm1, CostedSearch, SearchConfig, Strategy, UcqEngine,
     UcqPipelinePrep,
 };
 use ucq_enumerate::Enumerator;
@@ -114,7 +114,9 @@ fn algorithm1_and_the_cheater_pipeline_return_one_set() {
     .collect();
     let want = evaluate_ucq_naive_set(&union, &inst).unwrap();
     assert!(want.len() > 30, "Q2 adds answers to Q1's");
-    let plan = plan_free_connex(&union, &SearchConfig::default()).unwrap();
+    let plan = CostedSearch::prepare(&union, &SearchConfig::default())
+        .unwrap()
+        .certificate();
     assert!(!plan.needs_extension());
     let members = Algorithm1::member_engines(&union, &inst, &CtxView::new()).unwrap();
     sequence("Algorithm 1", Algorithm1::from_engines(members), &want);

@@ -5,16 +5,13 @@
 //! extended members then answers the union, each answer once.
 //!
 //! Audited: every catalog entry on the arm, and 200 random union-extension
-//! unions, each under the classification's first-found plan and under the
+//! unions, each under the classification's certificate and under the
 //! costed plan the engine executes. No member has been found without a
 //! membership plan; one that lacked it would send its union through the
 //! Cheater, and this test names it.
 
 use std::collections::HashSet;
-use ucq_core::{
-    evaluate_ucq_naive_set, plan_free_connex_costed, Algorithm1, SearchConfig, Strategy, UcqEngine,
-    UcqPipelinePrep, Verdict,
-};
+use ucq_core::{evaluate_ucq_naive_set, Algorithm1, Strategy, UcqEngine, UcqPipelinePrep, Verdict};
 use ucq_enumerate::Enumerator;
 use ucq_query::Ucq;
 use ucq_storage::{CtxView, Instance, Tuple};
@@ -29,11 +26,13 @@ fn audit(u: &Ucq, inst: &Instance, case: &str) {
         unreachable!("the arm implies a free-connex verdict");
     };
     let ctx = CtxView::new();
-    let costed = plan_free_connex_costed(&c.minimized, &SearchConfig::default(), inst, &ctx)
-        .expect("free-connex unions have a costed plan")
+    let costed = engine
+        .search()
+        .expect("free-connex unions keep their search")
+        .plan(inst, &ctx)
         .plan;
     let want = evaluate_ucq_naive_set(u, inst).expect("evaluates");
-    for (which, plan) in [("first-found", plan), ("costed", &costed)] {
+    for (which, plan) in [("certificate", plan), ("costed", &costed)] {
         let prep = UcqPipelinePrep::prepare(&c.minimized, plan, inst, &ctx).unwrap();
         for (m, eng) in prep.engines().iter().enumerate() {
             assert!(

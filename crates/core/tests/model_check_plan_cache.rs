@@ -1,8 +1,8 @@
-//! Model-checks the serve-phase races PR 7 layered on the freeze
-//! protocol: the shared plan-cache insert race, the engine's lazily
-//! prepared `CostedSearch` (`OnceLock`), and `CdyEngine`'s lazily built
-//! row-sets — all through the *public* evaluation entry points, so the
-//! production code paths themselves run under the explorer.
+//! Model-checks the serve-phase races layered on the freeze protocol: the
+//! shared plan-cache insert race and `CdyEngine`'s lazily built row-sets —
+//! all through the *public* evaluation entry points, so the production
+//! code paths themselves run under the explorer. (The engine's search is
+//! built when it classifies, so pricing a plan reads it without a race.)
 //!
 //! Run with the seam active for full interleaving coverage:
 //!
@@ -45,7 +45,7 @@ fn chain_instance() -> Instance {
 /// Two serving threads race `enumerate_in` over one frozen context: both
 /// may miss the plan cache, price a plan, and `store_plan` it — the last
 /// insert wins, and every explored schedule must serve the exact answer
-/// set either way. This also races `UcqEngine::costed`'s `get_or_init`.
+/// set either way.
 #[test]
 fn plan_cache_insert_race_serves_exact_answers() {
     let ucq = parse_ucq(

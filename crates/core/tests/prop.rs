@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use std::collections::HashSet;
 use ucq_core::{
-    classify, evaluate_ucq_naive_set, plan_free_connex, SearchConfig, Strategy as EvalStrategy,
+    classify, evaluate_ucq_naive_set, CostedSearch, SearchConfig, Strategy as EvalStrategy,
     UcqEngine, Verdict,
 };
 use ucq_query::{Cq, Ucq};
@@ -137,7 +137,7 @@ proptest! {
             guards::is_free_path_guarded(&h, aligned.frees[x], aligned.frees[y])
                 && guards::is_bypass_guarded(&aligned.body, aligned.frees[x], aligned.frees[y])
         });
-        let plan = plan_free_connex(&u, &SearchConfig::default());
+        let plan = CostedSearch::prepare(&u, &SearchConfig::default());
         prop_assert_eq!(
             plan.is_some(),
             guarded,

@@ -67,7 +67,7 @@ pub use ucq_yannakakis as yannakakis;
 pub mod prelude {
     pub use ucq_core::{
         classify, fd_rewrite, Classification, CqStatus, EvalSession, Fd, FdRewrite, FdSet,
-        FrozenSession, HardnessWitness, Hypothesis, SearchConfig, Strategy, UcqEngine, Verdict,
+        FrozenSession, HardnessWitness, Hypothesis, Strategy, UcqEngine, Verdict,
     };
     pub use ucq_enumerate::{measure, DelayProfile, Enumerator};
     pub use ucq_query::{parse_cq, parse_ucq, Cq, Ucq};
