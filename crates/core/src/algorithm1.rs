@@ -13,10 +13,13 @@
 //! printing `Q1(I) \ Q2(I)` in the first loop and `Q2(I)` split across
 //! lines 5 and 7 — duplicate-free without any lookup table, the
 //! `CD∘Lin`-friendly variant the paper's conclusion highlights. Unions of
-//! `n` members nest recursively, treating the tail as one query. Both
-//! tractable strategy arms run it: over the members themselves (Theorem
-//! 4), and over their free-connex extensions once Lemma 8 has materialized
-//! the virtual relations (Theorem 12, [`crate::pipeline`]).
+//! `n` members nest recursively, treating the tail as one query. Every
+//! tractable request runs it: over the members themselves (Theorem 4), and
+//! over their free-connex extensions once Lemma 8 has materialized the
+//! virtual relations (Theorem 12, [`crate::pipeline`]). The members of an
+//! FD rewrite ([`crate::fd`]) answer on a prefix of their heads; each
+//! probe lifts that prefix to the member's whole head through the FD
+//! lookups that grew it ([`LiftStep`]), so they interleave the same way.
 //!
 //! The interleave runs on interned ids end to end ([`Algorithm1Ids`], an
 //! [`IdEnumerator`]): a member's cursor yields its answer as an id row,
@@ -32,7 +35,7 @@ use std::sync::Arc;
 use ucq_enumerate::{Enumerator, IdDecoder, IdEnumerator};
 use ucq_query::{Cq, Ucq};
 use ucq_storage::{CtxView, IdBlock, Instance, Tuple, ValueId};
-use ucq_yannakakis::{CdyEngine, ContainsScratch, EvalError, OwnedCdyIter, SharedShapes};
+use ucq_yannakakis::{CdyEngine, ContainsScratch, EvalError, LiftStep, OwnedCdyIter, SharedShapes};
 
 /// Recursive union node: a member's cursor, then the rest of the union.
 enum Node {
@@ -55,9 +58,8 @@ impl Node {
     }
 
     /// Appends answers to `block` until it is full or this node is
-    /// exhausted; returns the rows appended. Without `scratch` nothing is
-    /// probed: the members run back to back.
-    fn next_block(&mut self, block: &mut IdBlock, scratch: Option<&mut ContainsScratch>) -> usize {
+    /// exhausted; returns the rows appended.
+    fn next_block(&mut self, block: &mut IdBlock, scratch: &mut ContainsScratch) -> usize {
         let (first, rest, first_done) = match self {
             Node::Leaf(it) => return it.next_block(block),
             Node::Pair {
@@ -65,17 +67,6 @@ impl Node {
                 rest,
                 first_done,
             } => (first, rest, first_done),
-        };
-        let Some(scratch) = scratch else {
-            let mut n = 0;
-            if !*first_done {
-                n = first.next_block(block);
-                *first_done = !block.is_full();
-            }
-            if *first_done {
-                n += rest.next_block(block, None);
-            }
-            return n;
         };
         let mut n = 0;
         while !*first_done && !block.is_full() {
@@ -90,7 +81,7 @@ impl Node {
                     // the rest — a fill capped at one more row.
                     let cap = block.max_rows();
                     block.set_max_rows(block.len() + 1);
-                    let fresh = rest.next_block(block, Some(scratch));
+                    let fresh = rest.next_block(block, scratch);
                     block.set_max_rows(cap);
                     debug_assert_eq!(
                         fresh, 1,
@@ -101,7 +92,7 @@ impl Node {
             }
         }
         if *first_done {
-            n += rest.next_block(block, Some(scratch));
+            n += rest.next_block(block, scratch);
         }
         n
     }
@@ -111,22 +102,17 @@ impl Node {
 pub struct Algorithm1Ids {
     root: Node,
     arity: usize,
-    /// Buffers of the line-4 probes, shared by every node; `None` when some
-    /// member cannot be probed (see [`Algorithm1Ids::probes`]).
-    scratch: Option<ContainsScratch>,
+    /// Buffers of the line-4 probes, shared by every node.
+    scratch: ContainsScratch,
 }
 
 impl Algorithm1Ids {
     /// Wires preprocessed member engines into the interleave. The engines
     /// must come from [`Algorithm1::member_engines`] (every member
-    /// free-connex, outputs = heads, one dictionary lineage) or be the
-    /// extended members of a Theorem 12 union.
-    ///
-    /// If some member has no membership test — its output is a strict
-    /// prefix of its head, as under an FD rewrite — the members are
-    /// enumerated back to back instead, and the caller must deduplicate.
+    /// free-connex, outputs = heads, one dictionary lineage), be the
+    /// extended members of a Theorem 12 union, or the lifted members of an
+    /// FD rewrite.
     pub fn new(engines: Vec<Arc<CdyEngine>>) -> Algorithm1Ids {
-        let scratch = probeable(&engines).then(ContainsScratch::default);
         let mut iters: Vec<OwnedCdyIter> = engines.into_iter().map(OwnedCdyIter::new).collect();
         let last = iters.pop().expect("UCQs are non-empty");
         let arity = last.engine().output_arity();
@@ -141,14 +127,8 @@ impl Algorithm1Ids {
         Algorithm1Ids {
             root: node,
             arity,
-            scratch,
+            scratch: ContainsScratch::default(),
         }
-    }
-
-    /// Whether the members are interleaved with membership probes, so that
-    /// every answer comes out once; otherwise they run back to back.
-    pub(crate) fn probes(&self) -> bool {
-        self.scratch.is_some()
     }
 }
 
@@ -159,7 +139,7 @@ impl IdEnumerator for Algorithm1Ids {
 
     fn next_block(&mut self, block: &mut IdBlock) -> usize {
         debug_assert_eq!(block.arity(), self.arity);
-        self.root.next_block(block, self.scratch.as_mut())
+        self.root.next_block(block, &mut self.scratch)
     }
 }
 
@@ -179,7 +159,7 @@ impl Algorithm1 {
         instance: &Instance,
         ctx: &CtxView,
     ) -> Result<Vec<Arc<CdyEngine>>, EvalError> {
-        member_engines(ucq.cqs(), ucq.head_arity(), instance, ctx)
+        member_engines(ucq.cqs(), &[], instance, ctx)
     }
 
     /// Wires preprocessed member engines into the interleaving enumerator,
@@ -208,34 +188,32 @@ impl Algorithm1 {
 
 /// The engines of a union's members (`cqs`), rooted off the shapes they
 /// share so that a shared relation is indexed once for all of them.
+/// `lifts[i]` is member `i`'s lift; a union without FDs passes none.
 pub(crate) fn member_engines(
     cqs: &[Cq],
-    answer_arity: usize,
+    lifts: &[Vec<LiftStep>],
     instance: &Instance,
     ctx: &CtxView,
 ) -> Result<Vec<Arc<CdyEngine>>, EvalError> {
     let shared = SharedShapes::of(cqs);
-    let member = |cq| member_engine(cq, answer_arity, &shared, instance, ctx);
-    cqs.iter().map(member).collect()
+    let lift = |i: usize| lifts.get(i).map_or(&[][..], Vec::as_slice);
+    let member = |(i, cq)| member_engine(cq, lift(i), &shared, instance, ctx);
+    cqs.iter().enumerate().map(member).collect()
 }
 
-/// One member's engine: connex for its whole head, enumerating the first
-/// `answer_arity` positions of it — all of them, except under an FD rewrite
-/// whose heads grew by determined variables ([`crate::fd::fd_rewrite`]).
+/// One member's engine: connex for its whole head, enumerating the head
+/// positions `lift` does not derive — all of them, except under an FD
+/// rewrite whose heads grew by determined variables
+/// ([`crate::fd::fd_rewrite`]).
 pub(crate) fn member_engine(
     cq: &Cq,
-    answer_arity: usize,
+    lift: &[LiftStep],
     shared: &SharedShapes,
     instance: &Instance,
     ctx: &CtxView,
 ) -> Result<Arc<CdyEngine>, EvalError> {
-    let output = cq.head()[..answer_arity].to_vec();
-    CdyEngine::build_rooted(cq, cq.free(), output, shared, instance, ctx).map(Arc::new)
-}
-
-/// Whether every member answers [`CdyEngine::contains_ids`].
-fn probeable(engines: &[Arc<CdyEngine>]) -> bool {
-    engines.iter().all(|e| e.has_membership())
+    let output = cq.head()[..cq.head().len() - lift.len()].to_vec();
+    CdyEngine::build_rooted(cq, cq.free(), output, lift, shared, instance, ctx).map(Arc::new)
 }
 
 /// Moves member engines onto `view`, a snapshot of the context they were
@@ -245,10 +223,8 @@ fn probeable(engines: &[Arc<CdyEngine>]) -> bool {
 /// holder shares — a live stream, the previous epoch — keeps the view it
 /// has, which stays valid: one dictionary lineage, same ids.
 pub(crate) fn retarget_members(engines: &mut [Arc<CdyEngine>], view: &CtxView) {
-    if probeable(engines) {
-        for eng in engines.iter().skip(1) {
-            eng.warm_membership();
-        }
+    for eng in engines.iter().skip(1) {
+        eng.warm_membership();
     }
     for eng in engines {
         if let Some(e) = Arc::get_mut(eng) {

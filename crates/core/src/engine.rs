@@ -26,7 +26,8 @@
 //!
 //! A union under functional dependencies climbs the same ladder: its
 //! rewrite ([`crate::fd::fd_rewrite`]) is an ordinary union whose answers
-//! are a prefix of its head ([`crate::fd::FdRewrite::engine`]).
+//! are a prefix of its head, and whose members lift that prefix to the
+//! whole head to be probed ([`crate::fd::FdRewrite::engine`]).
 
 use crate::algorithm1::{member_engine, member_engines, retarget_members, Algorithm1Ids};
 use crate::classify::{classify_searched, Classification, CqStatus, Verdict};
@@ -39,7 +40,7 @@ use ucq_enumerate::{Enumerator, IdDecoder, IdEnumerator, IdVecEnumerator};
 use ucq_query::Ucq;
 use ucq_storage::sync::{AtomicUsize, OnceLock, Ordering::Relaxed};
 use ucq_storage::{CtxView, Instance, Tuple, ValueId};
-use ucq_yannakakis::{CdyEngine, EvalError, SharedShapes};
+use ucq_yannakakis::{CdyEngine, EvalError, LiftStep, SharedShapes};
 
 /// Which evaluation strategy a run used.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,8 +49,7 @@ pub enum Strategy {
     /// memory during enumeration.
     Algorithm1,
     /// The Theorem 12 union-extension pipeline: Lemma 8 materializes the
-    /// virtual relations, then Algorithm 1 runs over the extended members
-    /// (the Cheater only when an FD rewrite answers on a projected head).
+    /// virtual relations, then Algorithm 1 runs over the extended members.
     UnionExtension,
     /// Materializing fallback for intractable/unknown queries.
     Naive,
@@ -95,6 +95,9 @@ pub struct UcqEngine {
     /// Head positions an answer consists of: the whole head, or the prefix
     /// an FD rewrite started from (see [`UcqEngine::projecting`]).
     answer_arity: usize,
+    /// Per minimized member, the lookups that derive the head positions
+    /// past `answer_arity` (none without FDs).
+    lifts: Vec<Vec<LiftStep>>,
     /// The union-extension search classification ran (availability
     /// fixpoint + candidate extension sets), `Some` exactly for a
     /// `FreeConnex` verdict. Every plan-cache miss re-*prices* it; nothing
@@ -105,28 +108,30 @@ pub struct UcqEngine {
 impl UcqEngine {
     /// Classifies `ucq`.
     pub fn new(ucq: Ucq) -> UcqEngine {
-        let arity = ucq.head_arity();
-        UcqEngine::projecting(ucq, arity)
+        UcqEngine::projecting(ucq, Vec::new())
     }
 
-    /// Classifies `ucq` and answers with the first `answer_arity` positions
-    /// of its head — what an FD rewrite ([`crate::fd::fd_rewrite`]) asks
-    /// for: members stay connex for their whole (extended) head, and the
-    /// projection happens on the id rows they emit. Projected answers of
-    /// one member are distinct when the dropped positions are functions of
-    /// the kept ones; across members they need not be (each may have grown
-    /// by a different determined variable), so a projecting union of
-    /// several members never runs Algorithm 1 (see [`UcqEngine::strategy`]).
-    pub(crate) fn projecting(ucq: Ucq, answer_arity: usize) -> UcqEngine {
-        assert!(
-            answer_arity <= ucq.head_arity(),
-            "answers are a head prefix"
-        );
+    /// Classifies `ucq` and answers with the head positions that
+    /// `lifts[i]` does not derive for member `i` — what an FD rewrite
+    /// ([`crate::fd::fd_rewrite`]) asks for: members stay connex for their
+    /// whole (extended) head and enumerate its first positions. Projected
+    /// answers of one member are distinct, because the dropped positions
+    /// are functions of the kept ones; across members they need not be
+    /// (each may have grown by a different determined variable), so every
+    /// member's membership test lifts a projected answer back to its own
+    /// head first, and Algorithm 1 interleaves them as usual. No lifts:
+    /// the whole head.
+    pub(crate) fn projecting(ucq: Ucq, lifts: Vec<Vec<LiftStep>>) -> UcqEngine {
         let (classification, search) = classify_searched(&ucq);
+        let kept = classification.kept.iter();
+        let kept_lifts: Vec<Vec<LiftStep>> = kept
+            .map(|&i| lifts.get(i).cloned().unwrap_or_default())
+            .collect();
         UcqEngine {
+            answer_arity: ucq.head_arity() - kept_lifts[0].len(),
             ucq,
             classification,
-            answer_arity,
+            lifts: kept_lifts,
             search,
         }
     }
@@ -147,26 +152,33 @@ impl UcqEngine {
         self.search.as_ref()
     }
 
-    /// The strategy [`UcqEngine::enumerate`] will pick.
-    ///
-    /// Algorithm 1's line-4 probe needs member outputs that cover their
-    /// connex target; a projecting union of several members has none, and
-    /// equal answers can reach it from different members. It goes through
-    /// the spine that absorbs a constant number of duplicates instead: the
-    /// Theorem 12 pipeline, whose members then run back to back behind the
-    /// Cheater (Lemma 5 budget `members + 1`).
+    /// The relations minimized member `m` reads: its atoms' and its lift's.
+    fn member_reads(&self, m: usize) -> Vec<&str> {
+        let mut names = self.classification.minimized.cqs()[m].relation_names();
+        names.extend(self.lifts[m].iter().map(|step| step.rel.as_str()));
+        names
+    }
+
+    /// The relations the minimized union reads, lifts included.
+    fn reads(&self) -> Vec<&str> {
+        let members = 0..self.classification.minimized.len();
+        members.flat_map(|m| self.member_reads(m)).collect()
+    }
+
+    /// The strategy [`UcqEngine::enumerate`] will pick: Algorithm 1 over
+    /// the members when each is free-connex, the Theorem 12 pipeline when
+    /// some need Lemma 8's virtual relations, and the naive fallback
+    /// otherwise. A projecting union (an FD rewrite) picks the same way.
     pub fn strategy(&self) -> Strategy {
         let Verdict::FreeConnex { plan } = &self.classification.verdict else {
             return Strategy::Naive;
         };
-        let minimized = &self.classification.minimized;
         let all_fc = self
             .classification
             .statuses
             .iter()
             .all(|s| *s == CqStatus::FreeConnex);
-        let probes = minimized.len() == 1 || self.answer_arity == minimized.head_arity();
-        if all_fc && !plan.needs_extension() && probes {
+        if all_fc && !plan.needs_extension() {
             Strategy::Algorithm1
         } else {
             Strategy::UnionExtension
@@ -313,18 +325,18 @@ impl Prepared {
         counters: Option<&PlannerCounters>,
     ) -> Result<Prepared, EvalError> {
         let minimized = &engine.classification.minimized;
-        let arity = engine.answer_arity;
+        let lifts = &engine.lifts;
         Ok(match engine.strategy() {
             Strategy::Algorithm1 => {
-                Prepared::Algorithm1(member_engines(minimized.cqs(), arity, instance, ctx)?)
+                Prepared::Algorithm1(member_engines(minimized.cqs(), lifts, instance, ctx)?)
             }
             Strategy::UnionExtension => {
                 let plan = engine.executable_plan(ctx, instance, counters);
-                let prep =
-                    UcqPipelinePrep::prepare_projected(minimized, &plan, arity, instance, ctx);
+                let prep = UcqPipelinePrep::prepare_lifted(minimized, &plan, lifts, instance, ctx);
                 Prepared::Union(prep?)
             }
             Strategy::Naive => {
+                let arity = engine.answer_arity;
                 let table = evaluate_ucq_naive_ids_in(minimized, arity, instance, ctx)?;
                 Prepared::Naive(IdVecEnumerator::new(
                     table.width,
@@ -407,9 +419,10 @@ impl Prepared {
         // engines must root where the first build did, or they would ask
         // for indexes nobody cached.
         let shared = SharedShapes::of(minimized.cqs());
-        let next = engines.iter().zip(minimized.cqs()).map(|(old, cq)| {
-            if touched(&cq.relation_names()) {
-                member_engine(cq, engine.answer_arity, &shared, instance, ctx)
+        let next = engines.iter().enumerate().map(|(m, old)| {
+            let cq = &minimized.cqs()[m];
+            if touched(&engine.member_reads(m)) {
+                member_engine(cq, &engine.lifts[m], &shared, instance, ctx)
             } else {
                 Ok(Arc::clone(old))
             }
@@ -644,7 +657,7 @@ impl<'e> FrozenSession<'e> {
                 },
             )
         };
-        let (prepared, ctx) = if touched(&self.engine.classification.minimized.relation_names()) {
+        let (prepared, ctx) = if touched(&self.engine.reads()) {
             let mut next =
                 self.prepared
                     .rebuild_touched(self.engine, &self.build_ctx, instance, touched)?;
@@ -1256,6 +1269,67 @@ mod tests {
             assert!(!want.is_empty());
             assert_eq!(got.len(), want.len(), "minimization keeps the answers");
         }
+    }
+
+    #[test]
+    fn a_projecting_union_extension_probes_through_its_lifts_on_every_rung() {
+        // Example 2 answered on (x, y): w is R3's and R2's determined column
+        // in Q1 and Q2, so each member lifts (x, y) to its w on y.
+        let u = parse_ucq(
+            "Q1(x, y, w) <- R1(x, z), R2(z, y), R3(y, w)\n\
+             Q2(x, y, w) <- R1(x, y), R2(y, w)",
+        )
+        .unwrap();
+        let w_by = |m: usize, rel: &str| {
+            let cq = &u.cqs()[m];
+            vec![LiftStep {
+                rel: rel.into(),
+                cols: vec![0],
+                col: 1,
+                key: vec![cq.var_id("y").unwrap()],
+                var: cq.var_id("w").unwrap(),
+            }]
+        };
+        let eng = UcqEngine::projecting(u.clone(), vec![w_by(0, "R3"), w_by(1, "R2")]);
+        assert_eq!(eng.strategy(), Strategy::UnionExtension);
+        let i = inst(&[
+            ("R1", vec![(1, 2), (1, 3), (9, 7), (4, 2), (6, 5)]),
+            ("R2", vec![(2, 3), (3, 4), (7, 0)]),
+            ("R3", vec![(3, 4), (4, 5), (0, 2)]),
+        ]);
+        let project = |i: &Instance| -> HashSet<Tuple> {
+            let all = evaluate_ucq_naive_set(&u, i).unwrap();
+            all.iter()
+                .map(|t| Tuple::from_row(&t.values()[..2]))
+                .collect()
+        };
+        let distinct = |mut answers: UcqAnswers| {
+            let got = answers.collect_all();
+            let set: HashSet<Tuple> = got.iter().cloned().collect();
+            assert_eq!(got.len(), set.len(), "repeated answer in {got:?}");
+            set
+        };
+        let want = project(&i);
+        assert!(want.contains(&Tuple::from(&[1i64, 3][..])), "both members");
+        assert_eq!(distinct(eng.enumerate(&i).unwrap()), want, "one-shot");
+        let session = eng.session(&i);
+        assert_eq!(distinct(session.enumerate().unwrap()), want, "session");
+        let frozen = session.freeze().unwrap();
+        let built = sets_built_on_demand(&frozen);
+        assert_eq!(distinct(frozen.enumerate().unwrap()), want, "frozen");
+        assert_eq!(sets_built_on_demand(&frozen), built, "freeze warmed them");
+
+        // R2 is a lift's relation as well as an atom's.
+        let r2 = frozen.build_context().insert_rows(
+            &i.get_shared("R2").unwrap(),
+            &Relation::from_pairs([(5, 3)]),
+        );
+        let i2 = i.with_relation_shared("R2", r2);
+        let next = frozen.refreeze(&i2).unwrap();
+        let want2 = project(&i2);
+        assert_ne!(want2, want, "the delta shows");
+        assert_eq!(distinct(next.enumerate().unwrap()), want2, "refrozen");
+        assert_eq!(distinct(frozen.enumerate().unwrap()), want, "old epoch");
     }
 }
 

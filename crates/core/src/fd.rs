@@ -37,8 +37,8 @@
 //! # Remark 2 as a rewrite
 //!
 //! [`fd_rewrite`] turns a union under FDs into an ordinary one: every
-//! member FD-extended (widened atoms renamed per member, so different
-//! members' widenings of one relation cannot collide), the number `k` of
+//! member FD-extended (widened atoms renamed per member and atom, so no two
+//! widenings of one relation can collide), the number `k` of
 //! head positions the original union had, and the matching translation of
 //! instances ([`FdRewrite::instance`]). The rewritten union runs on the
 //! ordinary [`UcqEngine`] ([`FdRewrite::engine`]) — classified, enumerated
@@ -52,9 +52,13 @@
 //! different determined variables — `Q1(x) ← A(x, z)` and `Q2(x) ← B(x, w)`
 //! under `A: x → z`, `B: x → w` extend to `Q1(x, z)`, `Q2(x, w)`, and the
 //! answers `(1, 10)` and `(1, 20)` are one answer `(1)` of the original
-//! union. The engine therefore deduplicates a projecting union of several
-//! members (see [`UcqEngine::strategy`]): at most one copy per member, which
-//! the Cheater's Lemma absorbs within `DelayClin`.
+//! union. Algorithm 1 still answers it once (Carmeli & Kröll): on an
+//! instance that satisfies the FDs, each appended head variable is a
+//! function of the original head, found by one lookup on the FD's
+//! determinant columns. Each member therefore carries a **lift** — its head
+//! saturations in head order, as [`LiftStep`]s — and its membership test
+//! lifts a projected answer to the member's own head before probing it; a
+//! lookup miss proves the answer is not the member's.
 //!
 //! Limitation (documented; the paper leaves the FD-composition informal):
 //! per-member renaming of *widened* atoms hides cross-member provisions
@@ -67,7 +71,7 @@ use crate::engine::UcqEngine;
 use std::collections::HashMap;
 use ucq_query::{Atom, Cq, QueryError, Ucq, VarId};
 use ucq_storage::{HashIndex, Instance, Relation, Value};
-use ucq_yannakakis::EvalError;
+use ucq_yannakakis::{EvalError, LiftStep};
 
 /// A functional dependency `rel : lhs → rhs` over column positions.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -148,6 +152,20 @@ pub struct AppliedFd {
     pub rhs_var: VarId,
 }
 
+impl AppliedFd {
+    /// The lookup that derives `rhs_var` from `lhs_vars` through the FD's
+    /// relation.
+    fn lift_step(&self) -> LiftStep {
+        LiftStep {
+            rel: self.fd.rel.clone(),
+            cols: self.fd.lhs.clone(),
+            col: self.fd.rhs,
+            key: self.lhs_vars.clone(),
+            var: self.rhs_var,
+        }
+    }
+}
+
 /// The FD-extension of one CQ: the extended query plus the trace of
 /// applied FDs (used to extend instances consistently).
 #[derive(Clone, Debug)]
@@ -158,15 +176,31 @@ pub struct FdExtension {
     /// application)` pairs, in application order. Atom indices refer to the
     /// extended query's atom order (identical to the original order).
     pub widened: Vec<(usize, AppliedFd)>,
+    /// The applications that appended a head variable, in head order: the
+    /// extended head is the original one followed by their `rhs_var`s.
+    pub lifted: Vec<AppliedFd>,
 }
 
 /// Computes the FD-extension of `cq` under `fds` (ICDT'18 construction,
-/// used here as the Remark 2 preprocessing step).
+/// used here as the Remark 2 preprocessing step). Fails when an FD names a
+/// column past the arity its relation has in `cq`.
 pub fn fd_extend_cq(cq: &Cq, fds: &FdSet) -> Result<FdExtension, QueryError> {
+    for fd in fds.fds() {
+        let widest = fd.lhs.iter().fold(fd.rhs, |w, &c| w.max(c));
+        let arities = cq.atoms().iter().filter(|a| a.rel == fd.rel);
+        if let Some(arity) = arities.map(|a| a.args.len()).find(|&n| widest >= n) {
+            let (rel, lhs, rhs, name) = (&fd.rel, &fd.lhs, fd.rhs, cq.name());
+            return Err(QueryError::new(format!(
+                "functional dependency {rel}: {lhs:?} -> {rhs} names column {widest}, but \
+                 {rel} has arity {arity} in query {name}"
+            )));
+        }
+    }
     // Working state: atom variable lists + head, all over cq's namespace.
     let mut atoms: Vec<Atom> = cq.atoms().to_vec();
     let mut head: Vec<VarId> = cq.head().to_vec();
     let mut widened: Vec<(usize, AppliedFd)> = Vec::new();
+    let mut lifted: Vec<AppliedFd> = Vec::new();
 
     // Fixpoint: apply every FD instance to every atom until nothing grows.
     // Termination: every rule only adds a variable (bounded by n_vars per
@@ -175,12 +209,11 @@ pub fn fd_extend_cq(cq: &Cq, fds: &FdSet) -> Result<FdExtension, QueryError> {
     while changed {
         changed = false;
         for src in 0..cq.atoms().len() {
+            // Columns are checked against the original atom above; a
+            // widened atom keeps them as its prefix.
             let src_atom = atoms[src].clone();
             for fd in fds.fds() {
-                if fd.rel != src_atom.rel
-                    || fd.lhs.iter().any(|&c| c >= src_atom.args.len())
-                    || fd.rhs >= src_atom.args.len()
-                {
+                if fd.rel != src_atom.rel {
                     continue;
                 }
                 let lhs_vars: Vec<VarId> = fd.lhs.iter().map(|&c| src_atom.args[c]).collect();
@@ -194,6 +227,7 @@ pub fn fd_extend_cq(cq: &Cq, fds: &FdSet) -> Result<FdExtension, QueryError> {
                 // Head saturation.
                 if lhs_vars.iter().all(|v| head.contains(v)) && !head.contains(&rhs_var) {
                     head.push(rhs_var);
+                    lifted.push(app.clone());
                     changed = true;
                 }
                 // Atom saturation: any other atom containing all the
@@ -219,7 +253,11 @@ pub fn fd_extend_cq(cq: &Cq, fds: &FdSet) -> Result<FdExtension, QueryError> {
         atoms,
         cq.var_names().to_vec(),
     )?;
-    Ok(FdExtension { query, widened })
+    Ok(FdExtension {
+        query,
+        widened,
+        lifted,
+    })
 }
 
 /// A union under functional dependencies, rewritten into an ordinary union
@@ -228,38 +266,45 @@ pub fn fd_extend_cq(cq: &Cq, fds: &FdSet) -> Result<FdExtension, QueryError> {
 #[derive(Clone, Debug)]
 pub struct FdRewrite {
     /// The FD-extended union `Q⁺`. Atoms widened by an FD application are
-    /// renamed `R@fd<member>`.
+    /// renamed `R@fd<member>.<atom>`: two atoms of one relation can widen
+    /// by different columns.
     pub ucq: Ucq,
     /// Head positions of the original union: an answer of it is the first
     /// `answer_arity` positions of an answer of `ucq`.
     pub answer_arity: usize,
+    /// Per member of `ucq`, the lookups that derive the head positions past
+    /// `answer_arity` from the first ones.
+    lifts: Vec<Vec<LiftStep>>,
     fds: FdSet,
     original: Ucq,
     extensions: Vec<FdExtension>,
 }
 
 /// Rewrites `ucq` under `fds` (Remark 2): FD-extends every member and
-/// scopes the widened atoms' relation names to it. Fails when the extended
-/// heads disagree in arity (heads can grow differently when the members'
-/// free variables determine different closures; the paper's setting
-/// requires the union's members to share their free variables, so the
-/// closure is shared too — on the positional encoding this surfaces as an
-/// arity mismatch and is reported as an error).
+/// scopes the widened atoms' relation names to it. Fails when an FD names
+/// a column its relation does not have in some member, and when the
+/// extended heads disagree in arity (heads can grow differently when the
+/// members' free variables determine different closures; the paper's
+/// setting requires the union's members to share their free variables, so
+/// the closure is shared too — on the positional encoding this surfaces as
+/// an arity mismatch and is reported as an error).
 pub fn fd_rewrite(ucq: &Ucq, fds: &FdSet) -> Result<FdRewrite, QueryError> {
     let mut extensions = Vec::with_capacity(ucq.len());
     for (i, cq) in ucq.cqs().iter().enumerate() {
         let mut ext = fd_extend_cq(cq, fds)?;
         let mut atoms = ext.query.atoms().to_vec();
         for (t, _) in &ext.widened {
-            atoms[*t].rel = format!("{}@fd{i}", cq.atoms()[*t].rel);
+            atoms[*t].rel = format!("{}@fd{i}.{t}", cq.atoms()[*t].rel);
         }
         let (head, names) = (ext.query.head().to_vec(), cq.var_names().to_vec());
         ext.query = Cq::new(ext.query.name(), head, atoms, names)?;
         extensions.push(ext);
     }
+    let lifted = |e: &FdExtension| e.lifted.iter().map(AppliedFd::lift_step).collect();
     Ok(FdRewrite {
         ucq: Ucq::new(extensions.iter().map(|e| e.query.clone()).collect())?,
         answer_arity: ucq.head_arity(),
+        lifts: extensions.iter().map(lifted).collect(),
         fds: fds.clone(),
         original: ucq.clone(),
         extensions,
@@ -270,7 +315,13 @@ impl FdRewrite {
     /// The ordinary engine over the rewritten union, answering with the
     /// original head positions. Its classification is the Remark 2 verdict.
     pub fn engine(&self) -> UcqEngine {
-        UcqEngine::projecting(self.ucq.clone(), self.answer_arity)
+        UcqEngine::projecting(self.ucq.clone(), self.lifts.clone())
+    }
+
+    /// Member `m`'s lift: the lookups, in head order, that derive the head
+    /// positions of `ucq`'s member `m` past `answer_arity`.
+    pub fn lift(&self, m: usize) -> &[LiftStep] {
+        &self.lifts[m]
     }
 
     /// The instance translation `I ↦ I⁺`: checks the FDs (a violation is
@@ -623,8 +674,8 @@ mod tests {
             .iter()
             .map(|cq| cq.atoms().iter().map(|a| a.rel.as_str()).collect())
             .collect();
-        assert!(names[0].contains(&"S@fd0"));
-        assert!(names[1].contains(&"S@fd1"));
+        assert!(names[0].contains(&"S@fd0.1"));
+        assert!(names[1].contains(&"S@fd1.1"));
 
         let inst: Instance = [
             ("R", Relation::from_pairs([(1, 10), (2, 20)])),
@@ -635,6 +686,30 @@ mod tests {
         let widened = rewrite.instance(&inst).unwrap();
         let got = distinct(rewrite.engine().enumerate(&widened).unwrap());
         assert_eq!(got, evaluate_ucq_naive_set(&u, &inst).unwrap());
+    }
+
+    #[test]
+    fn two_atoms_of_one_relation_widen_apart() {
+        // R(x, y) and R(y, x) both absorb z = A(x), keyed on different
+        // columns, so their widened relations differ and need two names.
+        let u = parse_ucq("Q(x) <- A(x, z), R(x, y), R(y, x)").unwrap();
+        let fds = FdSet::new(vec![Fd::new("A", vec![0], 1)]);
+        let inst: Instance = [
+            ("A", Relation::from_pairs([(1, 10), (2, 20)])),
+            ("R", Relation::from_pairs([(1, 2), (2, 1), (3, 3)])),
+        ]
+        .into_iter()
+        .collect();
+        let rewrite = fd_rewrite(&u, &fds).unwrap();
+        let names = rewrite.ucq.cqs()[0].relation_names();
+        assert!(names.contains(&"R@fd0.1") && names.contains(&"R@fd0.2"));
+        let want = evaluate_ucq_naive_set(&u, &inst).unwrap();
+        assert_eq!(want.len(), 2);
+        let widened = rewrite.instance(&inst).unwrap();
+        assert_eq!(
+            distinct(rewrite.engine().enumerate(&widened).unwrap()),
+            want
+        );
     }
 
     #[test]
@@ -651,7 +726,7 @@ mod tests {
         let rewrite = fd_rewrite(&u, &fds).unwrap();
         assert_eq!((rewrite.answer_arity, rewrite.ucq.head_arity()), (1, 2));
         let eng = rewrite.engine();
-        assert_eq!(eng.strategy(), Strategy::UnionExtension, "no line-4 probe");
+        assert_eq!(eng.strategy(), Strategy::Algorithm1, "probes through lifts");
         let widened = rewrite.instance(&inst).unwrap();
         let want = evaluate_ucq_naive_set(&u, &inst).unwrap();
         assert_eq!(want.len(), 2);
@@ -671,6 +746,26 @@ mod tests {
         assert_eq!(want2.len(), 3);
         assert_eq!(distinct(refrozen.enumerate().unwrap()), want2, "refrozen");
         assert_eq!(distinct(frozen.enumerate().unwrap()), want, "old epoch");
+    }
+
+    #[test]
+    fn an_fd_past_its_relations_arity_is_a_typed_error() {
+        let u = parse_ucq("Q(x, y) <- A(x, z), B(z, y)").unwrap();
+        for bad in [Fd::new("A", vec![0], 5), Fd::new("A", vec![2], 0)] {
+            let err = fd_rewrite(&u, &FdSet::new(vec![bad.clone()])).unwrap_err();
+            let msg = err.message();
+            assert!(msg.contains("functional dependency A"), "{msg}");
+            assert!(msg.contains("arity 2"), "{bad:?}: {msg}");
+        }
+        // An FD on a relation the union does not read is no error.
+        let other = FdSet::new(vec![Fd::new("C", vec![0], 5)]);
+        assert_eq!(fd_rewrite(&u, &other).unwrap().ucq.head_arity(), 2);
+        // A widening does not lend its columns to FDs: A's FD widens B(x, w)
+        // to B(x, w, z), yet an FD on B still names B's own two columns.
+        let u = parse_ucq("Q(x) <- A(x, z), B(x, w)").unwrap();
+        let fds = vec![Fd::new("A", vec![0], 1), Fd::new("B", vec![2], 0)];
+        let err = fd_rewrite(&u, &FdSet::new(fds)).unwrap_err();
+        assert!(err.message().contains("B: [2] -> 0"), "{err}");
     }
 
     #[test]

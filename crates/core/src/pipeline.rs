@@ -8,15 +8,11 @@
 //! way are among them, so nothing is replayed. Enumeration is therefore
 //! Algorithm 1 ([`Algorithm1Ids`]) over the extended members: constant
 //! delay with membership probes, and no lookup table that grows with the
-//! output.
+//! output. An FD rewrite answered on a projected head is no exception: its
+//! extended members probe through their lifts (see
+//! [`crate::algorithm1`]).
 //!
-//! The Cheater (Lemma 5) is left with one job: an FD rewrite answered on a
-//! projected head (a prep whose answer arity is below the head's). Its
-//! members' outputs do not cover their connex targets, so they cannot be
-//! probed; they run back to back and the Cheater absorbs the answers that
-//! only differed beyond the kept positions.
-//!
-//! Either way the spine is id-level and block-at-a-time; the request path
+//! The spine is id-level and block-at-a-time; the request path
 //! ([`UcqEngine`](crate::UcqEngine)) decodes each answer exactly once, a
 //! block at a time, in the one [`IdDecoder`](ucq_enumerate::IdDecoder)
 //! every strategy arm ends in.
@@ -32,10 +28,9 @@ use crate::algorithm1::{member_engines, retarget_members, Algorithm1Ids};
 use crate::lemma8::materialize_atom_in;
 use crate::plan::ExtensionPlan;
 use std::sync::Arc;
-use ucq_enumerate::{Cheater, IdEnumerator};
 use ucq_query::{Cq, Ucq};
-use ucq_storage::{CtxView, IdBlock, Instance};
-use ucq_yannakakis::{CdyEngine, EvalError};
+use ucq_storage::{CtxView, Instance};
+use ucq_yannakakis::{CdyEngine, EvalError, LiftStep};
 
 /// The preprocessed (linear-phase) state of the Theorem 12 pipeline:
 /// materialized virtual relations folded into per-member CDY engines, ready
@@ -51,7 +46,6 @@ pub struct UcqPipelinePrep {
     /// Tuples materialization contributed to the instance, per planned atom
     /// (diagnostics for tests/benches).
     pub materialized_sizes: Vec<usize>,
-    ctx: CtxView,
 }
 
 impl UcqPipelinePrep {
@@ -63,17 +57,16 @@ impl UcqPipelinePrep {
         instance: &Instance,
         ctx: &CtxView,
     ) -> Result<UcqPipelinePrep, EvalError> {
-        UcqPipelinePrep::prepare_projected(ucq, plan, ucq.head_arity(), instance, ctx)
+        UcqPipelinePrep::prepare_lifted(ucq, plan, &[], instance, ctx)
     }
 
-    /// As [`UcqPipelinePrep::prepare`], answering with the first `arity`
-    /// head positions only (an FD rewrite whose heads grew): member engines
-    /// output them, and the Cheater absorbs answers that only differed
-    /// beyond them — at most one per member, so the Lemma 5 budget stands.
-    pub(crate) fn prepare_projected(
+    /// As [`UcqPipelinePrep::prepare`], for the members of an FD rewrite
+    /// whose heads grew: extended member `i` answers on the head positions
+    /// `lifts[i]` does not derive, and derives them to probe.
+    pub(crate) fn prepare_lifted(
         ucq: &Ucq,
         plan: &ExtensionPlan,
-        arity: usize,
+        lifts: &[Vec<LiftStep>],
         instance: &Instance,
         ctx: &CtxView,
     ) -> Result<UcqPipelinePrep, EvalError> {
@@ -91,11 +84,10 @@ impl UcqPipelinePrep {
         let extended: Vec<Cq> = (0..ucq.len())
             .map(|i| plan.extended_query(ucq, i))
             .collect();
-        let engines = member_engines(&extended, arity, &ext_instance, ctx)?;
+        let engines = member_engines(&extended, lifts, &ext_instance, ctx)?;
         Ok(UcqPipelinePrep {
             engines,
             materialized_sizes,
-            ctx: ctx.clone(),
         })
     }
 
@@ -107,45 +99,14 @@ impl UcqPipelinePrep {
     /// Moves this prep onto `view`, a snapshot of the context it was built
     /// through (see [`retarget_members`]).
     pub(crate) fn retarget(&mut self, view: &CtxView) {
-        self.ctx = view.clone();
         retarget_members(&mut self.engines, view);
     }
 
     /// Starts one enumeration over the preprocessed state, on the id
     /// spine. Starting is O(1) in the data: cursors over shared engines; no
     /// linear pass is repeated.
-    pub(crate) fn start_ids(&self) -> UnionIds {
-        let ids = Algorithm1Ids::new(self.engines.clone());
-        if ids.probes() {
-            return UnionIds::Probed(ids);
-        }
-        // Lemma 5's m: an answer surfaces at most once per member.
-        let budget = self.engines.len() + 1;
-        let cheater = Cheater::with_capacity_hint(ids, budget, self.ctx.clone(), 0);
-        UnionIds::Deduped(Box::new(cheater))
-    }
-}
-
-/// The id spine of a prepared union: Algorithm 1's interleave when every
-/// member can be probed, else the members back to back behind the Cheater.
-pub(crate) enum UnionIds {
-    Probed(Algorithm1Ids),
-    Deduped(Box<Cheater<Algorithm1Ids>>),
-}
-
-impl IdEnumerator for UnionIds {
-    fn arity(&self) -> usize {
-        match self {
-            UnionIds::Probed(ids) => ids.arity(),
-            UnionIds::Deduped(cheater) => cheater.arity(),
-        }
-    }
-
-    fn next_block(&mut self, block: &mut IdBlock) -> usize {
-        match self {
-            UnionIds::Probed(ids) => ids.next_block(block),
-            UnionIds::Deduped(cheater) => cheater.next_block(block),
-        }
+    pub(crate) fn start_ids(&self) -> Algorithm1Ids {
+        Algorithm1Ids::new(self.engines.clone())
     }
 }
 
@@ -155,13 +116,13 @@ mod tests {
     use crate::naive_ucq::evaluate_ucq_naive;
     use crate::{CostedSearch, SearchConfig};
     use std::collections::HashSet;
-    use ucq_enumerate::{Enumerator, IdDecoder};
+    use ucq_enumerate::{Enumerator, IdDecoder, IdEnumerator};
     use ucq_query::parse_ucq;
     use ucq_storage::{Relation, Tuple};
 
     /// One enumeration of `prep` behind the block decoder, as a request
     /// runs it.
-    fn start(prep: &UcqPipelinePrep, ctx: &CtxView) -> IdDecoder<UnionIds> {
+    fn start(prep: &UcqPipelinePrep, ctx: &CtxView) -> IdDecoder<Algorithm1Ids> {
         IdDecoder::new(prep.start_ids(), ctx.clone())
     }
 
@@ -182,10 +143,6 @@ mod tests {
         let got = p.collect_all();
         assert_eq!(p.rows_decoded(), got.len(), "decode once per answer");
         assert_eq!(p.rows_pulled(), got.len());
-        assert!(
-            matches!(p.inner(), UnionIds::Probed(_)),
-            "Algorithm 1, no Cheater"
-        );
         let want = evaluate_ucq_naive(&u, i).unwrap();
         (got, want)
     }
@@ -338,10 +295,11 @@ mod tests {
     }
 
     #[test]
-    fn only_a_projected_head_runs_the_cheater() {
+    fn a_projected_head_probes_through_its_lift() {
         // Example 2 answered on (x, y), as an FD rewrite whose heads grew
-        // by w would be: R2 and R3 are functional, so each member's
-        // projected answers are distinct, yet (1, 3) comes from both.
+        // by w would be: R3 and R2 are functional, so each member lifts
+        // (x, y) to its w by one lookup on y, and (1, 3), which both
+        // members answer, comes out once without a dedup set.
         let u = parse_ucq(
             "Q1(x, y, w) <- R1(x, z), R2(z, y), R3(y, w)\n\
              Q2(x, y, w) <- R1(x, y), R2(y, w)",
@@ -355,19 +313,26 @@ mod tests {
             ("R2", vec![(2, 3), (3, 4), (7, 0)]),
             ("R3", vec![(3, 4), (4, 5), (0, 2)]),
         ]);
+        let w_by = |cq: &Cq, rel: &str| LiftStep {
+            rel: rel.into(),
+            cols: vec![0],
+            col: 1,
+            key: vec![cq.var_id("y").unwrap()],
+            var: cq.var_id("w").unwrap(),
+        };
+        let lifts: Vec<Vec<LiftStep>> = [(0, "R3"), (1, "R2")]
+            .into_iter()
+            .map(|(m, rel)| vec![w_by(&u.cqs()[m], rel)])
+            .collect();
         let ctx = CtxView::new();
-        let prep = UcqPipelinePrep::prepare_projected(&u, &plan, 2, &i, &ctx).unwrap();
-        assert!(prep.engines().iter().all(|e| !e.has_membership()));
+        let prep = UcqPipelinePrep::prepare_lifted(&u, &plan, &lifts, &i, &ctx).unwrap();
+        assert!(prep.engines().iter().all(|e| e.output_arity() == 2));
         let mut p = start(&prep, &ctx);
         let got: Vec<Tuple> = p.collect_all();
         let set: HashSet<Tuple> = got.iter().cloned().collect();
-        assert_eq!(got.len(), set.len(), "the Cheater dedups");
-        let UnionIds::Deduped(cheater) = p.inner() else {
-            panic!("a projected head runs the Cheater");
-        };
-        let stats = cheater.stats();
-        assert!(stats.duplicates > 0, "{stats:?}");
-        assert_eq!(stats.emitted, got.len());
+        assert_eq!(got.len(), set.len(), "the lifted probe answers once");
+        assert_eq!(p.rows_pulled(), got.len(), "nothing pulled to be dropped");
+        assert!(set.contains(&Tuple::from(&[1i64, 3][..])), "{set:?}");
         let want: HashSet<Tuple> = evaluate_ucq_naive(&u, &i)
             .unwrap()
             .into_iter()

@@ -106,8 +106,8 @@ fn a_page_over_the_pipeline_pulls_and_decodes_its_answers_and_one_more() {
 #[test]
 fn a_page_over_an_fd_rewrite_pulls_and_decodes_its_answers_and_one_more() {
     let key = |rel: &str| Fd::new(rel, vec![0], 1);
-    // One member on Algorithm 1 (no probe to lose), then two members whose
-    // heads grew apart, deduplicated by the Cheater: 1500 answers from both.
+    // One member, then two members whose heads grew apart, interleaved by
+    // Algorithm 1 through their lifts: 1500 answers from both.
     let cases = [
         ("Pi(x, y) <- A(x, z), B(z, y)", vec![key("A")], 1500),
         (

@@ -1,22 +1,34 @@
-//! Membership audit of the Theorem 12 arm: every extended member a
-//! union-extension union builds answers membership probes, so a prepared
-//! request runs Algorithm 1 over the extended members and never the
-//! Cheater (whose dedup set grows with the output). Algorithm 1 over the
-//! extended members then answers the union, each answer once.
+//! Membership audit of Algorithm 1's probe, where it is least obvious.
 //!
-//! Audited: every catalog entry on the arm, and 200 random union-extension
-//! unions, each under the classification's certificate and under the
-//! costed plan the engine executes. No member has been found without a
-//! membership plan; one that lacked it would send its union through the
-//! Cheater, and this test names it.
+//! The Theorem 12 arm: every extended member a union-extension union
+//! builds answers its own answers' membership probes, so Algorithm 1 over
+//! the extended members answers the union, each answer once. Audited:
+//! every catalog entry on the arm, and 200 random union-extension unions,
+//! each under the classification's certificate and under the costed plan
+//! the engine executes.
+//!
+//! FD rewrites: every free-connex member of a random projecting rewrite,
+//! built with its lift, answers each of its own projected answers, and
+//! answers any other answer of the union exactly when the member alone
+//! has it — so a lift that derived a wrong value, or missed, shows here.
 
 use std::collections::HashSet;
-use ucq_core::{evaluate_ucq_naive_set, Algorithm1, Strategy, UcqEngine, UcqPipelinePrep, Verdict};
+use ucq_core::{
+    evaluate_ucq_naive_set, fd_rewrite, Algorithm1, Strategy, UcqEngine, UcqPipelinePrep, Verdict,
+};
 use ucq_enumerate::Enumerator;
 use ucq_query::Ucq;
-use ucq_storage::{CtxView, Instance, Tuple};
+use ucq_storage::{CtxView, Instance, Tuple, ValueId};
 use ucq_workloads::catalog;
-use ucq_workloads::random::{random_instance, random_union_extension, InstanceSpec};
+use ucq_workloads::random::{
+    random_fd_instance, random_fd_union, random_instance, random_union_extension, InstanceSpec,
+};
+use ucq_yannakakis::{CdyEngine, ContainsScratch, SharedShapes};
+
+/// `row`'s values as `ctx`'s ids; `None` if one was never interned.
+fn ids_of(ctx: &CtxView, row: &Tuple) -> Option<Vec<ValueId>> {
+    row.values().iter().map(|&v| ctx.lookup(v)).collect()
+}
 
 fn audit(u: &Ucq, inst: &Instance, case: &str) {
     let engine = UcqEngine::new(u.clone());
@@ -34,11 +46,15 @@ fn audit(u: &Ucq, inst: &Instance, case: &str) {
     let want = evaluate_ucq_naive_set(u, inst).expect("evaluates");
     for (which, plan) in [("certificate", plan), ("costed", &costed)] {
         let prep = UcqPipelinePrep::prepare(&c.minimized, plan, inst, &ctx).unwrap();
+        let mut scratch = ContainsScratch::default();
         for (m, eng) in prep.engines().iter().enumerate() {
-            assert!(
-                eng.has_membership(),
-                "{case}: {which} plan, extended member {m} has no membership plan"
-            );
+            for row in eng.iter().collect_all() {
+                let ids = ids_of(&ctx, &row).expect("an answer's values are interned");
+                assert!(
+                    eng.contains_ids(&ids, &mut scratch),
+                    "{case}: {which} plan, extended member {m} misses its own {row:?}"
+                );
+            }
         }
         let got = Algorithm1::from_engines(prep.engines().to_vec()).collect_all();
         let set: HashSet<Tuple> = got.iter().cloned().collect();
@@ -67,4 +83,50 @@ fn every_extended_member_answers_membership_probes() {
         let inst = random_instance(&u, &InstanceSpec::scaled(24, seed));
         audit(&u, &inst, &format!("seed {seed}: {u:?}"));
     }
+}
+
+#[test]
+fn every_lifted_member_of_an_fd_rewrite_answers_membership_probes() {
+    let (mut members, mut probes) = (0, 0);
+    for seed in 0..60 {
+        let (u, fds) = random_fd_union(seed);
+        let spec = InstanceSpec {
+            rows_per_relation: 30,
+            domain: 6,
+            seed,
+        };
+        let inst = random_fd_instance(&u, &fds, &spec);
+        let rewrite = fd_rewrite(&u, &fds).unwrap();
+        let widened = rewrite.instance(&inst).unwrap();
+        let union = evaluate_ucq_naive_set(&u, &inst).unwrap();
+        let ctx = CtxView::new();
+        let shared = SharedShapes::of(rewrite.ucq.cqs());
+        let k = rewrite.answer_arity;
+        let mut scratch = ContainsScratch::default();
+        for (m, cq) in rewrite.ucq.cqs().iter().enumerate() {
+            let case = format!("seed {seed}, member {m}: {u:?} under {:?}", fds.fds());
+            let lift = rewrite.lift(m);
+            assert_eq!(k + lift.len(), cq.head().len(), "{case}");
+            let output = cq.head()[..k].to_vec();
+            let built =
+                CdyEngine::build_rooted(cq, cq.free(), output, lift, &shared, &widened, &ctx);
+            let Ok(eng) = built else {
+                continue; // not free-connex alone: the Theorem 12 arm extends it
+            };
+            members += 1;
+            let alone = Ucq::new(vec![u.cqs()[m].clone()]).unwrap();
+            let mine = evaluate_ucq_naive_set(&alone, &inst).unwrap();
+            let own = eng.iter().collect_all();
+            assert_eq!(own.iter().cloned().collect::<HashSet<_>>(), mine, "{case}");
+            assert_eq!(own.len(), mine.len(), "{case}: projected answers repeat");
+            for row in &union {
+                let member =
+                    ids_of(&ctx, row).is_some_and(|ids| eng.contains_ids(&ids, &mut scratch));
+                assert_eq!(member, mine.contains(row), "{case}: {row:?}");
+                probes += 1;
+            }
+        }
+    }
+    assert!(members >= 60, "only {members} lifted members audited");
+    assert!(probes >= 1000, "only {probes} probes");
 }

@@ -31,9 +31,6 @@ pub struct QueryBudget {
     /// Maximum answers to emit (checked exactly; the first suppressed
     /// answer marks the stream truncated).
     pub max_answers: Option<usize>,
-    /// Maximum budget-check blocks ([`DEFAULT_BLOCK_ROWS`] answers each)
-    /// to enter.
-    pub max_blocks: Option<usize>,
 }
 
 impl QueryBudget {
@@ -58,17 +55,6 @@ impl QueryBudget {
         self.max_answers = Some(n);
         self
     }
-
-    /// Caps the number of enumeration blocks.
-    pub fn with_max_blocks(mut self, n: usize) -> QueryBudget {
-        self.max_blocks = Some(n);
-        self
-    }
-
-    /// Whether any limit is set.
-    pub fn is_limited(&self) -> bool {
-        self.deadline.is_some() || self.max_answers.is_some() || self.max_blocks.is_some()
-    }
 }
 
 /// Why a [`Budgeted`] stream stopped before natural exhaustion.
@@ -78,8 +64,6 @@ pub enum Truncation {
     Deadline,
     /// The answer cap was reached (more answers existed).
     MaxAnswers,
-    /// The block cap was reached.
-    MaxBlocks,
     /// The [`CancelToken`] fired.
     Cancelled,
 }
@@ -89,7 +73,6 @@ impl std::fmt::Display for Truncation {
         f.write_str(match self {
             Truncation::Deadline => "deadline",
             Truncation::MaxAnswers => "max-answers",
-            Truncation::MaxBlocks => "max-blocks",
             Truncation::Cancelled => "cancelled",
         })
     }
@@ -123,9 +106,9 @@ impl CancelToken {
 /// An [`Enumerator`] adapter enforcing a [`QueryBudget`] at block
 /// boundaries.
 ///
-/// Deadline, cancellation, and the block cap are checked once every
-/// `stride` answers (default [`DEFAULT_BLOCK_ROWS`], the id spine's block
-/// size), so a firing limit stops the stream within one block. The answer
+/// Deadline and cancellation are checked once every `stride` answers
+/// (default [`DEFAULT_BLOCK_ROWS`], the id spine's block size), so a
+/// firing limit stops the stream within one block. The answer
 /// cap is exact: the stream reports [`Truncation::MaxAnswers`] only if at
 /// least one more answer actually existed. A [`Enumerator::next_into`]
 /// call takes at most the rest of the current stride, so a block-wise
@@ -137,7 +120,6 @@ pub struct Budgeted<E> {
     cancel: Option<CancelToken>,
     stride: usize,
     answers: usize,
-    blocks: usize,
     truncated: Option<Truncation>,
     done: bool,
 }
@@ -158,7 +140,6 @@ impl<E: Enumerator> Budgeted<E> {
             cancel: None,
             stride: DEFAULT_BLOCK_ROWS,
             answers: 0,
-            blocks: 0,
             truncated: None,
             done: false,
         }
@@ -187,11 +168,6 @@ impl<E: Enumerator> Budgeted<E> {
         self.answers
     }
 
-    /// Budget-check blocks entered so far.
-    pub fn blocks_entered(&self) -> usize {
-        self.blocks
-    }
-
     /// Unwraps the inner enumerator.
     pub fn into_inner(self) -> E {
         self.inner
@@ -200,8 +176,7 @@ impl<E: Enumerator> Budgeted<E> {
     /// The one budget check behind [`Enumerator::next`] and
     /// [`Enumerator::next_into`]: how many answers the next pull may take
     /// (at most `max`), or `0` when the stream stops here. At a block
-    /// boundary it checks cancellation, the deadline and the block cap; a
-    /// pull never crosses the next boundary or the answer cap. At the cap
+    /// boundary it checks cancellation and the deadline; a pull never crosses the next boundary or the answer cap. At the cap
     /// it probes one further answer, so [`Truncation::MaxAnswers`] is
     /// reported only if one existed.
     fn allowance(&mut self, max: usize) -> usize {
@@ -216,8 +191,6 @@ impl<E: Enumerator> Budgeted<E> {
                 Some(Truncation::Cancelled)
             } else if self.budget.deadline.is_some_and(|d| Instant::now() >= d) {
                 Some(Truncation::Deadline)
-            } else if self.budget.max_blocks.is_some_and(|m| self.blocks >= m) {
-                Some(Truncation::MaxBlocks)
             } else {
                 None
             };
@@ -226,7 +199,6 @@ impl<E: Enumerator> Budgeted<E> {
                 self.done = true;
                 return 0;
             }
-            self.blocks += 1;
         }
         let mut allow = max.min(self.stride - into_block);
         if let Some(cap) = self.budget.max_answers {
@@ -285,9 +257,9 @@ mod tests {
         VecEnumerator::new((0..n).map(t).collect())
     }
 
-    /// What a drain saw: the answers, then `truncated_by`,
-    /// `answers_emitted` and `blocks_entered`.
-    type Drained = (Vec<Tuple>, Option<Truncation>, usize, usize);
+    /// What a drain saw: the answers, then `truncated_by` and
+    /// `answers_emitted`.
+    type Drained = (Vec<Tuple>, Option<Truncation>, usize);
 
     /// Drains `b`: `first` answers, then `between` runs, then the rest.
     /// `per_call` is `None` for one [`Enumerator::next`] per answer, or
@@ -318,12 +290,7 @@ mod tests {
                 while b.next_into(&mut got, max) > 0 {}
             }
         }
-        (
-            got,
-            b.truncated_by(),
-            b.answers_emitted(),
-            b.blocks_entered(),
-        )
+        (got, b.truncated_by(), b.answers_emitted())
     }
 
     /// Drains fresh copies of one budgeted stream answer by answer and
@@ -353,7 +320,7 @@ mod tests {
 
     #[test]
     fn unlimited_budget_passes_everything_through() {
-        let (got, why, emitted, _) = drained(|| Budgeted::new(stream(5), QueryBudget::unlimited()));
+        let (got, why, emitted) = drained(|| Budgeted::new(stream(5), QueryBudget::unlimited()));
         assert_eq!(got.len(), 5);
         assert_eq!(why, None);
         assert_eq!(emitted, 5);
@@ -361,7 +328,7 @@ mod tests {
 
     #[test]
     fn max_answers_cuts_exactly() {
-        let (got, why, _, _) =
+        let (got, why, _) =
             drained(|| Budgeted::new(stream(10), QueryBudget::unlimited().with_max_answers(3)));
         assert_eq!(got.len(), 3);
         assert_eq!(why, Some(Truncation::MaxAnswers));
@@ -370,19 +337,16 @@ mod tests {
     #[test]
     fn max_answers_cuts_exactly_around_every_stride_boundary() {
         for cap in [0, 1, STRIDE - 1, STRIDE, STRIDE + 1, TOTAL - 1] {
-            let (got, why, emitted, blocks) = capped(cap);
+            let (got, why, emitted) = capped(cap);
             assert_eq!(got, (0..cap as i64).map(t).collect::<Vec<_>>(), "cap {cap}");
             assert_eq!(why, Some(Truncation::MaxAnswers), "cap {cap}");
             assert_eq!(emitted, cap);
-            // The probe past the cap enters a block of its own when the
-            // cap sits on a boundary.
-            assert_eq!(blocks, cap / STRIDE + 1, "cap {cap}");
         }
     }
 
     #[test]
     fn max_answers_equal_to_stream_is_not_a_truncation() {
-        let (got, why, _, _) =
+        let (got, why, _) =
             drained(|| Budgeted::new(stream(3), QueryBudget::unlimited().with_max_answers(3)));
         assert_eq!(got.len(), 3);
         assert_eq!(why, None, "nothing was actually suppressed");
@@ -390,19 +354,9 @@ mod tests {
     }
 
     #[test]
-    fn max_blocks_bounds_work_in_strides() {
-        let (got, why, _, blocks) = drained(|| {
-            Budgeted::new(stream(100), QueryBudget::unlimited().with_max_blocks(2)).with_stride(10)
-        });
-        assert_eq!(got.len(), 20);
-        assert_eq!(why, Some(Truncation::MaxBlocks));
-        assert_eq!(blocks, 2);
-    }
-
-    #[test]
     fn expired_deadline_stops_within_one_stride() {
         let past = Instant::now() - Duration::from_millis(1);
-        let (got, why, _, blocks) = drained(|| {
+        let (got, why, _) = drained(|| {
             Budgeted::new(stream(100), QueryBudget::unlimited().with_deadline(past)).with_stride(4)
         });
         assert_eq!(
@@ -411,7 +365,6 @@ mod tests {
             "deadline already passed: truncate at the first boundary"
         );
         assert_eq!(why, Some(Truncation::Deadline));
-        assert_eq!(blocks, 0);
     }
 
     #[test]
@@ -442,23 +395,20 @@ mod tests {
         for per_call in [usize::MAX, 3] {
             assert_eq!(drain(Some(per_call)), one_by_one, "next_into({per_call})");
         }
-        let (got, why, emitted, blocks) = one_by_one;
+        let (got, why, emitted) = one_by_one;
         assert_eq!(got.len(), 5, "ran to the stride boundary, then stopped");
         assert_eq!(why, Some(Truncation::Cancelled));
-        assert_eq!((emitted, blocks), (5, 1));
+        assert_eq!(emitted, 5);
     }
 
     #[test]
     fn budget_builder_composes() {
         let budget = QueryBudget::unlimited()
             .with_timeout(Duration::from_secs(3600))
-            .with_max_answers(7)
-            .with_max_blocks(9);
-        assert!(budget.is_limited());
+            .with_max_answers(7);
         assert!(budget.deadline.is_some());
         assert_eq!(budget.max_answers, Some(7));
-        assert_eq!(budget.max_blocks, Some(9));
-        assert!(!QueryBudget::unlimited().is_limited());
+        assert_eq!(QueryBudget::unlimited(), QueryBudget::default());
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! metrics and `examples/delay_profile.rs` report.
 
 use crate::enumerator::Enumerator;
-use crate::idenum::IdEnumerator;
 use std::time::{Duration, Instant};
-use ucq_storage::{IdBlock, Tuple};
+use ucq_storage::Tuple;
 
 /// Per-run delay measurements.
 #[derive(Clone, Debug, Default)]
@@ -101,62 +100,10 @@ where
     )
 }
 
-/// As [`measure`], but drains an id-level enumerator block-at-a-time
-/// ([`IdEnumerator::next_block`]) with `block_rows` rows per block,
-/// skipping the per-answer decode entirely. Returns the answer count and
-/// the profile.
-///
-/// Gap attribution mirrors the Lemma 5 accounting (pump budgets count
-/// inner *results*, not blocks): each block's wall-clock gap is split
-/// evenly over the rows it delivered, with the rounding remainder on the
-/// last row so the total is exact. The mean therefore equals the true
-/// per-answer rate; quantiles describe the paced (amortized) delay rather
-/// than the raw block cadence.
-pub fn measure_ids<E, F>(build: F, block_rows: usize) -> (usize, DelayProfile)
-where
-    E: IdEnumerator,
-    F: FnOnce() -> E,
-{
-    let t0 = Instant::now();
-    let mut e = build();
-    let preprocessing = t0.elapsed();
-
-    let mut block = IdBlock::new(e.arity(), block_rows);
-    let mut delays_ns = Vec::new();
-    let start = Instant::now();
-    let mut last = start;
-    let mut answers = 0usize;
-    loop {
-        block.clear();
-        let k = e.next_block(&mut block);
-        if k == 0 {
-            break;
-        }
-        let now = Instant::now();
-        let gap = now.duration_since(last).as_nanos() as u64;
-        last = now;
-        answers += k;
-        let per = gap / k as u64;
-        delays_ns.extend(std::iter::repeat_n(per, k - 1));
-        delays_ns.push(gap - per * (k as u64 - 1));
-    }
-    let total = start.elapsed();
-    (
-        answers,
-        DelayProfile {
-            preprocessing,
-            delays_ns,
-            total,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::enumerator::VecEnumerator;
-    use crate::idenum::IdVecEnumerator;
-    use ucq_storage::ValueId;
 
     fn t(x: i64) -> Tuple {
         Tuple::from(&[x][..])
@@ -189,17 +136,6 @@ mod tests {
         assert_eq!(p.median_ns(), 5);
         assert_eq!(p.quantile_ns(1.0), 9);
         assert_eq!(p.p99_ns(), 9);
-    }
-
-    #[test]
-    fn measure_ids_counts_answers_and_preserves_totals() {
-        let ids: Vec<ValueId> = (0..10).map(ValueId).collect();
-        let (answers, prof) = measure_ids(|| IdVecEnumerator::from_flat(2, ids), 3);
-        assert_eq!(answers, 5);
-        assert_eq!(prof.count(), 5, "one delay entry per answer, not per block");
-        // Split gaps sum back to the measured total (within the final
-        // partial-block gap, which is included).
-        assert!(prof.delays_ns.iter().sum::<u64>() <= prof.total.as_nanos() as u64);
     }
 
     #[test]

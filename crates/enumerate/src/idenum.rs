@@ -2,9 +2,9 @@
 //! answer rows.
 //!
 //! Stages exchange whole [`IdBlock`]s of flat [`ValueId`] rows, so an
-//! answer that a downstream stage discards (the Cheater dedup, Algorithm
-//! 1's membership probe, a counting bench) never costs a heap allocation
-//! or a dictionary sweep. Values are decoded exactly once, at the API
+//! answer that a downstream stage discards (Algorithm 1's membership
+//! probe, a counting bench) never costs a heap allocation or a dictionary
+//! sweep. Values are decoded exactly once, at the API
 //! boundary, a block at a time, by [`IdDecoder`] — the one value facade
 //! of every strategy arm.
 //!
@@ -216,24 +216,6 @@ impl<E: IdEnumerator> IdDecoder<E> {
             rows_decoded: 0,
             expected_end: usize::MAX,
         }
-    }
-
-    /// The wrapped id enumerator.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
-    /// The wrapped id enumerator, for id-aware callers that pull rows
-    /// themselves. Such rows bypass this facade: no row is lost or
-    /// repeated, but rows it has already buffered come out of
-    /// [`Enumerator::next`] later than rows pulled here.
-    pub fn inner_mut(&mut self) -> &mut E {
-        &mut self.inner
-    }
-
-    /// The wrapped id enumerator (consumes the facade).
-    pub fn into_inner(self) -> E {
-        self.inner
     }
 
     /// Rows pulled from the inner enumerator so far.

@@ -1,7 +1,8 @@
 //! Enumeration framework: the value-level [`Enumerator`] abstraction, the
-//! id-level block-at-a-time spine ([`IdEnumerator`]/[`IdBlock`]), the
-//! Cheater's Lemma compiler ([`Cheater`], Lemma 5 of the paper), and
-//! wall-clock delay instrumentation ([`DelayProfile`]).
+//! id-level block-at-a-time spine ([`IdEnumerator`]/[`IdBlock`]), request
+//! budgets ([`Budgeted`]), wall-clock delay instrumentation
+//! ([`DelayProfile`]), and the Cheater's Lemma compiler ([`Cheater`],
+//! Lemma 5 of the paper).
 //!
 //! # The id-level spine
 //!
@@ -9,9 +10,12 @@
 //! [`ValueId`](ucq_storage::ValueId) rows; the decode to owned
 //! [`Tuple`](ucq_storage::Tuple)s happens exactly once, a block at a time,
 //! at the outermost API boundary (the [`IdDecoder`] facade every strategy
-//! arm ends in), and not at all for answers that dedup discards or that
-//! id-aware callers consume through [`Cheater::next_ids`]. Lemma 5's
-//! pacing accounting is preserved: pump budgets count inner *results*,
+//! arm ends in), and not at all for answers that a stage discards.
+//!
+//! No request path runs the [`Cheater`]: every tractable request is
+//! Algorithm 1 in `ucq-core`, which needs no dedup set. It and
+//! [`IdChainEnumerator`] stay for the benchmark's per-layer cells. Its
+//! pacing accounting follows Lemma 5: pump budgets count inner *results*,
 //! blocks only amortize virtual-call and buffer overhead (see
 //! [`cheater`]).
 
@@ -25,7 +29,7 @@ pub mod idenum;
 
 pub use budget::{Budgeted, CancelToken, QueryBudget, Truncation};
 pub use cheater::{Cheater, CheaterStats, PumpBudgetError};
-pub use delay::{measure, measure_ids, DelayProfile};
+pub use delay::{measure, DelayProfile};
 pub use enumerator::{Enumerator, VecEnumerator};
 pub use idenum::{IdChainEnumerator, IdDecoder, IdEnumerator, IdVecEnumerator, DEFAULT_BLOCK_ROWS};
 

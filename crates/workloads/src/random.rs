@@ -1,6 +1,7 @@
 //! Random instance generation for queries, and random unions for the
 //! differential tests of the two tractable arms: free-connex unions for
-//! Theorem 4's, union-extension ones for Theorem 12's.
+//! Theorem 4's, union-extension ones for Theorem 12's, and unions under key
+//! FDs whose rewrites answer on a projected head (Remark 2).
 //!
 //! Uniform tuples over a bounded domain: with `rows` tuples per relation and
 //! domain size `Θ(rows / join_factor)`, multi-way joins have plentiful but
@@ -10,7 +11,7 @@ use crate::catalog::catalog;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use ucq_core::{Strategy, UcqEngine};
+use ucq_core::{fd_rewrite, Fd, FdSet, Strategy, UcqEngine};
 use ucq_query::{Cq, Ucq};
 use ucq_storage::{Instance, Relation, Value};
 
@@ -192,6 +193,82 @@ fn perturb(u: &Ucq, rng: &mut StdRng) -> Ucq {
     Ucq::new(cqs).expect("members share one head arity")
 }
 
+/// The binary relations of [`random_fd_union`].
+const FD_POOL: [&str; 4] = ["B0", "B1", "B2", "B3"];
+
+/// A random union of two or three members over binary relations, with the
+/// key FD `R: 0 → 1` on a random subset of them, whose rewrite
+/// ([`fd_rewrite`]) is tractable and answers on a projected head: some
+/// member's head grew by a determined variable. Deterministic in `seed`;
+/// draws repeat until one qualifies. [`random_fd_instance`] draws data
+/// that satisfies the FDs.
+pub fn random_fd_union(seed: u64) -> (Ucq, FdSet) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    loop {
+        let keyed: Vec<Fd> = FD_POOL
+            .iter()
+            .filter(|_| rng.gen_bool(0.6))
+            .map(|&rel| Fd::new(rel, vec![0], 1))
+            .collect();
+        let members = rng.gen_range(2usize..=3);
+        let head_arity = rng.gen_range(1usize..=2);
+        let cqs = (0..members)
+            .map(|m| random_binary_cq(&mut rng, m, head_arity))
+            .collect();
+        let u = Ucq::new(cqs).expect("members share one head arity");
+        let fds = FdSet::new(keyed);
+        let Ok(rewrite) = fd_rewrite(&u, &fds) else {
+            continue; // the extended heads differ in arity
+        };
+        let projecting = rewrite.answer_arity < rewrite.ucq.head_arity();
+        if projecting && rewrite.engine().strategy() != Strategy::Naive {
+            return (u, fds);
+        }
+    }
+}
+
+/// A [`random_instance`] for `ucq` that satisfies `fds`: each relation an
+/// FD names keeps one row per determinant value, the first in sorted
+/// order.
+pub fn random_fd_instance(ucq: &Ucq, fds: &FdSet, spec: &InstanceSpec) -> Instance {
+    let mut inst = random_instance(ucq, spec);
+    for fd in fds.fds() {
+        let Some(rel) = inst.get(&fd.rel) else {
+            continue;
+        };
+        let mut seen = std::collections::HashSet::new();
+        let mut keyed = Relation::new(rel.arity());
+        for row in rel.iter_rows() {
+            let key: Vec<Value> = fd.lhs.iter().map(|&c| row[c]).collect();
+            if seen.insert(key) {
+                keyed.push_row(row);
+            }
+        }
+        inst.insert(&fd.rel, keyed);
+    }
+    debug_assert!(fds.holds_on(&inst));
+    inst
+}
+
+/// One member `Q{m}` of [`random_fd_union`]: one to three atoms over
+/// [`FD_POOL`], `head_arity` head positions drawn from its variables.
+fn random_binary_cq(rng: &mut StdRng, m: usize, head_arity: usize) -> Cq {
+    let n_atoms = rng.gen_range(1usize..=3);
+    let atoms: Vec<(&str, Vec<&str>)> = (0..n_atoms)
+        .map(|_| {
+            let rel = FD_POOL[rng.gen_range(0..FD_POOL.len())];
+            let args = (0..2).map(|_| VARS[rng.gen_range(0usize..4)]);
+            (rel, args.collect())
+        })
+        .collect();
+    let used: Vec<&str> = atoms.iter().flat_map(|(_, a)| a.iter().copied()).collect();
+    let head: Vec<&str> = (0..head_arity)
+        .map(|_| used[rng.gen_range(0..used.len())])
+        .collect();
+    let refs: Vec<(&str, &[&str])> = atoms.iter().map(|(r, a)| (*r, &a[..])).collect();
+    Cq::build(&format!("Q{m}"), &head, &refs).expect("well-formed by construction")
+}
+
 /// One member `Q{m}` for the generators above: one to three atoms over
 /// [`POOL`], `head_arity` head positions drawn from its variables.
 fn random_cq(rng: &mut StdRng, m: usize, head_arity: usize) -> Cq {
@@ -244,6 +321,27 @@ mod tests {
         }
         assert!(shapes.len() >= 30, "only {} distinct unions", shapes.len());
         assert!(self_joins >= 4, "only {self_joins} unions with a self-join");
+    }
+
+    #[test]
+    fn fd_unions_project_stay_tractable_and_keep_their_keys() {
+        let mut shapes = std::collections::HashSet::new();
+        for seed in 0..40 {
+            let (u, fds) = random_fd_union(seed);
+            assert!(u.len() >= 2, "seed {seed}: {u:?}");
+            let rewrite = fd_rewrite(&u, &fds).expect("rewrites");
+            assert!(
+                rewrite.answer_arity < rewrite.ucq.head_arity(),
+                "seed {seed}"
+            );
+            assert_ne!(rewrite.engine().strategy(), Strategy::Naive, "seed {seed}");
+            let (again, _) = random_fd_union(seed);
+            assert_eq!(format!("{u:?}"), format!("{again:?}"));
+            shapes.insert(u.fingerprint());
+            let inst = random_fd_instance(&u, &fds, &InstanceSpec::scaled(40, seed));
+            assert!(fds.holds_on(&inst), "seed {seed}");
+        }
+        assert!(shapes.len() >= 30, "only {} distinct unions", shapes.len());
     }
 
     #[test]

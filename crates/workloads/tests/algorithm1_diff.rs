@@ -12,9 +12,10 @@
 //! extended members run Algorithm 1 once Lemma 8 has materialized their
 //! virtual relations, against the naive set.
 //!
-//! The third adds unions under functional dependencies — an FD rewrite on
-//! the ordinary engine — served through the pool, before and after a
-//! rotation.
+//! The last two add unions under functional dependencies — an FD rewrite
+//! on the ordinary engine, whose members probe through their lifts —
+//! served through the pool, before and after a rotation: two fixed cases,
+//! then random unions under key FDs.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -26,7 +27,8 @@ use ucq_query::{parse_ucq, Ucq};
 use ucq_serve::{serve, Request, ServeConfig};
 use ucq_storage::{CtxView, Instance, Relation, Tuple, Value, ValueId};
 use ucq_workloads::random::{
-    random_free_connex_union, random_instance, random_union_extension, InstanceSpec,
+    random_fd_instance, random_fd_union, random_free_connex_union, random_instance,
+    random_union_extension, InstanceSpec,
 };
 use ucq_workloads::residue_pairs;
 use ucq_yannakakis::{CdyEngine, CdyIter, ContainsScratch};
@@ -304,13 +306,14 @@ fn fd_rewrites_answer_once_on_every_rung_up_to_the_pool() {
             Strategy::Algorithm1,
         ),
         // Heads that grow by different determined variables: (1, 10) and
-        // (1, 20) of the rewrite are one answer (1) of the union.
+        // (1, 20) of the rewrite are one answer (1) of the union, which
+        // Algorithm 1 emits once by lifting (1) to each member's head.
         (
             "Q1(x) <- A(x, z)\nQ2(x) <- B(x, w)",
             vec![key("A"), key("B")],
             residue_pairs(900, 5),
             Relation::from_pairs([(5000, 3), (5001, 4)]),
-            Strategy::UnionExtension,
+            Strategy::Algorithm1,
         ),
     ];
     for (text, fds, b, delta, strategy) in cases {
@@ -347,4 +350,88 @@ fn fd_rewrites_answer_once_on_every_rung_up_to_the_pool() {
         check_served(text, frozen, &want);
         check_served(text, next, &want_grown);
     }
+}
+
+/// Random unions under key FDs whose rewrites answer on a projected head,
+/// on every rung from one-shot to the pool, against the naive answers of
+/// the *original* union over the original instance. Counts the unions in
+/// which some answer comes from two members, where a lifted probe has to
+/// fire for it to come out once.
+#[test]
+fn random_fd_rewrites_answer_once_on_every_rung_up_to_the_pool() {
+    let (cases, rows, domain) = if cfg!(debug_assertions) {
+        (12, 16, 5)
+    } else {
+        (120, 120, 10)
+    };
+    let (mut nonempty, mut shared_answers) = (0, 0);
+    let mut arms = std::collections::HashMap::new();
+    for seed in 0..cases {
+        let (u, fds) = random_fd_union(seed);
+        let spec = InstanceSpec {
+            rows_per_relation: rows,
+            domain,
+            seed,
+        };
+        let inst = random_fd_instance(&u, &fds, &spec);
+        let case = format!("seed {seed}: {u:?} under {:?}", fds.fds());
+        let rewrite = fd_rewrite(&u, &fds).unwrap();
+        let engine = rewrite.engine();
+        *arms.entry(format!("{:?}", engine.strategy())).or_insert(0) += 1;
+        let widened = rewrite.instance(&inst).unwrap();
+        let want = evaluate_ucq_naive_set(&u, &inst).unwrap();
+        nonempty += usize::from(!want.is_empty());
+        let per_member: usize = u
+            .cqs()
+            .iter()
+            .map(|cq| {
+                let alone = Ucq::new(vec![cq.clone()]).unwrap();
+                evaluate_ucq_naive_set(&alone, &inst).unwrap().len()
+            })
+            .sum();
+        shared_answers += usize::from(per_member > want.len());
+
+        check(
+            "one-shot",
+            &case,
+            engine.enumerate(&widened).unwrap(),
+            &want,
+        );
+        assert_eq!(engine.decide(&widened).unwrap(), !want.is_empty(), "{case}");
+        let session = engine.session(&widened);
+        for _ in 0..2 {
+            check("session", &case, session.enumerate().unwrap(), &want);
+        }
+        let frozen = session.freeze().unwrap();
+        check("frozen", &case, frozen.enumerate().unwrap(), &want);
+
+        // Fresh keys keep every FD satisfied.
+        let rel = u.cqs()[0].atoms()[0].rel.clone();
+        let fresh = Relation::from_pairs([(1000, seed as i64 % domain), (1001, 0)]);
+        let grown = frozen
+            .build_context()
+            .insert_rows(&inst.get_shared(&rel).unwrap(), &fresh);
+        let inst_grown = inst.with_relation_shared(&rel, grown);
+        let next = frozen
+            .refreeze(&rewrite.instance(&inst_grown).unwrap())
+            .unwrap();
+        let want_grown = evaluate_ucq_naive_set(&u, &inst_grown).unwrap();
+        check("refrozen", &case, next.enumerate().unwrap(), &want_grown);
+        check("frozen, later", &case, frozen.enumerate().unwrap(), &want);
+
+        check_served(&case, frozen, &want);
+        check_served(&case, next, &want_grown);
+    }
+    println!(
+        "{cases} random FD rewrites: {nonempty} with answers, {shared_answers} with an answer \
+         two members share; arms {arms:?}"
+    );
+    assert!(
+        nonempty >= cases as usize / 2,
+        "only {nonempty} had answers"
+    );
+    assert!(
+        shared_answers >= cases as usize / 4,
+        "only {shared_answers} unions share an answer across members"
+    );
 }

@@ -20,7 +20,8 @@
 //!   or as raw bindings ([`CdyCursor::next_binding_into`]);
 //! * [`CdyEngine::contains_ids`] answers membership of a row of interned
 //!   ids in constant time, with no dictionary involved (Algorithm 1's
-//!   probe);
+//!   probe); an engine whose output leaves some of `S` out derives those
+//!   positions first, through its [`LiftStep`]s;
 //! * [`CdyEngine::extend_full_block`] extends a block of bindings to full
 //!   homomorphisms — the "extend once" step in the proof of Lemma 8, a
 //!   block at a time.
@@ -39,7 +40,7 @@ use std::sync::Arc;
 use ucq_hypergraph::{ext_s_connex_tree, ConnexTree, VSet};
 use ucq_query::{Cq, VarId};
 use ucq_storage::sync::{AtomicUsize, OnceLock, Ordering};
-use ucq_storage::{CtxView, HashIndex, IdSet, Instance, Tuple, ValueId};
+use ucq_storage::{CtxView, HashIndex, IdRel, IdSet, Instance, Tuple, ValueId};
 
 /// Evaluation errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -91,10 +92,11 @@ pub struct CdyEngine {
     row_sets: Vec<OnceLock<IdSet>>,
     /// Sets a probe had to build because nobody warmed them (a statistic).
     sets_built_on_demand: AtomicUsize,
-    /// How an output row maps onto the connex nodes; `Some` iff the output
-    /// variables cover the connex target `S` exactly, which is what
-    /// membership needs.
-    membership: Option<MembershipPlan>,
+    /// How a lifted output row maps onto the connex nodes.
+    membership: MembershipPlan,
+    /// The lookups that derive the rest of `S` from an output row, in
+    /// order; empty when the output covers `S`.
+    lift: Vec<Lookup>,
     /// Live row ids of the root (iterated in full).
     root_rows: Vec<u32>,
     /// Output spec: one variable per output position.
@@ -120,21 +122,7 @@ impl CdyEngine {
         instance: &Instance,
         ctx: &CtxView,
     ) -> Result<CdyEngine, EvalError> {
-        CdyEngine::for_member_in(cq, &SharedShapes::default(), instance, ctx)
-    }
-
-    /// As [`CdyEngine::for_query_in`], for a member of a union whose atoms
-    /// share the shapes in `shared`: the join tree is rooted — the root is
-    /// the one node that needs no separator index — where no other atom
-    /// could have reused the index, so that the shapes members do share
-    /// are hashed once for all of them.
-    pub fn for_member_in(
-        cq: &Cq,
-        shared: &SharedShapes,
-        instance: &Instance,
-        ctx: &CtxView,
-    ) -> Result<CdyEngine, EvalError> {
-        CdyEngine::build_rooted(cq, cq.free(), cq.head().to_vec(), shared, instance, ctx)
+        CdyEngine::build_in(cq, cq.free(), cq.head().to_vec(), instance, ctx)
     }
 
     /// Builds the engine enumerating `π_S(Q)` with output columns the sorted
@@ -149,9 +137,10 @@ impl CdyEngine {
     }
 
     /// The general constructor: enumerates bindings of the connex subtree
-    /// covering `s`, outputting the variables in `output` (each must lie in
-    /// `s`). All relation loading goes through `ctx`, so engines built over
-    /// the same instance share interned data and normalizations.
+    /// covering `s`, outputting the variables in `output` (which must cover
+    /// `s` exactly). All relation loading goes through `ctx`, so engines
+    /// built over the same instance share interned data and
+    /// normalizations.
     pub fn build_in(
         cq: &Cq,
         s: VSet,
@@ -159,28 +148,34 @@ impl CdyEngine {
         instance: &Instance,
         ctx: &CtxView,
     ) -> Result<CdyEngine, EvalError> {
-        CdyEngine::build_rooted(cq, s, output, &SharedShapes::default(), instance, ctx)
+        CdyEngine::build_rooted(cq, s, output, &[], &SharedShapes::default(), instance, ctx)
     }
 
-    /// [`CdyEngine::build_in`] for a member of a union (see
-    /// [`CdyEngine::for_member_in`] for what `shared` does): connex target
-    /// `s` and output columns chosen separately, so a member can enumerate
-    /// a prefix of its head while staying connex for all of it.
+    /// [`CdyEngine::build_in`] for a member of a union whose atoms share
+    /// the shapes in `shared`: the join tree is rooted — the root is the
+    /// one node that needs no separator index — where no other atom could
+    /// have reused the index, so that shared shapes are hashed once for all
+    /// members. The output may leave out variables of `s` that `lift`
+    /// derives from it: a member of an FD rewrite enumerates a prefix of
+    /// its head while staying connex for all of it, and its membership test
+    /// lifts a prefix to the whole head. The output and the lift's
+    /// variables must cover `s` exactly.
     pub fn build_rooted(
         cq: &Cq,
         s: VSet,
         output: Vec<VarId>,
+        lift: &[LiftStep],
         shared: &SharedShapes,
         instance: &Instance,
         ctx: &CtxView,
     ) -> Result<CdyEngine, EvalError> {
-        for &v in &output {
-            assert!(
-                s.contains(v),
-                "output variable {} not in the connex target {s}",
-                cq.var_name(v)
-            );
-        }
+        let mut row_vars = output.clone();
+        row_vars.extend(lift.iter().map(|step| step.var));
+        assert_eq!(
+            row_vars.iter().copied().collect::<VSet>(),
+            s,
+            "the output and its lift must cover S exactly"
+        );
         let h = cq.hypergraph();
         let ct = ext_s_connex_tree(&h, s).ok_or_else(|| EvalError::NotSConnex {
             query: cq.name().to_string(),
@@ -304,9 +299,13 @@ impl CdyEngine {
             .map(|(idx, live)| idx.as_ref().map(|idx| idx.retain_rows(live)))
             .collect();
         let row_sets: Vec<OnceLock<IdSet>> = vec![OnceLock::new(); n_nodes];
-        let covered: VSet = output.iter().copied().collect();
-        let membership =
-            (covered == ct.s).then(|| MembershipPlan::new(&output, &order[..n_connex], &rels));
+        let membership = MembershipPlan::new(&row_vars, &order[..n_connex], &rels);
+        let known = |j: usize| &row_vars[..output.len() + j];
+        let lift = lift
+            .iter()
+            .enumerate()
+            .map(|(j, step)| Lookup::resolve(step, known(j), instance, ctx))
+            .collect::<Result<_, _>>()?;
         let root_live = &live[ct.tree.root()];
         let root_rows: Vec<u32> = (0..root_live.len() as u32)
             .filter(|&r| root_live[r as usize])
@@ -322,6 +321,7 @@ impl CdyEngine {
             row_sets,
             sets_built_on_demand: AtomicUsize::new(0),
             membership,
+            lift,
             root_rows,
             output,
             n_vars: cq.n_vars(),
@@ -403,31 +403,36 @@ impl CdyEngine {
     /// Constant-time membership test for an output row of interned ids —
     /// no dictionary involved, so ids from any engine over the same
     /// dictionary lineage (the other members of a union) probe directly.
-    /// Only valid when the output variables cover the connex target `S`
-    /// ([`CdyEngine::has_membership`]; true for [`CdyEngine::for_query_in`]
-    /// and [`CdyEngine::for_projection_in`]). A value tuple is probed by
-    /// looking its values up first ([`CtxView::lookup`]): a value the
-    /// session never interned is in no relation.
+    /// The row is lifted to all of `S` first, one lookup per
+    /// [`LiftStep`]; a lookup that misses proves the row absent. A value
+    /// tuple is probed by looking its values up first
+    /// ([`CtxView::lookup`]): a value the session never interned is in no
+    /// relation.
     pub fn contains_ids(&self, row: &[ValueId], scratch: &mut ContainsScratch) -> bool {
-        self.probe(self.membership_plan(), row, &mut scratch.buf)
-    }
-
-    /// Whether [`CdyEngine::contains_ids`] may be called: the output covers
-    /// the connex target exactly. False only for an engine that outputs a
-    /// strict prefix of its head (an FD rewrite's projected answers).
-    pub fn has_membership(&self) -> bool {
-        self.membership.is_some()
-    }
-
-    fn membership_plan(&self) -> &MembershipPlan {
-        self.membership
-            .as_ref()
-            .expect("membership requires the output to cover S exactly")
-    }
-
-    fn probe(&self, plan: &MembershipPlan, row: &[ValueId], buf: &mut Vec<ValueId>) -> bool {
         assert_eq!(row.len(), self.output.len(), "arity mismatch");
-        if !self.nonempty || plan.repeats.iter().any(|&(a, b)| row[a] != row[b]) {
+        if !self.nonempty {
+            return false;
+        }
+        let ContainsScratch { lifted, buf } = scratch;
+        if self.lift.is_empty() {
+            return self.probe(row, buf);
+        }
+        lifted.clear();
+        lifted.extend_from_slice(row);
+        for step in &self.lift {
+            buf.clear();
+            buf.extend(step.key.iter().map(|&p| lifted[p]));
+            let Some(&r) = step.index.get(buf).first() else {
+                return false;
+            };
+            lifted.push(step.rel.at(r as usize, step.col));
+        }
+        self.probe(lifted, buf)
+    }
+
+    fn probe(&self, row: &[ValueId], buf: &mut Vec<ValueId>) -> bool {
+        let plan = &self.membership;
+        if plan.repeats.iter().any(|&(a, b)| row[a] != row[b]) {
             return false;
         }
         plan.node_cols.iter().all(|(n, cols)| {
@@ -600,21 +605,21 @@ fn root_at_unshared(ct: ConnexTree, cq: &Cq, shared: &SharedShapes) -> ConnexTre
     }
 }
 
-/// Where each connex node's key sits in an output row, fixed at build
-/// time so a probe is gathers and set lookups only.
+/// Where each connex node's key sits in a lifted output row, fixed at
+/// build time so a probe is gathers and set lookups only.
 #[derive(Debug)]
 struct MembershipPlan {
-    /// `(pos, first)`: output position `pos` repeats the variable first
-    /// seen at `first`; a member row holds equal ids at both.
+    /// `(pos, first)`: row position `pos` repeats the variable first seen
+    /// at `first`; a member row holds equal ids at both.
     repeats: Vec<(usize, usize)>,
-    /// Per connex node, the output position of each of its columns.
+    /// Per connex node, the row position of each of its columns.
     node_cols: Vec<(usize, Vec<usize>)>,
 }
 
 impl MembershipPlan {
-    fn new(output: &[VarId], connex: &[usize], rels: &[NodeRel]) -> MembershipPlan {
-        let first_pos = |v: VarId| output.iter().position(|&o| o == v);
-        let repeats = output
+    fn new(row_vars: &[VarId], connex: &[usize], rels: &[NodeRel]) -> MembershipPlan {
+        let first_pos = |v: VarId| row_vars.iter().position(|&o| o == v);
+        let repeats = row_vars
             .iter()
             .enumerate()
             .filter_map(|(pos, &v)| first_pos(v).filter(|&f| f < pos).map(|f| (pos, f)))
@@ -633,7 +638,75 @@ impl MembershipPlan {
 /// Reusable buffers for [`CdyEngine::contains_ids`].
 #[derive(Debug, Default)]
 pub struct ContainsScratch {
+    /// The row being lifted (unused by an engine without a lift).
+    lifted: Vec<ValueId>,
     buf: Vec<ValueId>,
+}
+
+/// One step of a functional lift: variable `var` takes column `col` of the
+/// `rel` row whose columns `cols` hold the values of `key`. It is a
+/// function wherever `rel` satisfies the dependency `cols → col`, which is
+/// what an FD rewrite's head saturation relies on.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LiftStep {
+    /// The relation looked up.
+    pub rel: String,
+    /// Its determinant columns.
+    pub cols: Vec<usize>,
+    /// Its determined column.
+    pub col: usize,
+    /// The variables whose values make the key: output variables or ones
+    /// an earlier step derived.
+    pub key: Vec<VarId>,
+    /// The variable derived.
+    pub var: VarId,
+}
+
+/// A [`LiftStep`] resolved against an instance: the interned relation and
+/// its index on the determinant columns, both from the context's caches.
+#[derive(Debug)]
+struct Lookup {
+    rel: Arc<IdRel>,
+    index: Arc<HashIndex>,
+    /// Row positions of the key's variables.
+    key: Vec<usize>,
+    col: usize,
+}
+
+impl Lookup {
+    /// Resolves `step`, whose key variables must be among `known`: the
+    /// output and what earlier steps derived.
+    fn resolve(
+        step: &LiftStep,
+        known: &[VarId],
+        instance: &Instance,
+        ctx: &CtxView,
+    ) -> Result<Lookup, EvalError> {
+        let width = 1 + step.cols.iter().fold(step.col, |w, &c| w.max(c));
+        let (rel, index) = match instance.get_shared(&step.rel) {
+            Some(stored) if stored.arity() >= width => {
+                let rel = ctx.interned_rel(&stored);
+                (Arc::clone(&rel), ctx.index(&rel, &step.cols))
+            }
+            Some(_) => {
+                let msg = format!("lift over {} reads column {}", step.rel, width - 1);
+                return Err(EvalError::Schema(msg));
+            }
+            // A missing relation is empty: every lookup misses.
+            None => {
+                let rel = Arc::new(IdRel::new(width));
+                let index = Arc::new(HashIndex::build(&rel, &step.cols));
+                (rel, index)
+            }
+        };
+        let position = |v: &VarId| known.iter().position(|o| o == v).expect("key is known");
+        Ok(Lookup {
+            key: step.key.iter().map(position).collect(),
+            col: step.col,
+            rel,
+            index,
+        })
+    }
 }
 
 /// A stable cursor handle into a node's match list: either the whole root
@@ -966,7 +1039,6 @@ mod tests {
             ("S", vec![(2, 3), (2, 4), (6, 8)]),
         ]);
         let eng = CdyEngine::for_query_in(&q, &i, &ctx).unwrap();
-        assert!(eng.has_membership());
         let answers = eng.iter().collect_all();
         assert_eq!(answers.len(), 5);
         for t in &answers {
@@ -997,13 +1069,50 @@ mod tests {
     #[test]
     #[should_panic(expected = "cover S exactly")]
     fn membership_needs_the_output_to_cover_s() {
-        // π_x with S = {x, z}: z is enumerated but not output.
+        // π_x with S = {x, z}: z is enumerated but neither output nor
+        // lifted, so no probe could find its node.
         let q = parse_cq("Q(x, y) <- R(x, z), S(z, y)").unwrap();
         let s: VSet = [0u32, 2].into_iter().collect();
         let i = inst(&[("R", vec![(1, 2)]), ("S", vec![(2, 3)])]);
-        let eng = CdyEngine::build_in(&q, s, vec![0], &i, &CtxView::new()).unwrap();
-        assert!(!eng.has_membership());
-        eng.contains_ids(&[ValueId::BOTTOM], &mut ContainsScratch::default());
+        let _ = CdyEngine::build_in(&q, s, vec![0], &i, &CtxView::new());
+    }
+
+    #[test]
+    fn a_lift_derives_the_positions_the_output_leaves_out() {
+        // Q(x, y, z) <- R(x, z), S(z, y) answered on (x, y): z is R's
+        // determined column, so the engine outputs (x, y) and lifts z
+        // through R on x.
+        let q = parse_cq("Q(x, y, z) <- R(x, z), S(z, y)").unwrap();
+        let var = |n| q.var_id(n).unwrap();
+        let lift = [LiftStep {
+            rel: "R".into(),
+            cols: vec![0],
+            col: 1,
+            key: vec![var("x")],
+            var: var("z"),
+        }];
+        let i = inst(&[
+            ("R", vec![(1, 2), (5, 6), (7, 8)]),
+            ("S", vec![(2, 3), (2, 4), (6, 9)]),
+        ]);
+        let ctx = CtxView::new();
+        let output = vec![var("x"), var("y")];
+        let shared = SharedShapes::default();
+        let eng = CdyEngine::build_rooted(&q, q.free(), output, &lift, &shared, &i, &ctx).unwrap();
+        let mut answers = eng.iter().collect_all();
+        answers.sort();
+        let pairs = |v: &[(i64, i64)]| -> Vec<Tuple> {
+            v.iter().map(|&(a, b)| Tuple::from(&[a, b][..])).collect()
+        };
+        assert_eq!(answers, pairs(&[(1, 3), (1, 4), (5, 9)]));
+        for t in &answers {
+            assert!(contains(&eng, t), "{t:?}");
+        }
+        // A miss on R (7 has no S partner, 3 is no key) and a lift that
+        // lands on the wrong z (R says 1 → 2, S has (6, 9) only).
+        for t in pairs(&[(7, 8), (3, 3), (1, 9)]) {
+            assert!(!contains(&eng, &t), "{t:?}");
+        }
     }
 
     #[test]
@@ -1133,8 +1242,11 @@ mod tests {
         ]);
         let shared = SharedShapes::of([&q1, &q2]);
         let ctx = CtxView::new();
-        let e1 = CdyEngine::for_member_in(&q1, &shared, &i, &ctx).unwrap();
-        let e2 = CdyEngine::for_member_in(&q2, &shared, &i, &ctx).unwrap();
+        let member = |q: &Cq| {
+            let head = q.head().to_vec();
+            CdyEngine::build_rooted(q, q.free(), head, &[], &shared, &i, &ctx).unwrap()
+        };
+        let (e1, e2) = (member(&q1), member(&q2));
         for (eng, q) in [(&e1, &q1), (&e2, &q2)] {
             let root_atom = eng.ct.tree.nodes()[eng.ct.tree.root()].atom.unwrap();
             assert_ne!(q.atoms()[root_atom].rel, "A", "the shared atom is indexed");

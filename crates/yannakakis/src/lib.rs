@@ -14,7 +14,7 @@ pub mod naive;
 pub mod noderel;
 pub mod reducer;
 
-pub use cdy::{CdyCursor, CdyEngine, CdyIter, ContainsScratch, EvalError, OwnedCdyIter};
+pub use cdy::{CdyCursor, CdyEngine, CdyIter, ContainsScratch, EvalError, LiftStep, OwnedCdyIter};
 pub use naive::{evaluate_cq_naive, evaluate_cq_naive_ids_in, IdTable};
 pub use noderel::{atom_signature, NodeRel, SharedShapes};
 pub use reducer::{full_reduce, live_rows};
