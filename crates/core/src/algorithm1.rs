@@ -14,12 +14,13 @@
 //! lines 5 and 7 — duplicate-free without any lookup table, the
 //! `CD∘Lin`-friendly variant the paper's conclusion highlights. Unions of
 //! `n` members nest recursively, treating the tail as one query. Every
-//! tractable request runs it: over the members themselves (Theorem 4), and
-//! over their free-connex extensions once Lemma 8 has materialized the
-//! virtual relations (Theorem 12, [`crate::pipeline`]). The members of an
-//! FD rewrite ([`crate::fd`]) answer on a prefix of their heads; each
-//! probe lifts that prefix to the member's whole head through the FD
-//! lookups that grew it ([`LiftStep`]), so they interleave the same way.
+//! tractable request runs it, over the members' free-connex extensions once
+//! Lemma 8 has materialized the virtual relations ([`crate::pipeline`];
+//! Theorem 12, of which Theorem 4 is the case with nothing to materialize).
+//! The members of an FD rewrite ([`crate::fd`]) answer on a prefix of their
+//! heads; each probe lifts that prefix to the member's whole head through
+//! the FD lookups that grew it ([`ucq_yannakakis::LiftStep`]), so they
+//! interleave the same way.
 //!
 //! The interleave runs on interned ids end to end ([`Algorithm1Ids`], an
 //! [`IdEnumerator`]): a member's cursor yields its answer as an id row,
@@ -31,11 +32,12 @@
 //! decoded. [`Algorithm1`] is the value facade over it — an [`IdDecoder`],
 //! as for the other strategy arms — decoding a block at a time.
 
+use crate::pipeline::UcqPipelinePrep;
 use std::sync::Arc;
 use ucq_enumerate::{Enumerator, IdDecoder, IdEnumerator};
-use ucq_query::{Cq, Ucq};
+use ucq_query::Ucq;
 use ucq_storage::{CtxView, IdBlock, Instance, Tuple, ValueId};
-use ucq_yannakakis::{CdyEngine, ContainsScratch, EvalError, LiftStep, OwnedCdyIter, SharedShapes};
+use ucq_yannakakis::{CdyEngine, ContainsScratch, EvalError, OwnedCdyIter};
 
 /// Recursive union node: a member's cursor, then the rest of the union.
 enum Node {
@@ -153,13 +155,15 @@ pub struct Algorithm1 {
 
 impl Algorithm1 {
     /// Builds the per-member CDY engines (the preprocessing phase), shared
-    /// so sessions can reuse them across repeated enumerations.
+    /// so sessions can reuse them across repeated enumerations: the
+    /// pipeline's members under an empty plan, since a union of
+    /// free-connex members is its own union extension.
     pub fn member_engines(
         ucq: &Ucq,
         instance: &Instance,
         ctx: &CtxView,
     ) -> Result<Vec<Arc<CdyEngine>>, EvalError> {
-        member_engines(ucq.cqs(), &[], instance, ctx)
+        Ok(UcqPipelinePrep::prepare(ucq, Arc::default(), &[], instance, ctx, None)?.engines)
     }
 
     /// Wires preprocessed member engines into the interleaving enumerator,
@@ -184,36 +188,6 @@ impl Algorithm1 {
     pub fn rows_decoded(&self) -> usize {
         self.inner.rows_decoded()
     }
-}
-
-/// The engines of a union's members (`cqs`), rooted off the shapes they
-/// share so that a shared relation is indexed once for all of them.
-/// `lifts[i]` is member `i`'s lift; a union without FDs passes none.
-pub(crate) fn member_engines(
-    cqs: &[Cq],
-    lifts: &[Vec<LiftStep>],
-    instance: &Instance,
-    ctx: &CtxView,
-) -> Result<Vec<Arc<CdyEngine>>, EvalError> {
-    let shared = SharedShapes::of(cqs);
-    let lift = |i: usize| lifts.get(i).map_or(&[][..], Vec::as_slice);
-    let member = |(i, cq)| member_engine(cq, lift(i), &shared, instance, ctx);
-    cqs.iter().enumerate().map(member).collect()
-}
-
-/// One member's engine: connex for its whole head, enumerating the head
-/// positions `lift` does not derive — all of them, except under an FD
-/// rewrite whose heads grew by determined variables
-/// ([`crate::fd::fd_rewrite`]).
-pub(crate) fn member_engine(
-    cq: &Cq,
-    lift: &[LiftStep],
-    shared: &SharedShapes,
-    instance: &Instance,
-    ctx: &CtxView,
-) -> Result<Arc<CdyEngine>, EvalError> {
-    let output = cq.head()[..cq.head().len() - lift.len()].to_vec();
-    CdyEngine::build_rooted(cq, cq.free(), output, lift, shared, instance, ctx).map(Arc::new)
 }
 
 /// Moves member engines onto `view`, a snapshot of the context they were

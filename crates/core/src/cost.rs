@@ -440,7 +440,15 @@ mod tests {
         let want = evaluate_ucq_naive_set(&u, &inst).unwrap();
         assert!(!want.is_empty());
         for plan in [&first, &costed.plan] {
-            let prep = UcqPipelinePrep::prepare(&u, plan, &inst, &CtxView::new()).unwrap();
+            let prep = UcqPipelinePrep::prepare(
+                &u,
+                Arc::new(plan.clone()),
+                &[],
+                &inst,
+                &CtxView::new(),
+                None,
+            )
+            .unwrap();
             let got = Algorithm1::from_engines(prep.engines().to_vec()).collect_all();
             assert_eq!(got.len(), want.len(), "no repeats");
             assert_eq!(got.into_iter().collect::<HashSet<Tuple>>(), want);

@@ -2,9 +2,11 @@
 //! best applicable strategy.
 //!
 //! Whatever the strategy, the linear phase ends in one value — a
-//! `Prepared`: Algorithm 1's per-member CDY engines, the Theorem 12
-//! pipeline's prep, or the naive fallback's answer table — and every way of
-//! asking is that value plus what its rung of the ladder adds:
+//! `Prepared`: for a tractable union the one pipeline prep
+//! ([`UcqPipelinePrep`]: the plan, Lemma 8's virtual relations and the
+//! extended members' CDY engines, where a Theorem 4 union's plan is empty),
+//! otherwise the naive fallback's answer table — and every way of asking
+//! is that value plus what its rung of the ladder adds:
 //!
 //! * **One-shot** — [`UcqEngine::enumerate`] builds a `Prepared` in a
 //!   private context, starts one stream off it and drops it.
@@ -21,26 +23,26 @@
 //!   [`ucq_storage::FrozenContext`]). Each [`FrozenSession::enumerate`]
 //!   hands the calling thread its own cursors and scratch.
 //! * **Next epoch** — [`FrozenSession::refreeze`] rebuilds the parts of the
-//!   `Prepared` downstream of a touched relation, shares the rest, and
-//!   freezes again.
+//!   `Prepared` downstream of a touched relation — virtual relations and
+//!   members alike, by one rule — shares the rest, and freezes again.
 //!
 //! A union under functional dependencies climbs the same ladder: its
 //! rewrite ([`crate::fd::fd_rewrite`]) is an ordinary union whose answers
 //! are a prefix of its head, and whose members lift that prefix to the
 //! whole head to be probed ([`crate::fd::FdRewrite::engine`]).
 
-use crate::algorithm1::{member_engine, member_engines, retarget_members, Algorithm1Ids};
-use crate::classify::{classify_searched, Classification, CqStatus, Verdict};
+use crate::algorithm1::{retarget_members, Algorithm1Ids};
+use crate::classify::{classify_searched, Classification, Verdict};
 use crate::cost::CostedSearch;
 use crate::naive_ucq::evaluate_ucq_naive_ids_in;
-use crate::pipeline::UcqPipelinePrep;
+use crate::pipeline::{Previous, UcqPipelinePrep};
 use crate::plan::ExtensionPlan;
 use std::sync::Arc;
 use ucq_enumerate::{Enumerator, IdDecoder, IdEnumerator, IdVecEnumerator};
 use ucq_query::Ucq;
 use ucq_storage::sync::{AtomicUsize, OnceLock, Ordering::Relaxed};
 use ucq_storage::{CtxView, Instance, Tuple, ValueId};
-use ucq_yannakakis::{CdyEngine, EvalError, LiftStep, SharedShapes};
+use ucq_yannakakis::{EvalError, LiftStep};
 
 /// Which evaluation strategy a run used.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,6 +105,11 @@ pub struct UcqEngine {
     /// `FreeConnex` verdict. Every plan-cache miss re-*prices* it; nothing
     /// re-*searches*.
     search: Option<CostedSearch>,
+    /// The classifier's certificate, shared, `Some` exactly for a
+    /// `FreeConnex` verdict. An empty one is the plan every build of a
+    /// Theorem 4 union runs: there is nothing to price, and every epoch
+    /// sees the same `Arc`.
+    certificate: Option<Arc<ExtensionPlan>>,
 }
 
 impl UcqEngine {
@@ -127,12 +134,17 @@ impl UcqEngine {
         let kept_lifts: Vec<Vec<LiftStep>> = kept
             .map(|&i| lifts.get(i).cloned().unwrap_or_default())
             .collect();
+        let certificate = match &classification.verdict {
+            Verdict::FreeConnex { plan } => Some(Arc::new(plan.clone())),
+            _ => None,
+        };
         UcqEngine {
             answer_arity: ucq.head_arity() - kept_lifts[0].len(),
             ucq,
             classification,
             lifts: kept_lifts,
             search,
+            certificate,
         }
     }
 
@@ -152,36 +164,24 @@ impl UcqEngine {
         self.search.as_ref()
     }
 
-    /// The relations minimized member `m` reads: its atoms' and its lift's.
-    fn member_reads(&self, m: usize) -> Vec<&str> {
-        let mut names = self.classification.minimized.cqs()[m].relation_names();
-        names.extend(self.lifts[m].iter().map(|step| step.rel.as_str()));
-        names
-    }
-
     /// The relations the minimized union reads, lifts included.
-    fn reads(&self) -> Vec<&str> {
-        let members = 0..self.classification.minimized.len();
-        members.flat_map(|m| self.member_reads(m)).collect()
+    fn reads(&self) -> impl Iterator<Item = &str> {
+        let lifts = self.lifts.iter().flatten().map(|step| step.rel.as_str());
+        let minimized = &self.classification.minimized;
+        minimized.relation_names().into_iter().chain(lifts)
     }
 
-    /// The strategy [`UcqEngine::enumerate`] will pick: Algorithm 1 over
-    /// the members when each is free-connex, the Theorem 12 pipeline when
-    /// some need Lemma 8's virtual relations, and the naive fallback
-    /// otherwise. A projecting union (an FD rewrite) picks the same way.
+    /// The strategy [`UcqEngine::enumerate`] runs, read off the verdict:
+    /// the naive fallback unless the union is free-connex, otherwise the
+    /// one tractable pipeline, reported as Algorithm 1 when its plan is
+    /// empty (every member free-connex, Theorem 4) and as the Theorem 12
+    /// union extension when Lemma 8 has virtual relations to materialize.
+    /// A projecting union (an FD rewrite) reports the same way.
     pub fn strategy(&self) -> Strategy {
-        let Verdict::FreeConnex { plan } = &self.classification.verdict else {
-            return Strategy::Naive;
-        };
-        let all_fc = self
-            .classification
-            .statuses
-            .iter()
-            .all(|s| *s == CqStatus::FreeConnex);
-        if all_fc && !plan.needs_extension() {
-            Strategy::Algorithm1
-        } else {
-            Strategy::UnionExtension
+        match &self.classification.verdict {
+            Verdict::FreeConnex { plan } if plan.needs_extension() => Strategy::UnionExtension,
+            Verdict::FreeConnex { .. } => Strategy::Algorithm1,
+            _ => Strategy::Naive,
         }
     }
 
@@ -208,20 +208,25 @@ impl UcqEngine {
         ctx: &CtxView,
         instance: &Instance,
     ) -> Result<UcqAnswers, EvalError> {
-        Ok(Prepared::build(self, ctx, instance, None)?.start(ctx))
+        Ok(Prepared::build(self, ctx, instance, None, None)?.start(self.strategy(), ctx))
     }
 
-    /// The plan the union-extension strategy should execute over
-    /// `instance`: the cached plan when `(query fingerprint, stats epoch)`
-    /// matches, otherwise a fresh costing pass over the search
-    /// classification ran, stored so the next session over this context
-    /// skips the pricing too.
-    fn executable_plan(
+    /// The plan a build over `instance` executes, `None` for the naive
+    /// fallback. An empty certificate is executed as it is (Theorem 4:
+    /// nothing to price); otherwise the cached plan when `(query
+    /// fingerprint, stats epoch)` matches, or else a fresh costing pass
+    /// over the search classification ran, stored so the next session over
+    /// this context skips the pricing too.
+    fn plan(
         &self,
         ctx: &CtxView,
         instance: &Instance,
         counters: Option<&PlannerCounters>,
-    ) -> Arc<ExtensionPlan> {
+    ) -> Option<Arc<ExtensionPlan>> {
+        let certificate = self.certificate.as_ref()?;
+        if !certificate.needs_extension() {
+            return Some(Arc::clone(certificate));
+        }
         let minimized = &self.classification.minimized;
         // Intern every base relation up front: the epoch read below is then
         // stable across the search (stats collection only hits caches), and
@@ -238,7 +243,7 @@ impl UcqEngine {
                 if let Some(c) = counters {
                     c.plan_cache_hits.fetch_add(1, Relaxed);
                 }
-                return plan;
+                return Some(plan);
             }
         }
         if let Some(c) = counters {
@@ -254,7 +259,7 @@ impl UcqEngine {
         }
         let plan = Arc::new(costed.plan);
         ctx.store_plan(fingerprint, epoch, plan.clone());
-        plan
+        Some(plan)
     }
 
     /// Opens an evaluation session over `instance`: preprocessing (value
@@ -294,20 +299,19 @@ impl UcqEngine {
     /// still linear, and one construction path instead of two.
     pub fn decide(&self, instance: &Instance) -> Result<bool, EvalError> {
         let ctx = CtxView::new();
-        Ok(Prepared::build(self, &ctx, instance, None)?.decide(&ctx))
+        Ok(Prepared::build(self, &ctx, instance, None, None)?.decide(&ctx))
     }
 }
 
-/// The preprocessed state of one `(engine, instance)` pair, per strategy:
-/// what the linear phase leaves behind and every enumeration starts from.
-/// Cloning shares everything (engines and the naive table are `Arc`s).
+/// The preprocessed state of one `(engine, instance)` pair: what the linear
+/// phase leaves behind and every enumeration starts from. Cloning shares
+/// everything (plans, relations, engines and the naive table are `Arc`s).
 #[derive(Clone)]
 enum Prepared {
-    /// Per-member CDY engines (Algorithm 1 restarts cursors off them).
-    Algorithm1(Vec<Arc<CdyEngine>>),
-    /// The Theorem 12 prep: materializations folded into member engines,
-    /// which Algorithm 1 restarts cursors off just the same.
-    Union(UcqPipelinePrep),
+    /// A tractable union's prep: the plan, its virtual relations and the
+    /// extended members' CDY engines, which Algorithm 1 restarts cursors
+    /// off (a Theorem 4 union's plan is empty, its members its own).
+    Members(UcqPipelinePrep),
     /// The naive fallback's materialized answers, replayed from one shared
     /// buffer by every enumeration (this value is the rewound prototype).
     Naive(IdVecEnumerator<Arc<[ValueId]>>),
@@ -318,48 +322,42 @@ impl Prepared {
     /// `ctx`. Lazy where a one-shot caller may never look: Algorithm 1's
     /// membership sets are left to the first probe (or to
     /// [`Prepared::retarget`], for sessions that will be served).
+    ///
+    /// Given a `previous` epoch's prep (built through the same build
+    /// context) and the base relations a delta replaced since, a tractable
+    /// union keeps what the delta did not reach ([`UcqPipelinePrep::prepare`]).
     fn build(
         engine: &UcqEngine,
         ctx: &CtxView,
         instance: &Instance,
         counters: Option<&PlannerCounters>,
+        previous: Option<Previous<'_>>,
     ) -> Result<Prepared, EvalError> {
         let minimized = &engine.classification.minimized;
+        let Some(plan) = engine.plan(ctx, instance, counters) else {
+            let arity = engine.answer_arity;
+            let table = evaluate_ucq_naive_ids_in(minimized, arity, instance, ctx)?;
+            return Ok(Prepared::Naive(IdVecEnumerator::new(
+                table.width,
+                table.data.into(),
+                table.n_rows,
+            )));
+        };
         let lifts = &engine.lifts;
-        Ok(match engine.strategy() {
-            Strategy::Algorithm1 => {
-                Prepared::Algorithm1(member_engines(minimized.cqs(), lifts, instance, ctx)?)
-            }
-            Strategy::UnionExtension => {
-                let plan = engine.executable_plan(ctx, instance, counters);
-                let prep = UcqPipelinePrep::prepare_lifted(minimized, &plan, lifts, instance, ctx);
-                Prepared::Union(prep?)
-            }
-            Strategy::Naive => {
-                let arity = engine.answer_arity;
-                let table = evaluate_ucq_naive_ids_in(minimized, arity, instance, ctx)?;
-                Prepared::Naive(IdVecEnumerator::new(
-                    table.width,
-                    table.data.into(),
-                    table.n_rows,
-                ))
-            }
-        })
+        let prep = UcqPipelinePrep::prepare(minimized, plan, lifts, instance, ctx, previous);
+        Ok(Prepared::Members(prep?))
     }
 
-    /// Starts one enumeration: O(1) in the data on every arm — fresh
-    /// cursors over shared engines and buffers — and the same block decoder
-    /// above each of them. It decodes through `ctx`, the caller's view, not
-    /// one of the engines': after a refreeze the members hold views of
-    /// different epochs, and only the newest decodes every member's ids.
-    fn start(&self, ctx: &CtxView) -> UcqAnswers {
-        let (strategy, ids): (Strategy, Box<dyn IdEnumerator + Send>) = match self {
-            Prepared::Algorithm1(engines) => (
-                Strategy::Algorithm1,
-                Box::new(Algorithm1Ids::new(engines.clone())),
-            ),
-            Prepared::Union(prep) => (Strategy::UnionExtension, Box::new(prep.start_ids())),
-            Prepared::Naive(table) => (Strategy::Naive, Box::new(table.clone())),
+    /// Starts one enumeration, tagged with the `strategy` that prepared
+    /// it: O(1) in the data on both arms — fresh cursors over shared
+    /// engines and buffers — and the same block decoder above each of
+    /// them. It decodes through `ctx`, the caller's view, not one of the
+    /// engines': after a refreeze the members hold views of different
+    /// epochs, and only the newest decodes every member's ids.
+    fn start(&self, strategy: Strategy, ctx: &CtxView) -> UcqAnswers {
+        let ids: Box<dyn IdEnumerator + Send> = match self {
+            Prepared::Members(prep) => Box::new(Algorithm1Ids::new(prep.engines.clone())),
+            Prepared::Naive(table) => Box::new(table.clone()),
         };
         UcqAnswers {
             strategy,
@@ -367,24 +365,22 @@ impl Prepared {
         }
     }
 
-    /// The member engines of a tractable arm (the extended members, on
-    /// the Theorem 12 one).
-    fn engines(&self) -> Option<&[Arc<CdyEngine>]> {
+    /// A tractable union's prep.
+    fn members(&self) -> Option<&UcqPipelinePrep> {
         match self {
-            Prepared::Algorithm1(engines) => Some(engines),
-            Prepared::Union(prep) => Some(prep.engines()),
+            Prepared::Members(prep) => Some(prep),
             Prepared::Naive(_) => None,
         }
     }
 
-    /// `Decide⟨Q⟩` from the preprocessed state: on a tractable arm a pure
-    /// preprocessing answer (each member's CDY `decide()`; the extended
-    /// members' answers together are the union's), otherwise a request for
+    /// `Decide⟨Q⟩` from the preprocessed state: for a tractable union a
+    /// pure preprocessing answer (each extended member's CDY `decide()`;
+    /// their answers together are the union's), otherwise a request for
     /// one answer.
     fn decide(&self, ctx: &CtxView) -> bool {
-        match self.engines() {
-            Some(engines) => engines.iter().any(|e| e.decide()),
-            None => self.start(ctx).has_answer(),
+        match self.members() {
+            Some(prep) => prep.engines.iter().any(|e| e.decide()),
+            None => self.start(Strategy::Naive, ctx).has_answer(),
         }
     }
 
@@ -392,42 +388,9 @@ impl Prepared {
     /// through, warming the membership sets Algorithm 1 will probe (see
     /// [`retarget_members`]).
     fn retarget(&mut self, view: &CtxView) {
-        match self {
-            Prepared::Algorithm1(engines) => retarget_members(engines, view),
-            Prepared::Union(prep) => prep.retarget(view),
-            Prepared::Naive(_) => {}
+        if let Prepared::Members(prep) = self {
+            retarget_members(&mut prep.engines, view);
         }
-    }
-
-    /// The state of the next epoch over `instance`, built through `ctx`
-    /// (the build context both epochs share): Algorithm 1 rebuilds the
-    /// members that read a `touched` relation and shares the others; the
-    /// other arms have no per-member seam and run their linear phase again
-    /// (the pipeline re-costs its plan on the way).
-    fn rebuild_touched(
-        &self,
-        engine: &UcqEngine,
-        ctx: &CtxView,
-        instance: &Instance,
-        touched: impl Fn(&[&str]) -> bool,
-    ) -> Result<Prepared, EvalError> {
-        let Prepared::Algorithm1(engines) = self else {
-            return Prepared::build(engine, ctx, instance, None);
-        };
-        let minimized = &engine.classification.minimized;
-        // The whole union's shapes, not the touched members': the rebuilt
-        // engines must root where the first build did, or they would ask
-        // for indexes nobody cached.
-        let shared = SharedShapes::of(minimized.cqs());
-        let next = engines.iter().enumerate().map(|(m, old)| {
-            let cq = &minimized.cqs()[m];
-            if touched(&engine.member_reads(m)) {
-                member_engine(cq, &engine.lifts[m], &shared, instance, ctx)
-            } else {
-                Ok(Arc::clone(old))
-            }
-        });
-        Ok(Prepared::Algorithm1(next.collect::<Result<_, _>>()?))
     }
 }
 
@@ -486,14 +449,14 @@ impl<'e> EvalSession<'e> {
             return Ok(prepared);
         }
         let counters = Some(&self.planner);
-        let built = Prepared::build(self.engine, &self.ctx, &self.instance, counters)?;
+        let built = Prepared::build(self.engine, &self.ctx, &self.instance, counters, None)?;
         Ok(self.prepared.get_or_init(|| built))
     }
 
     /// Starts an enumeration. The first call performs the linear
     /// preprocessing; subsequent calls only restart enumeration cursors.
     pub fn enumerate(&self) -> Result<UcqAnswers, EvalError> {
-        Ok(self.prepared()?.start(&self.ctx))
+        Ok(self.prepared()?.start(self.strategy(), &self.ctx))
     }
 
     /// `Decide⟨Q⟩` against the pinned instance, from the session's
@@ -596,7 +559,7 @@ impl<'e> FrozenSession<'e> {
     /// owning its cursors and scratch, while all streams read
     /// the same frozen dictionary, relations and indexes lock-free.
     pub fn enumerate(&self) -> Result<UcqAnswers, EvalError> {
-        Ok(self.prepared.start(&self.ctx))
+        Ok(self.prepared.start(self.strategy(), &self.ctx))
     }
 
     /// `Decide⟨Q⟩` against the frozen state (no preprocessing, no joins).
@@ -631,36 +594,36 @@ impl<'e> FrozenSession<'e> {
     /// time), and every untouched relation, index, derived normalization
     /// and cached plan is *shared* with the previous epoch:
     ///
-    /// * **Algorithm 1** — members whose relations are all untouched keep
-    ///   their prepared engine (pinned to the previous epoch's view, which
-    ///   stays valid: both epochs share one dictionary lineage); touched
-    ///   members rebuild against the caches `insert_rows` carried over —
-    ///   the mirror, the normalizations and the separator indexes cached
-    ///   on them — so an insert costs the member a re-probe of its parent
-    ///   rows and an arena scan, not a re-hash. (A delete drops the
-    ///   touched relation's normalizations; those, and their indexes, are
-    ///   rebuilt once for all members.)
-    /// * **Union extension** — the plan is re-costed (the churn ledger
-    ///   bumps the stats epoch past the replan threshold, so skew flips
-    ///   surface here) and the pipeline re-prepares.
+    /// * **A tractable union** re-resolves its plan: a Theorem 4 union's
+    ///   empty certificate is the same `Arc` every time, a union
+    ///   extension's comes from the plan cache unless churn bumped the
+    ///   stats epoch past the replan threshold (so skew flips surface
+    ///   here). A new plan rebuilds every virtual relation and member.
+    ///   Under the same plan one rule walks the plan's atoms in schedule
+    ///   order: it keeps each virtual relation whose provider reads (its
+    ///   atoms and the virtual relations it uses) the same `Arc`s as
+    ///   before, then each member whose extension and lift read only such
+    ///   relations. A kept engine stays pinned to the previous epoch's view
+    ///   (valid: one dictionary lineage). A rebuilt one runs against the
+    ///   caches `insert_rows` carried over — the mirror, the normalizations
+    ///   and the separator indexes on them — so an insert costs it a
+    ///   re-probe of its parent rows and an arena scan, not a re-hash. (A
+    ///   delete drops the touched relation's normalizations; those and
+    ///   their indexes are rebuilt once for all members.)
     /// * **Naive** — the answer table is materialized again.
     ///
     /// The old session keeps serving its own epoch untouched throughout —
     /// pair with [`ucq_storage::EpochCell`] to rotate live traffic.
     pub fn refreeze(&self, instance: &Instance) -> Result<FrozenSession<'e>, EvalError> {
-        let touched = |names: &[&str]| {
-            names.iter().any(
-                |n| match (self.instance.get_shared(n), instance.get_shared(n)) {
-                    (Some(a), Some(b)) => !Arc::ptr_eq(&a, &b),
-                    (None, None) => false,
-                    _ => true,
-                },
-            )
+        let touched = |n: &str| match (self.instance.get_shared(n), instance.get_shared(n)) {
+            (Some(a), Some(b)) => !Arc::ptr_eq(&a, &b),
+            (None, None) => false,
+            _ => true,
         };
-        let (prepared, ctx) = if touched(&self.engine.reads()) {
-            let mut next =
-                self.prepared
-                    .rebuild_touched(self.engine, &self.build_ctx, instance, touched)?;
+        let (prepared, ctx) = if self.engine.reads().any(touched) {
+            let touched: &dyn Fn(&str) -> bool = &touched;
+            let previous = self.prepared.members().map(|prep| (prep, touched));
+            let mut next = Prepared::build(self.engine, &self.build_ctx, instance, None, previous)?;
             let view = self.build_ctx.freeze();
             next.retarget(&view);
             (next, view)
@@ -678,8 +641,8 @@ impl<'e> FrozenSession<'e> {
     }
 
     #[cfg(test)]
-    fn engines(&self) -> Option<&[Arc<CdyEngine>]> {
-        self.prepared.engines()
+    fn engines(&self) -> Option<&[Arc<ucq_yannakakis::CdyEngine>]> {
+        self.prepared.members().map(UcqPipelinePrep::engines)
     }
 }
 
@@ -1160,6 +1123,79 @@ mod tests {
             _ => panic!("frozen sessions hold frozen views"),
         }
         assert_eq!(collect(&next), collect(&frozen));
+    }
+
+    #[test]
+    fn refreeze_keeps_the_virtual_relations_and_members_a_delta_did_not_reach() {
+        // Example 2: Q2 (R1, R2) provides Q1's virtual relation; only Q1
+        // reads R3.
+        let text = "Q1(x, y, w) <- R1(x, z), R2(z, y), R3(y, w)\n\
+                    Q2(x, y, w) <- R1(x, y), R2(y, w)";
+        let eng = UcqEngine::new(parse_ucq(text).unwrap());
+        assert_eq!(eng.strategy(), Strategy::UnionExtension);
+        let chain = |from: i64| (0..20).map(|k| (k + from, k + from + 1)).collect();
+        let i = inst(&[("R1", chain(0)), ("R2", chain(1)), ("R3", chain(2))]);
+        let prep = |f: &FrozenSession<'_>| f.prepared.members().unwrap().clone();
+        let frozen = eng.session(&i).freeze().unwrap();
+        assert_eq!(collect(&frozen), naive_set(text, &i));
+        let ctx = frozen.build_context();
+        let e0 = ctx.stats_epoch();
+
+        // A delta to R3 reaches Q1 only: Q2's engine and the virtual
+        // relation Q2 provides are shared with the previous epoch.
+        let grow = |i: &Instance, rel: &str, rows: Relation| {
+            i.with_relation_shared(rel, ctx.insert_rows(&i.get_shared(rel).unwrap(), &rows))
+        };
+        let i2 = grow(&i, "R3", Relation::from_pairs([(4, 40)]));
+        let next = frozen.refreeze(&i2).unwrap();
+        assert_eq!(ctx.stats_epoch(), e0, "a small delta keeps the plan");
+        assert_eq!(collect(&next), naive_set(text, &i2));
+        let (old, new) = (prep(&frozen), prep(&next));
+        assert!(Arc::ptr_eq(&old.plan, &new.plan), "the cached plan");
+        let (was, is) = (&old.virtuals, &new.virtuals);
+        assert_eq!(is.len(), 1);
+        assert!(Arc::ptr_eq(&was[0], &is[0]), "the virtual relation is kept");
+        assert!(
+            !Arc::ptr_eq(&old.engines()[0], &new.engines()[0]),
+            "Q1 rebuilt"
+        );
+        assert!(Arc::ptr_eq(&old.engines()[1], &new.engines()[1]), "Q2 kept");
+
+        // A delta to R1 reaches the provider, hence the virtual relation,
+        // and every member.
+        let i3 = grow(&i2, "R1", Relation::from_pairs([(30, 5)]));
+        let last = next.refreeze(&i3).unwrap();
+        assert_eq!(ctx.stats_epoch(), e0);
+        assert_eq!(collect(&last), naive_set(text, &i3));
+        let (old, new) = (new, prep(&last));
+        assert!(Arc::ptr_eq(&old.plan, &new.plan));
+        let (was, is) = (&old.virtuals, &new.virtuals);
+        assert!(!Arc::ptr_eq(&was[0], &is[0]), "the provider read R1");
+        for (a, b) in old.engines().iter().zip(new.engines()) {
+            assert!(!Arc::ptr_eq(a, b), "every member reads R1");
+        }
+
+        // Skew R3 past the churn threshold: the plan is priced again, and a
+        // new plan keeps nothing, though R1 and R2 are untouched.
+        let skew = Relation::from_pairs((0..400i64).map(|k| (k % 5, k + 100)));
+        let i4 = grow(&i3, "R3", skew);
+        assert!(ctx.stats_epoch() > e0, "heavy churn bumps the stats epoch");
+        let repriced = last.refreeze(&i4).unwrap();
+        assert_eq!(collect(&repriced), naive_set(text, &i4));
+        let (old, new) = (new, prep(&repriced));
+        assert!(!Arc::ptr_eq(&old.plan, &new.plan), "a new plan");
+        let (was, is) = (&old.virtuals, &new.virtuals);
+        assert!(
+            !Arc::ptr_eq(&was[0], &is[0]),
+            "a new plan materializes again"
+        );
+        for (a, b) in old.engines().iter().zip(new.engines()) {
+            assert!(!Arc::ptr_eq(a, b), "a new plan rebuilds every member");
+        }
+        // Every earlier epoch still serves its own instance.
+        assert_eq!(collect(&frozen), naive_set(text, &i));
+        assert_eq!(collect(&next), naive_set(text, &i2));
+        assert_eq!(collect(&last), naive_set(text, &i3));
     }
 
     #[test]

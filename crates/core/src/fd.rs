@@ -96,13 +96,28 @@ impl Fd {
         }
     }
 
-    /// Whether a relation satisfies this FD.
+    /// Fails, saying why, when `rel` has `arity` columns and this FD names
+    /// one past them; `whose` says where `rel` is.
+    fn fits(&self, arity: usize, whose: &str) -> Result<(), String> {
+        let (rel, lhs, rhs) = (&self.rel, &self.lhs, self.rhs);
+        let widest = lhs.iter().fold(rhs, |w, &c| w.max(c));
+        if widest < arity {
+            return Ok(());
+        }
+        Err(format!(
+            "functional dependency {rel}: {lhs:?} -> {rhs} names column {widest}, but {rel} \
+             has arity {arity} {whose}"
+        ))
+    }
+
+    /// Whether a relation satisfies this FD. A relation too narrow for the
+    /// FD's columns satisfies it nowhere, with rows or without.
     pub fn holds_on(&self, rel: &Relation) -> bool {
+        if self.fits(rel.arity(), "").is_err() {
+            return false;
+        }
         let mut seen: HashMap<Vec<Value>, Value> = HashMap::with_capacity(rel.len());
         for row in rel.iter_rows() {
-            if self.lhs.iter().any(|&c| c >= rel.arity()) || self.rhs >= rel.arity() {
-                return false;
-            }
             let key: Vec<Value> = self.lhs.iter().map(|&c| row[c]).collect();
             match seen.insert(key, row[self.rhs]) {
                 Some(prev) if prev != row[self.rhs] => return false,
@@ -185,15 +200,10 @@ pub struct FdExtension {
 /// used here as the Remark 2 preprocessing step). Fails when an FD names a
 /// column past the arity its relation has in `cq`.
 pub fn fd_extend_cq(cq: &Cq, fds: &FdSet) -> Result<FdExtension, QueryError> {
+    let whose = format!("in query {}", cq.name());
     for fd in fds.fds() {
-        let widest = fd.lhs.iter().fold(fd.rhs, |w, &c| w.max(c));
-        let arities = cq.atoms().iter().filter(|a| a.rel == fd.rel);
-        if let Some(arity) = arities.map(|a| a.args.len()).find(|&n| widest >= n) {
-            let (rel, lhs, rhs, name) = (&fd.rel, &fd.lhs, fd.rhs, cq.name());
-            return Err(QueryError::new(format!(
-                "functional dependency {rel}: {lhs:?} -> {rhs} names column {widest}, but \
-                 {rel} has arity {arity} in query {name}"
-            )));
+        for atom in cq.atoms().iter().filter(|a| a.rel == fd.rel) {
+            fd.fits(atom.args.len(), &whose).map_err(QueryError::new)?;
         }
     }
     // Working state: atom variable lists + head, all over cq's namespace.
@@ -324,13 +334,26 @@ impl FdRewrite {
         &self.lifts[m]
     }
 
-    /// The instance translation `I ↦ I⁺`: checks the FDs (a violation is
-    /// [`EvalError::Schema`]) and adds every member's widened relations.
+    /// The instance translation `I ↦ I⁺`: checks that every relation an FD
+    /// names is wide enough for it and that the FDs hold (either failure
+    /// is an [`EvalError::Schema`], each with its own message), and adds
+    /// every member's widened relations.
     /// Relations no member widens keep their `Arc` identity, so a
     /// [`FrozenSession::refreeze`](crate::FrozenSession::refreeze) over the
     /// translation of a churned instance rebuilds only what reads a widened
     /// or churned relation.
     pub fn instance(&self, inst: &Instance) -> Result<Instance, EvalError> {
+        // A relation too narrow for an FD is a schema error of its own,
+        // whatever its rows, before the FDs are checked.
+        for (fd, rel) in self
+            .fds
+            .fds()
+            .iter()
+            .filter_map(|fd| Some((fd, inst.get(&fd.rel)?)))
+        {
+            fd.fits(rel.arity(), "in the instance")
+                .map_err(EvalError::Schema)?;
+        }
         if !self.fds.holds_on(inst) {
             return Err(EvalError::Schema(
                 "instance violates the declared functional dependencies".into(),
@@ -470,6 +493,27 @@ mod tests {
         let bad = Relation::from_pairs([(1, 10), (1, 11)]);
         assert!(fd.holds_on(&good));
         assert!(!fd.holds_on(&bad));
+    }
+
+    #[test]
+    fn a_relation_too_narrow_for_an_fd_is_a_schema_error_with_rows_or_without() {
+        let u = parse_ucq("Q(x, y) <- A(x, z), B(z, y)").unwrap();
+        let rewrite = fd_rewrite(&u, &FdSet::new(vec![Fd::new("A", vec![0], 1)])).unwrap();
+        let b = Relation::from_pairs([(2, 3)]);
+        let mut one_row = Relation::new(1);
+        one_row.push_row(&[Value::Int(1)]);
+        for a in [one_row, Relation::new(1)] {
+            let rows = a.len();
+            let inst: Instance = [("A", a), ("B", b.clone())].into_iter().collect();
+            let Err(EvalError::Schema(msg)) = rewrite.instance(&inst) else {
+                panic!("a one-column A with {rows} rows must be a schema error");
+            };
+            assert!(
+                msg.contains("A has arity 1 in the instance"),
+                "{rows} rows: {msg}"
+            );
+            assert!(!msg.contains("violates"), "{rows} rows: {msg}");
+        }
     }
 
     #[test]

@@ -1,118 +1,149 @@
-//! The Theorem 12 pipeline: enumerating a free-connex UCQ in `DelayClin`.
+//! The one tractable pipeline: Theorem 12, of which Theorem 4 is the case
+//! with an empty plan.
 //!
 //! Preprocessing follows the paper's proof: materialize every virtual
 //! relation in provenance order (Lemma 8), then build each member's
 //! free-connex extension over the enlarged instance. Every extended member
 //! is free-connex there, and their answers together are exactly `Q(I)`
-//! (see [`crate::lemma8`]): the provider answers Lemma 8 emits along the
-//! way are among them, so nothing is replayed. Enumeration is therefore
-//! Algorithm 1 ([`Algorithm1Ids`]) over the extended members: constant
-//! delay with membership probes, and no lookup table that grows with the
-//! output. An FD rewrite answered on a projected head is no exception: its
-//! extended members probe through their lifts (see
+//! (see [`crate::lemma8`]), so enumeration is Algorithm 1
+//! ([`crate::Algorithm1Ids`]) over the extended members. A union of
+//! free-connex members is its own free-connex union extension (Definitions
+//! 10 and 11): its plan is empty, and Algorithm 1 runs over the members
+//! themselves. The members of an FD rewrite probe through their lifts (see
 //! [`crate::algorithm1`]).
 //!
-//! The spine is id-level and block-at-a-time; the request path
-//! ([`UcqEngine`](crate::UcqEngine)) decodes each answer exactly once, a
-//! block at a time, in the one [`IdDecoder`](ucq_enumerate::IdDecoder)
-//! every strategy arm ends in.
-//!
-//! The preprocessing phase is reified as [`UcqPipelinePrep`]: all member
-//! engines share one context view (so the base relations are interned
-//! and normalized once for the whole union), and a prep starts any number
-//! of enumerations off them — this is what
-//! [`EvalSession`](crate::engine::EvalSession) caches to serve repeated
-//! queries without redoing linear preprocessing.
+//! [`UcqPipelinePrep`] is the preprocessing phase, built through one context
+//! view (so the base relations are interned and normalized once for the
+//! whole union). Algorithm 1 restarts off its engines any number of times —
+//! this is what [`EvalSession`](crate::engine::EvalSession) caches — and
+//! the next epoch's prep keeps whatever of it a delta did not reach.
 
-use crate::algorithm1::{member_engines, retarget_members, Algorithm1Ids};
 use crate::lemma8::materialize_atom_in;
 use crate::plan::ExtensionPlan;
+use std::borrow::Cow;
 use std::sync::Arc;
 use ucq_query::{Cq, Ucq};
-use ucq_storage::{CtxView, Instance};
-use ucq_yannakakis::{CdyEngine, EvalError, LiftStep};
+use ucq_storage::{CtxView, Instance, Relation};
+use ucq_yannakakis::{CdyEngine, EvalError, LiftStep, SharedShapes};
 
-/// The preprocessed (linear-phase) state of the Theorem 12 pipeline:
-/// materialized virtual relations folded into per-member CDY engines, ready
-/// to start enumerations.
-///
-/// Cloning is cheap (the member engines are shared `Arc`s) —
-/// `FrozenSession::refreeze` clones the prep wholesale when no relation it
-/// reads was touched by a delta.
+/// The preprocessed (linear-phase) state of a tractable union, ready to
+/// start enumerations. Cloning shares everything (it is all `Arc`s).
 #[derive(Clone)]
 pub struct UcqPipelinePrep {
+    /// The plan this prep executed (empty for a Theorem 4 union).
+    pub(crate) plan: Arc<ExtensionPlan>,
+    /// The materialized virtual relations, one per planned atom in
+    /// schedule order: with the base instance, the extended instance the
+    /// members were built over.
+    pub(crate) virtuals: Vec<Arc<Relation>>,
     /// One preprocessed engine per member's free-connex extension.
-    engines: Vec<Arc<CdyEngine>>,
-    /// Tuples materialization contributed to the instance, per planned atom
-    /// (diagnostics for tests/benches).
-    pub materialized_sizes: Vec<usize>,
+    pub(crate) engines: Vec<Arc<CdyEngine>>,
 }
 
+/// A previous epoch's prep, built through the same context lineage, and
+/// which base relations a delta replaced since.
+pub type Previous<'p> = (&'p UcqPipelinePrep, &'p dyn Fn(&str) -> bool);
+
 impl UcqPipelinePrep {
-    /// Runs the preprocessing phase (materializations + per-member CDY
-    /// builds) through the shared `ctx`.
+    /// Runs the preprocessing phase of `plan` over `instance` through the
+    /// shared `ctx`: materializations, then per-member CDY builds. Extended
+    /// member `i` answers on the head positions `lifts[i]` does not derive,
+    /// and derives them to probe (an FD rewrite's; other unions pass none).
+    ///
+    /// With a `previous` epoch's prep under the same plan (the same `Arc`),
+    /// a virtual relation whose provider reads nothing that changed is
+    /// kept, in schedule order, and then so is a member whose extension and
+    /// lift read nothing that changed. Another plan keeps nothing.
     pub fn prepare(
         ucq: &Ucq,
-        plan: &ExtensionPlan,
-        instance: &Instance,
-        ctx: &CtxView,
-    ) -> Result<UcqPipelinePrep, EvalError> {
-        UcqPipelinePrep::prepare_lifted(ucq, plan, &[], instance, ctx)
-    }
-
-    /// As [`UcqPipelinePrep::prepare`], for the members of an FD rewrite
-    /// whose heads grew: extended member `i` answers on the head positions
-    /// `lifts[i]` does not derive, and derives them to probe.
-    pub(crate) fn prepare_lifted(
-        ucq: &Ucq,
-        plan: &ExtensionPlan,
+        plan: Arc<ExtensionPlan>,
         lifts: &[Vec<LiftStep>],
         instance: &Instance,
         ctx: &CtxView,
+        previous: Option<Previous<'_>>,
     ) -> Result<UcqPipelinePrep, EvalError> {
-        let mut ext_instance = instance.clone();
-        let mut materialized_sizes = Vec::with_capacity(plan.atoms.len());
-
-        let name_of =
-            |t: usize, v: ucq_hypergraph::VSet| -> String { plan.atom_for(t, v).rel_name.clone() };
-        for atom in &plan.atoms {
-            let m = materialize_atom_in(ucq, atom, &name_of, &ext_instance, ctx)?;
-            materialized_sizes.push(m.relation.len());
-            ext_instance.insert_shared(atom.rel_name.clone(), m.relation);
+        let previous = previous.filter(|(prev, _)| Arc::ptr_eq(&prev.plan, &plan));
+        // `previous`, if it holds the same relations under `names` as this
+        // prep, whose virtual relations so far are `virtuals`: a virtual
+        // relation when it was kept, a base relation when no delta replaced
+        // it.
+        let unchanged = |mut names: &mut dyn Iterator<Item = &str>, virtuals: &[Arc<_>]| {
+            let (prev, touched) = previous?;
+            let kept = |k: usize| Arc::ptr_eq(&prev.virtuals[k], &virtuals[k]);
+            let virtual_of = |name| plan.atoms.iter().position(|a| a.rel_name == name);
+            let same = (&mut names).all(|n| virtual_of(n).map_or(!touched(n), kept));
+            same.then_some(prev)
+        };
+        // An empty plan borrows the instance and the members as they are.
+        let mut extended = match plan.needs_extension() {
+            true => Cow::Owned(instance.clone()),
+            false => Cow::Borrowed(instance),
+        };
+        let mut virtuals = Vec::with_capacity(plan.atoms.len());
+        let name_of = |t, v| plan.atom_for(t, v).rel_name.clone();
+        for (k, atom) in plan.atoms.iter().enumerate() {
+            let prov = &atom.provenance;
+            let uses = prov.uses.iter();
+            let body = ucq.cqs()[prov.provider].atoms().iter().map(|a| &*a.rel);
+            let mut reads = body.chain(uses.map(|&u| &*plan.atom_for(prov.provider, u).rel_name));
+            let relation = match unchanged(&mut reads, &virtuals) {
+                Some(prev) => Arc::clone(&prev.virtuals[k]),
+                None => materialize_atom_in(ucq, atom, &name_of, &extended, ctx)?.relation,
+            };
+            let name = atom.rel_name.clone();
+            extended.to_mut().insert_shared(name, relation.clone());
+            virtuals.push(relation);
         }
-
-        let extended: Vec<Cq> = (0..ucq.len())
-            .map(|i| plan.extended_query(ucq, i))
-            .collect();
-        let engines = member_engines(&extended, lifts, &ext_instance, ctx)?;
+        let extend = |i| plan.extended_query(ucq, i);
+        let members: Cow<[Cq]> = match plan.needs_extension() {
+            true => (0..ucq.len()).map(extend).collect(),
+            false => Cow::Borrowed(ucq.cqs()),
+        };
+        // The whole union's shapes, not the rebuilt members': a rebuilt
+        // engine must root where the first build did, or it would ask for
+        // indexes nobody cached.
+        let shared = SharedShapes::of(members.iter());
+        let engine = |(i, cq): (usize, &Cq)| {
+            let lift = lifts.get(i).map_or(&[][..], Vec::as_slice);
+            let atoms = cq.atoms().iter().map(|a| &*a.rel);
+            let mut reads = atoms.chain(lift.iter().map(|step| &*step.rel));
+            match unchanged(&mut reads, &virtuals) {
+                Some(prev) => Ok(Arc::clone(&prev.engines[i])),
+                // Connex for its whole head, enumerating the head positions
+                // the lift does not derive (all of them, without FDs).
+                None => {
+                    let output = cq.head()[..cq.head().len() - lift.len()].to_vec();
+                    let free = cq.free();
+                    CdyEngine::build_rooted(cq, free, output, lift, &shared, &extended, ctx)
+                        .map(Arc::new)
+                }
+            }
+        };
+        let engines = members.iter().enumerate().map(engine);
+        let engines = engines.collect::<Result<_, _>>()?;
         Ok(UcqPipelinePrep {
+            plan,
+            virtuals,
             engines,
-            materialized_sizes,
         })
+    }
+
+    /// Tuples materialization contributed to the instance, per planned
+    /// atom (diagnostics for tests).
+    pub fn materialized_sizes(&self) -> Vec<usize> {
+        self.virtuals.iter().map(|r| r.len()).collect()
     }
 
     /// The extended members' engines, in member order.
     pub fn engines(&self) -> &[Arc<CdyEngine>] {
         &self.engines
     }
-
-    /// Moves this prep onto `view`, a snapshot of the context it was built
-    /// through (see [`retarget_members`]).
-    pub(crate) fn retarget(&mut self, view: &CtxView) {
-        retarget_members(&mut self.engines, view);
-    }
-
-    /// Starts one enumeration over the preprocessed state, on the id
-    /// spine. Starting is O(1) in the data: cursors over shared engines; no
-    /// linear pass is repeated.
-    pub(crate) fn start_ids(&self) -> Algorithm1Ids {
-        Algorithm1Ids::new(self.engines.clone())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm1::Algorithm1Ids;
     use crate::naive_ucq::evaluate_ucq_naive;
     use crate::{CostedSearch, SearchConfig};
     use std::collections::HashSet;
@@ -123,7 +154,7 @@ mod tests {
     /// One enumeration of `prep` behind the block decoder, as a request
     /// runs it.
     fn start(prep: &UcqPipelinePrep, ctx: &CtxView) -> IdDecoder<Algorithm1Ids> {
-        IdDecoder::new(prep.start_ids(), ctx.clone())
+        IdDecoder::new(Algorithm1Ids::new(prep.engines.clone()), ctx.clone())
     }
 
     fn inst(rels: &[(&str, Vec<(i64, i64)>)]) -> Instance {
@@ -138,7 +169,7 @@ mod tests {
             .map(|s| s.certificate())
             .expect("free-connex");
         let ctx = CtxView::new();
-        let prep = UcqPipelinePrep::prepare(&u, &plan, i, &ctx).unwrap();
+        let prep = UcqPipelinePrep::prepare(&u, Arc::new(plan), &[], i, &ctx, None).unwrap();
         let mut p = start(&prep, &ctx);
         let got = p.collect_all();
         assert_eq!(p.rows_decoded(), got.len(), "decode once per answer");
@@ -260,7 +291,7 @@ mod tests {
             ("R3", vec![(3, 4)]),
         ]);
         let ctx = CtxView::new();
-        let prep = UcqPipelinePrep::prepare(&u, &plan, &i, &ctx).unwrap();
+        let prep = UcqPipelinePrep::prepare(&u, Arc::new(plan), &[], &i, &ctx, None).unwrap();
         let a: HashSet<Tuple> = start(&prep, &ctx).collect_all().into_iter().collect();
         let b: HashSet<Tuple> = start(&prep, &ctx).collect_all().into_iter().collect();
         assert_eq!(a, b, "restarted enumerations agree");
@@ -284,11 +315,11 @@ mod tests {
             ("R3", vec![(3, 4), (3, 6), (0, 2)]),
         ]);
         let ctx = CtxView::new();
-        let prep = UcqPipelinePrep::prepare(&u, &plan, &i, &ctx).unwrap();
+        let prep = UcqPipelinePrep::prepare(&u, Arc::new(plan), &[], &i, &ctx, None).unwrap();
 
         let via_values = start(&prep, &ctx).collect_all();
 
-        let (ids, rows) = prep.start_ids().collect_ids();
+        let (ids, rows) = Algorithm1Ids::new(prep.engines.clone()).collect_ids();
         let via_ids = ctx.decode_rows(3, &ids);
         assert_eq!(via_ids, via_values, "same answers in the same order");
         assert_eq!(rows, via_values.len());
@@ -325,7 +356,7 @@ mod tests {
             .map(|(m, rel)| vec![w_by(&u.cqs()[m], rel)])
             .collect();
         let ctx = CtxView::new();
-        let prep = UcqPipelinePrep::prepare_lifted(&u, &plan, &lifts, &i, &ctx).unwrap();
+        let prep = UcqPipelinePrep::prepare(&u, Arc::new(plan), &lifts, &i, &ctx, None).unwrap();
         assert!(prep.engines().iter().all(|e| e.output_arity() == 2));
         let mut p = start(&prep, &ctx);
         let got: Vec<Tuple> = p.collect_all();
@@ -360,7 +391,8 @@ mod tests {
             ("R3", vec![(3, 4), (8, 0)]),
         ]);
         let ctx = CtxView::new();
-        let prep = UcqPipelinePrep::prepare(&u, &plan, &i, &ctx).unwrap();
+        let prep =
+            UcqPipelinePrep::prepare(&u, Arc::new(plan.clone()), &[], &i, &ctx, None).unwrap();
 
         let name_of = |t: usize, v: ucq_hypergraph::VSet| plan.atom_for(t, v).rel_name.clone();
         let mut ext = i.clone();
@@ -372,6 +404,6 @@ mod tests {
             ext.insert_shared(atom.rel_name.clone(), m.relation);
         }
         assert!(!want_sizes.is_empty(), "example 2 materializes atoms");
-        assert_eq!(prep.materialized_sizes, want_sizes);
+        assert_eq!(prep.materialized_sizes(), want_sizes);
     }
 }

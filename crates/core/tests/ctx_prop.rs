@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::Arc;
 use ucq_core::{Algorithm1, CostedSearch, SearchConfig, UcqEngine, UcqPipelinePrep};
 use ucq_enumerate::Enumerator;
 use ucq_query::{Cq, Ucq};
@@ -239,7 +240,7 @@ proptest! {
                 break;
             }
         }
-        let built = UcqPipelinePrep::prepare(&u, &plan, &inst, &CtxView::new());
+        let built = UcqPipelinePrep::prepare(&u, Arc::new(plan), &[], &inst, &CtxView::new(), None);
         if !schema_ok {
             prop_assert!(built.is_err(), "arity clash must error on the id spine");
             return Ok(());
@@ -320,8 +321,8 @@ proptest! {
                 break;
             }
         }
-        let via_first = UcqPipelinePrep::prepare(&u, &first, &inst, &ctx);
-        let via_costed = UcqPipelinePrep::prepare(&u, &costed.plan, &inst, &ctx);
+        let via_first = UcqPipelinePrep::prepare(&u, Arc::new(first), &[], &inst, &ctx, None);
+        let via_costed = UcqPipelinePrep::prepare(&u, Arc::new(costed.plan), &[], &inst, &ctx, None);
         if !schema_ok {
             prop_assert!(via_first.is_err() && via_costed.is_err(), "arity clash errors on both");
             return Ok(());

@@ -5,6 +5,7 @@
 //! preprocessed state, so they answer in the same *order* too.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 use ucq_core::{
     evaluate_ucq_naive_set, Algorithm1, CostedSearch, SearchConfig, Strategy, UcqEngine,
     UcqPipelinePrep,
@@ -120,7 +121,8 @@ fn algorithm1_and_the_cheater_pipeline_return_one_set() {
     assert!(!plan.needs_extension());
     let members = Algorithm1::member_engines(&union, &inst, &CtxView::new()).unwrap();
     sequence("Algorithm 1", Algorithm1::from_engines(members), &want);
-    let prep = UcqPipelinePrep::prepare(&union, &plan, &inst, &CtxView::new()).unwrap();
+    let prep = UcqPipelinePrep::prepare(&union, Arc::new(plan), &[], &inst, &CtxView::new(), None)
+        .unwrap();
     sequence(
         "the Theorem 12 pipeline",
         Algorithm1::from_engines(prep.engines().to_vec()),

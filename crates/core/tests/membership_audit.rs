@@ -13,6 +13,7 @@
 //! has it — so a lift that derived a wrong value, or missed, shows here.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 use ucq_core::{
     evaluate_ucq_naive_set, fd_rewrite, Algorithm1, Strategy, UcqEngine, UcqPipelinePrep, Verdict,
 };
@@ -45,7 +46,9 @@ fn audit(u: &Ucq, inst: &Instance, case: &str) {
         .plan;
     let want = evaluate_ucq_naive_set(u, inst).expect("evaluates");
     for (which, plan) in [("certificate", plan), ("costed", &costed)] {
-        let prep = UcqPipelinePrep::prepare(&c.minimized, plan, inst, &ctx).unwrap();
+        let prep =
+            UcqPipelinePrep::prepare(&c.minimized, Arc::new(plan.clone()), &[], inst, &ctx, None)
+                .unwrap();
         let mut scratch = ContainsScratch::default();
         for (m, eng) in prep.engines().iter().enumerate() {
             for row in eng.iter().collect_all() {

@@ -4,8 +4,9 @@
 //! private context per member — no shared ids, no blocks, no decoder), and against
 //! the naive evaluator, on random free-connex unions: 2–4 members, repeated
 //! head variables, an emptied member, Boolean unions; one-shot, session,
-//! frozen, refrozen after an insert and after a delete. Same set, no
-//! duplicate, same `decide`.
+//! frozen, refrozen after an insert and after a delete (into a relation the
+//! seed picks among every member's atoms). Same set, no duplicate, same
+//! `decide`.
 //!
 //! The second test runs the Theorem 12 arm through the same rungs and on
 //! through `ucq_serve::serve`: random union-extension unions, whose
@@ -115,9 +116,14 @@ fn check_engine_paths(
     want
 }
 
-/// The relation the first member reads first, and two rows to churn it by.
+/// A relation the union reads, and two rows to churn it by: the member and
+/// its atom picked by `seed`, so that across the cases a refreeze reaches
+/// every member, or only a later one, or only a provider's relation — and
+/// each epoch keeps the rest.
 fn churn_target(u: &Ucq, inst: &Instance, seed: u64) -> (String, Relation, Relation) {
-    let atom = &u.cqs()[0].atoms()[0];
+    let pick = seed as usize;
+    let member = &u.cqs()[pick % u.len()];
+    let atom = &member.atoms()[pick / u.len() % member.atoms().len()];
     let stored = inst.get(&atom.rel).expect("generated");
     let arity = stored.arity();
     let mut fresh = Relation::new(arity);
